@@ -5,12 +5,15 @@ problem datum theta the implicit function theorem gives
 
     dx*/dtheta = -J^{-1} dR/dtheta
 
-with J the generalized Jacobian at x*. J is assembled with the proximal
+with J the generalized Jacobian at x*. J is taken with the proximal
 weight held at its floor (sigma_min), which keeps it invertible even at
 mildly degenerate solutions while perturbing the sensitivities only at the
-level of sigma_min. Forward mode returns dense dz/df, dz/dh, dz/db;
-reverse mode (vjp) pulls a cotangent on z back to gradients with respect
-to every datum, including the matrices, in one transposed solve.
+level of sigma_min. J is not assembled: it is factored once through the
+same reduced symmetric system as the Newton steps (``fbqp.jacobian``),
+which serves the forward solve and, up to signs, the transposed one.
+Forward mode returns dense dz/df, dz/dh, dz/db; reverse mode (vjp) pulls a
+cotangent on z back to gradients with respect to every datum, including
+the matrices, in one transposed solve. Every solve is checked against J.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .problem import QpProblem
-from .solver import SolverConfig, SolveResult, SolveStatus, SingularSystemError, assemble_jacobian
+from .jacobian import ReducedJacobian
 from .ncp import phi_derivative_vec
+from .problem import QpProblem
+from .solver import SingularSystemError, SolverConfig, SolveResult, SolveStatus
 
 __all__ = [
     "NotSolvedError",
@@ -78,32 +81,31 @@ class VjpResult:
 
 def _final_jacobian(
     problem: QpProblem, result: SolveResult, config: SolverConfig | None
-):
-    """LU of the Jacobian at the final iterate, plus phi derivative data."""
+) -> tuple[ReducedJacobian, np.ndarray, bool]:
+    """The factored Jacobian at the final iterate, plus phi derivative data."""
     if result.status is not SolveStatus.SOLVED:
         raise NotSolvedError(
             f"sensitivities need a Solved result, got status {result.status.value}"
         )
     config = config or result.config
-    jacobian = assemble_jacobian(problem, result.iterate, config.sigma_min, config)
     slack = problem.b - problem.A @ result.iterate.z
-    d_y, _ = phi_derivative_vec(slack, result.iterate.v, config.ncp)
+    d_y, d_v = phi_derivative_vec(slack, result.iterate.v, config.ncp)
     strict = not bool(
         np.any((slack < _DEGENERACY_TOL) & (result.iterate.v < _DEGENERACY_TOL))
     )
     try:
-        lu = scipy.linalg.lu_factor(jacobian, check_finite=False)
-    except (ValueError, scipy.linalg.LinAlgError) as exc:
+        system = ReducedJacobian(problem, d_y, d_v, config.sigma_min)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"final Jacobian could not be factorized: {exc}") from exc
-    return jacobian, lu, d_y, strict
+    return system, d_y, strict
 
 
-def _checked_solve(jacobian, lu, rhs, trans: int) -> np.ndarray:
-    out = scipy.linalg.lu_solve(lu, rhs, trans=trans, check_finite=False)
-    operator = jacobian.T if trans else jacobian
+def _checked_solve(system: ReducedJacobian, rhs: np.ndarray, transpose: bool) -> np.ndarray:
+    out = system.solve(rhs, transpose)
     scale = 1.0 + np.max(np.abs(rhs), initial=0.0)
     if not np.all(np.isfinite(out)) or (
-        np.max(np.abs(operator @ out - rhs), initial=0.0) > _SOLVE_CHECK_TOL * scale
+        np.max(np.abs(system.apply(out, transpose) - rhs), initial=0.0)
+        > _SOLVE_CHECK_TOL * scale
     ):
         raise SingularSystemError("final Jacobian is numerically singular")
     return out
@@ -122,14 +124,14 @@ def solution_sensitivity(
         NotSolvedError: when the result status is not Solved.
         SingularSystemError: when the final Jacobian cannot be solved.
     """
-    jacobian, lu, d_y, strict = _final_jacobian(problem, result, config)
+    system, d_y, strict = _final_jacobian(problem, result, config)
     n, p, q = problem.n, problem.p, problem.q
     size = n + p + q
     rhs = np.zeros((size, size))
     rhs[:n, :n] = np.eye(n)
     rhs[n : n + p, n : n + p] = np.eye(p)
     rhs[n + p :, n + p :] = np.diag(d_y)
-    solution = _checked_solve(jacobian, lu, rhs, trans=0)
+    solution = _checked_solve(system, rhs, transpose=False)
     return SensitivityResult(
         dz_df=-solution[:n, :n],
         dz_dh=-solution[:n, n : n + p],
@@ -160,10 +162,10 @@ def vjp(
         raise ValueError(
             f"z_cotangent must have shape ({problem.n},), got {z_cotangent.shape}"
         )
-    jacobian, lu, d_y, strict = _final_jacobian(problem, result, config)
+    system, d_y, strict = _final_jacobian(problem, result, config)
     n, p = problem.n, problem.p
     rhs = np.concatenate((-z_cotangent, np.zeros(p), np.zeros(problem.q)))
-    w = _checked_solve(jacobian, lu, rhs, trans=1)
+    w = _checked_solve(system, rhs, transpose=True)
     w_z, w_lam, w_v = w[:n], w[n : n + p], w[n + p :]
     z, lam, v = result.iterate.z, result.iterate.lam, result.iterate.v
     raw_dH = np.outer(w_z, z)

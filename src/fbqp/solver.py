@@ -14,17 +14,24 @@ shrinks sigma geometrically and (by default) re-centers the proximal term
 at the current iterate, driving the iterates to a solution of the
 unregularized system. Termination is certified against the sigma-free
 KKT residuals only.
+
+Each Newton step solves J d = -R without assembling J: ``fbqp.jacobian``
+reduces it to a symmetric quasi-definite system with two Cholesky factors.
+A direction is kept only when its backward error against the full J passes,
+after at most one refinement pass; otherwise the step is retried on
+J + eps I with a growing eps. The stationarity and equality blocks of R
+are affine along a direction, so each line-search trial costs one
+evaluation of phi. ``assemble_jacobian`` builds the dense J as a reference.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
+from .jacobian import JacobianNorms, ReducedJacobian
 from .ncp import NcpConfig, phi_derivative_vec, phi_vec
 from .problem import Iterate, KktError, QpProblem, kkt_error, validate_problem
 
@@ -136,12 +143,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ResidualBreakdown:
-    """The three residual blocks at one point, plus the merit 0.5 ||R||^2."""
+    """The three residual blocks at one point, the merit 0.5 ||R||^2, and
+    the slack b - A z at which the complementarity block was evaluated."""
 
     stationarity_block: np.ndarray
     equality_block: np.ndarray
     complementarity_block: np.ndarray
     merit: float
+    slack: np.ndarray
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate(
@@ -164,6 +173,14 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Outcome of ``solve``.
+
+    ``factorizations`` counts attempts at the Newton system: one per
+    direction that succeeded on the first try, plus one per perturbed
+    retry of the ladder. One attempt factors both Cholesky blocks of the
+    reduced system (see ``fbqp.jacobian``).
+    """
+
     iterate: Iterate
     status: SolveStatus
     kkt: KktError
@@ -222,7 +239,7 @@ def residual(
     merit = 0.5 * (
         stationarity @ stationarity + equality @ equality + complementarity @ complementarity
     )
-    return ResidualBreakdown(stationarity, equality, complementarity, float(merit))
+    return ResidualBreakdown(stationarity, equality, complementarity, float(merit), slack)
 
 
 def assemble_jacobian(
@@ -239,6 +256,9 @@ def assemble_jacobian(
         [ H + sigma I    G'         A'  ]
         [ -G             sigma I    0   ]
         [ -D_y A         0          D_v ]
+
+    The solver never forms this matrix (see ``fbqp.jacobian``); it is the
+    dense reference that the structured solves are tested against.
     """
     config = config or SolverConfig()
     _require_match(problem, iterate)
@@ -261,108 +281,84 @@ def assemble_jacobian(
 
 
 def _solve_checked(
-    matrix: np.ndarray, rhs: np.ndarray, tol: float
+    problem: QpProblem,
+    norms: JacobianNorms,
+    d_y: np.ndarray,
+    d_v: np.ndarray,
+    sigma: float,
+    eps: float,
+    rhs: np.ndarray,
+    tol: float,
 ) -> np.ndarray | None:
-    """LU-solve with one iterative refinement pass; None if still inaccurate.
+    """Solve (J + eps I) x = rhs with one refinement pass; None if inaccurate.
 
     Acceptance is backward-stable: the absolute bound ``tol`` is widened by
-    a term proportional to ``||matrix|| * ||x||``, since no double-precision
+    a term proportional to ``||J + eps I|| * ||x||``, since no double-precision
     solve can beat that floor when the solution dwarfs the right-hand side.
     """
     try:
-        with warnings.catch_warnings():
-            # Singular factors are detected by the residual check; the
-            # perturbation ladder above handles the retry.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(matrix, check_finite=False)
-    except (ValueError, scipy.linalg.LinAlgError):
+        system = ReducedJacobian(problem, d_y, d_v, sigma, eps)
+    except np.linalg.LinAlgError:
         return None
-    row_norm = float(np.max(np.abs(matrix).sum(axis=1), initial=0.0))
-    x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-    if not np.all(np.isfinite(x)):
-        return None
-
-    def accepted(candidate: np.ndarray) -> bool:
-        back = matrix @ candidate - rhs
-        bound = tol + _DIRECTION_TOL * row_norm * float(
-            np.max(np.abs(candidate), initial=0.0)
-        )
-        return float(np.max(np.abs(back), initial=0.0)) <= bound
-
-    if accepted(x):
-        return x
-    x = x - scipy.linalg.lu_solve(lu, matrix @ x - rhs, check_finite=False)
-    if not np.all(np.isfinite(x)):
-        return None
-    if accepted(x):
-        return x
+    x = system.solve(rhs)
+    for refine in (True, False):
+        if not np.isfinite(x).all():
+            return None
+        back = system.apply(x) - rhs
+        error = float(np.abs(back).max(initial=0.0))
+        if error <= tol:
+            return x
+        # The widened bound, computed only when the plain one fails.
+        row_norm = norms.row_norm(sigma + eps, d_y, d_v + eps)
+        if error <= tol + _DIRECTION_TOL * row_norm * float(np.abs(x).max(initial=0.0)):
+            return x
+        if refine:
+            x = x - system.solve(back)
     return None
 
 
-def _newton_direction(
-    jacobian: np.ndarray, residual_vector: np.ndarray, perturb0: float
-) -> tuple[np.ndarray, int]:
-    """Solve J d = -R, escalating a diagonal perturbation if needed.
-
-    Returns (direction, factorization_count).
-    """
-    tol = _DIRECTION_TOL * (1.0 + np.max(np.abs(residual_vector), initial=0.0))
-    rhs = -residual_vector
-    factorizations = 0
-    perturb = 0.0
-    for _ in range(1 + _PERTURB_ATTEMPTS):
-        matrix = jacobian if perturb == 0.0 else jacobian + perturb * np.eye(jacobian.shape[0])
-        factorizations += 1
-        direction = _solve_checked(matrix, rhs, tol)
-        if direction is not None:
-            return direction, factorizations
-        perturb = perturb0 if perturb == 0.0 else perturb * 10.0
-    raise SingularSystemError(
-        f"Newton system unsolved to tolerance after {_PERTURB_ATTEMPTS} perturbed retries"
-    )
-
-
 def newton_direction(
-    jacobian: np.ndarray, residual_vector: np.ndarray, config: SolverConfig | None = None
-) -> np.ndarray:
-    """Direction d with J d = -R, accurate to 1e-10 * (1 + ||R||_inf).
-
-    On a failed factorization the system is retried with an escalating
-    diagonal perturbation (starting at ``config.jacobian_perturb``) before
-    ``SingularSystemError`` is raised.
-    """
-    config = config or SolverConfig()
-    residual_vector = np.asarray(residual_vector, dtype=float)
-    direction, _ = _newton_direction(jacobian, residual_vector, config.jacobian_perturb)
-    return direction
-
-
-def _split(problem: QpProblem, direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, p = problem.n, problem.p
-    return direction[:n], direction[n : n + p], direction[n + p :]
-
-
-def _line_search(
     problem: QpProblem,
     iterate: Iterate,
-    direction: np.ndarray,
     sigma: float,
-    center: Iterate,
-    config: SolverConfig,
-    base_merit: float,
-) -> tuple[float, Iterate, float]:
-    dz, dlam, dv = _split(problem, direction)
-    step = 1.0
-    while step >= config.min_step:
-        candidate = Iterate(
-            iterate.z + step * dz, iterate.lam + step * dlam, iterate.v + step * dv
-        )
-        merit = residual(problem, candidate, sigma, center, config).merit
-        if merit <= (1.0 - 2.0 * config.armijo_c * step) * base_merit:
-            return step, candidate, merit
-        step *= config.backtrack_factor
-    raise LineSearchStalledError(
-        f"no step >= {config.min_step} gave sufficient decrease from merit {base_merit:.3e}"
+    breakdown: ResidualBreakdown,
+    config: SolverConfig | None = None,
+    norms: JacobianNorms | None = None,
+) -> tuple[np.ndarray, int]:
+    """Direction d with J d = -R at an iterate, and the factorizations it took.
+
+    J is the generalized Jacobian of the residual (``assemble_jacobian``),
+    solved through its reduced symmetric form (``fbqp.jacobian``) without
+    being assembled. A direction is accepted when its backward error against
+    J is within 1e-10 * (1 + ||R||_inf + ||J||_inf ||d||_inf), after at most
+    one pass of iterative refinement. Otherwise the system is retried as
+    J + eps I, with eps starting at ``config.jacobian_perturb`` and growing
+    tenfold, before ``SingularSystemError`` is raised. Each attempt counts
+    as one factorization.
+
+    Args:
+        breakdown: ``residual`` at ``iterate`` with the same ``sigma``.
+        norms: ``JacobianNorms(problem)``; computed here when not given.
+
+    Returns:
+        (direction, factorization_count).
+    """
+    config = config or SolverConfig()
+    norms = norms or JacobianNorms(problem)
+    rhs = -breakdown.as_vector()
+    tol = _DIRECTION_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+    if problem.q:
+        d_y, d_v = phi_derivative_vec(breakdown.slack, iterate.v, config.ncp)
+    else:
+        d_y = d_v = np.zeros(0)
+    eps = 0.0
+    for attempt in range(1, 2 + _PERTURB_ATTEMPTS):
+        direction = _solve_checked(problem, norms, d_y, d_v, sigma, eps, rhs, tol)
+        if direction is not None:
+            return direction, attempt
+        eps = config.jacobian_perturb if eps == 0.0 else eps * 10.0
+    raise SingularSystemError(
+        f"Newton system unsolved to tolerance after {_PERTURB_ATTEMPTS} perturbed retries"
     )
 
 
@@ -371,27 +367,53 @@ def line_search(
     iterate: Iterate,
     direction: np.ndarray,
     sigma: float,
-    center: Iterate,
+    base: ResidualBreakdown,
     config: SolverConfig | None = None,
-) -> tuple[float, Iterate]:
+) -> tuple[float, Iterate, float]:
     """Backtracking Armijo search on the merit 0.5 ||R||^2.
 
     Tries the full step first, then shrinks by ``backtrack_factor``. A step
-    t is accepted when merit(x + t d) <= (1 - 2 c t) * merit(x).
+    t is accepted when merit(x + t d) <= (1 - 2 c t) * merit(x). The
+    stationarity and equality blocks of R are affine in t, so their change
+    per unit step is formed once; each trial then costs one ``phi_vec``.
+
+    Args:
+        base: ``residual`` at ``iterate`` with the same ``sigma``.
 
     Returns:
-        (step, new_iterate).
+        (step, new_iterate, merit at new_iterate).
 
     Raises:
         LineSearchStalledError: when no step of at least ``min_step`` passes.
     """
     config = config or SolverConfig()
+    n, p = problem.n, problem.p
     direction = np.asarray(direction, dtype=float)
-    base = residual(problem, iterate, sigma, center, config).merit
-    step, candidate, _ = _line_search(
-        problem, iterate, direction, sigma, center, config, base
+    dz, dlam, dv = direction[:n], direction[n : n + p], direction[n + p :]
+    d_stationarity = problem.H @ dz + sigma * dz + problem.G.T @ dlam + problem.A.T @ dv
+    d_equality = sigma * dlam - problem.G @ dz
+    a_dz = problem.A @ dz
+    step = 1.0
+    while step >= config.min_step:
+        stationarity = base.stationarity_block + step * d_stationarity
+        equality = base.equality_block + step * d_equality
+        v = iterate.v + step * dv
+        merit = stationarity @ stationarity + equality @ equality
+        if problem.q:
+            complementarity = phi_vec(base.slack - step * a_dz, v, config.ncp)
+            merit += complementarity @ complementarity
+        merit = 0.5 * float(merit)
+        if merit <= (1.0 - 2.0 * config.armijo_c * step) * base.merit:
+            return step, Iterate(iterate.z + step * dz, iterate.lam + step * dlam, v), merit
+        step *= config.backtrack_factor
+    raise LineSearchStalledError(
+        f"no step >= {config.min_step} gave sufficient decrease from merit {base.merit:.3e}"
     )
-    return step, candidate
+
+
+# bench/tracing.py times the direction and the line search under these names.
+_newton_direction = newton_direction
+_line_search = line_search
 
 
 def solve(
@@ -431,6 +453,7 @@ def solve(
         )
 
     x = start
+    norms = JacobianNorms(problem)
     zero_center = Iterate(np.zeros(problem.n), np.zeros(problem.p), np.zeros(problem.q))
     trace: list[TraceRecord] = []
     inner_total = 0
@@ -466,10 +489,9 @@ def solve(
                 # Subproblem solved to sigma-proportional accuracy; move on.
                 polish = breakdown.merit <= _ENDGAME_RATIO * 0.5 * kkt.max_error() ** 2
                 break
-            jacobian = assemble_jacobian(problem, x, sigma, config)
             try:
-                direction, nfact = _newton_direction(
-                    jacobian, breakdown.as_vector(), config.jacobian_perturb
+                direction, nfact = newton_direction(
+                    problem, x, sigma, breakdown, config, norms
                 )
             except SingularSystemError:
                 singular = True
@@ -477,9 +499,7 @@ def solve(
                 break
             factorizations += nfact
             try:
-                step, x, merit = _line_search(
-                    problem, x, direction, sigma, center, config, breakdown.merit
-                )
+                step, x, merit = line_search(problem, x, direction, sigma, breakdown, config)
             except LineSearchStalledError:
                 stalled = True
                 break

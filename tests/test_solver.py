@@ -113,6 +113,12 @@ def test_jacobian_equality_blocks_placement():
     assert jac[2, 2] == sigma
 
 
+def _direction(problem, x, sigma, center):
+    breakdown = residual(problem, x, sigma, center)
+    direction, _ = newton_direction(problem, x, sigma, breakdown)
+    return direction, breakdown
+
+
 def test_jacobian_nonsingular_on_random_problems():
     rng = np.random.default_rng(42)
     for seed in range(200):
@@ -123,32 +129,54 @@ def test_jacobian_nonsingular_on_random_problems():
         x = Iterate(
             rng.standard_normal(n), rng.standard_normal(p), rng.standard_normal(q)
         )
+        center = Iterate(
+            rng.standard_normal(n), rng.standard_normal(p), rng.standard_normal(q)
+        )
         jac = assemble_jacobian(problem, x, 1e-3)
-        r = rng.standard_normal(n + p + q)
-        d = newton_direction(jac, -r)  # solves jac @ d = r
-        assert np.max(np.abs(jac @ d - r), initial=0.0) <= 1e-8 * (
+        d, breakdown = _direction(problem, x, 1e-3, center)
+        r = breakdown.as_vector()
+        assert np.max(np.abs(jac @ d + r), initial=0.0) <= 1e-8 * (
             1.0 + np.max(np.abs(r), initial=0.0)
         )
 
 
 def test_newton_direction_identity_and_scalar():
+    # Unconstrained with sigma = 0: J = H and R = H z + f, so d = -H^-1 f at z = 0.
     r = np.array([3.0, -1.0, 0.5])
-    np.testing.assert_allclose(newton_direction(np.eye(3), r), -r)
-    np.testing.assert_allclose(newton_direction(np.array([[2.5]]), np.array([5.0])), [-2.0])
+    identity = QpProblem(H=np.eye(3), f=r)
+    d, _ = _direction(identity, Iterate(np.zeros(3)), 0.0, _zero_center(identity))
+    np.testing.assert_allclose(d, -r)
+    scalar = QpProblem(H=[[2.5]], f=[5.0])
+    d, _ = _direction(scalar, Iterate([0.0]), 0.0, _zero_center(scalar))
+    np.testing.assert_allclose(d, [-2.0])
 
 
 def test_newton_direction_back_substitution_accuracy():
     rng = np.random.default_rng(0)
-    jac = rng.standard_normal((10, 10)) + 10.0 * np.eye(10)
-    r = rng.standard_normal(10)
-    d = newton_direction(jac, r)
+    problem, _ = random_problem(GeneratorSpec(n=10, p=2, q=10, seed=3))
+    x = Iterate(rng.standard_normal(10), rng.standard_normal(2), rng.standard_normal(10))
+    jac = assemble_jacobian(problem, x, 1e-3)
+    d, breakdown = _direction(problem, x, 1e-3, _zero_center(problem))
+    r = breakdown.as_vector()
     assert np.max(np.abs(jac @ d + r)) <= 1e-10 * (1.0 + np.max(np.abs(r)))
 
 
+def test_newton_direction_counts_one_factorization_per_attempt():
+    # H = 0 at sigma = 0 is singular; the first rung, J + 1e-10 I, solves.
+    problem = QpProblem(H=[[0.0]], f=[1.0])
+    x = Iterate([0.0])
+    breakdown = residual(problem, x, 0.0, x)
+    direction, count = newton_direction(problem, x, 0.0, breakdown)
+    assert count == 2
+    np.testing.assert_allclose(direction, [-1e10])
+
+
 def test_newton_direction_singular_after_perturbation():
-    jac = np.full((2, 2), np.nan)
+    problem = QpProblem(H=[[np.nan]], f=[0.0])
+    x = Iterate([1.0])
+    breakdown = residual(problem, x, 1e-3, x)
     with pytest.raises(SingularSystemError):
-        newton_direction(jac, np.ones(2))
+        newton_direction(problem, x, 1e-3, breakdown)
 
 
 def test_line_search_accepts_full_newton_step():
@@ -156,18 +184,30 @@ def test_line_search_accepts_full_newton_step():
     problem = QpProblem(H=[[1.0]], f=[-3.0])
     x = Iterate([0.0])
     center = _zero_center(problem)
-    jac = assemble_jacobian(problem, x, 0.0)
-    breakdown = residual(problem, x, 0.0, center)
-    direction = newton_direction(jac, breakdown.as_vector())
-    step, new_x = line_search(problem, x, direction, 0.0, center)
+    direction, breakdown = _direction(problem, x, 0.0, center)
+    step, new_x, merit = line_search(problem, x, direction, 0.0, breakdown)
     assert step == 1.0
+    assert merit <= 1e-20
     assert residual(problem, new_x, 0.0, center).merit <= 1e-20
     np.testing.assert_allclose(new_x.z, [3.0])
 
 
+def test_line_search_merit_matches_residual_at_trial():
+    # The trial merit comes from the affine blocks plus one phi evaluation;
+    # it must agree with the residual recomputed at the accepted point.
+    rng = np.random.default_rng(7)
+    problem, _ = random_problem(GeneratorSpec(n=5, p=1, q=4, seed=7))
+    x = Iterate(rng.standard_normal(5), rng.standard_normal(1), rng.standard_normal(4))
+    center = Iterate(rng.standard_normal(5), rng.standard_normal(1), np.zeros(4))
+    direction, breakdown = _direction(problem, x, 0.01, center)
+    _, new_x, merit = line_search(problem, x, direction, 0.01, breakdown)
+    assert merit == pytest.approx(residual(problem, new_x, 0.01, center).merit, rel=1e-9)
+    assert merit < breakdown.merit
+
+
 def test_line_search_zero_direction_at_solution():
     x = Iterate([1.0], v=[1.0])
-    step, new_x = line_search(ONE_D, x, np.zeros(2), 0.0, x)
+    step, new_x, _ = line_search(ONE_D, x, np.zeros(2), 0.0, residual(ONE_D, x, 0.0, x))
     assert step == 1.0
     np.testing.assert_array_equal(new_x.z, x.z)
     np.testing.assert_array_equal(new_x.v, x.v)
@@ -176,9 +216,9 @@ def test_line_search_zero_direction_at_solution():
 def test_line_search_stalls_on_ascent_direction():
     problem = QpProblem(H=[[1.0]], f=[-3.0])
     x = Iterate([0.0])
-    center = _zero_center(problem)
+    base = residual(problem, x, 0.0, _zero_center(problem))
     with pytest.raises(LineSearchStalledError):
-        line_search(problem, x, np.array([-3.0]), 0.0, center)
+        line_search(problem, x, np.array([-3.0]), 0.0, base)
 
 
 def test_solve_one_d_inequality():
@@ -318,3 +358,30 @@ def test_solve_handles_empty_blocks_unconstrained():
     np.testing.assert_allclose(result.iterate.z, [2.0], atol=1e-8)
     assert result.iterate.lam.shape == (0,)
     assert result.iterate.v.shape == (0,)
+
+
+# Degenerate planted problems (more active rows than variables) from the
+# benchmark's acceptance fleet that once ended in LineSearchStalled.
+@pytest.mark.parametrize(
+    "n, p, q, activity, seed",
+    [
+        (2, 1, 6, 0.75, 1000393),
+        (1, 0, 6, 0.75, 3000383),
+        (1, 1, 6, 0.75, 20000323),
+        (2, 1, 5, 1.0, 21000089),
+        (1, 1, 6, 0.75, 21000238),
+        (1, 1, 6, 0.75, 25000123),
+        (1, 1, 6, 0.5, 26000037),
+        (2, 2, 5, 0.75, 27000338),
+        (2, 1, 4, 0.75, 30000458),
+        (2, 1, 6, 1.0, 34000394),
+    ],
+)
+def test_degenerate_fleet_problems_solve(n, p, q, activity, seed):
+    problem, planted = random_problem(
+        GeneratorSpec(n=n, p=p, q=q, activity_fraction=activity, seed=seed)
+    )
+    result = solve(problem)
+    assert result.status is SolveStatus.SOLVED
+    assert kkt_error(problem, result.iterate).within(1e-8)
+    np.testing.assert_allclose(result.iterate.z, planted.z, rtol=0.0, atol=1e-6)

@@ -10,17 +10,19 @@ method solve a QP without guessing active sets.
 
 import numpy as np
 
-from fbqp import NcpConfig, phi, phi_derivative, phi_vec
+from fbqp import NcpConfig, phi_derivative_vec, phi_vec
 
 print("values on and off the complementarity set (alpha = 0.95):")
-for y, v in [(1.0, 0.0), (0.0, 3.0), (0.0, 0.0), (1.0, 1.0), (-1.0, 2.0), (-1.0, 0.0)]:
-    tag = "on " if phi(y, v) == 0.0 else "off"
-    print(f"  phi({y:5.1f}, {v:5.1f}) = {phi(y, v):12.8f}   [{tag} the zero set]")
+ys = np.array([1.0, 0.0, 0.0, 1.0, -1.0, -1.0])
+vs = np.array([0.0, 3.0, 0.0, 1.0, 2.0, 0.0])
+for y, v, value in zip(ys, vs, phi_vec(ys, vs)):
+    tag = "on " if value == 0.0 else "off"
+    print(f"  phi({y:5.1f}, {v:5.1f}) = {value:12.8f}   [{tag} the zero set]")
 
 print("\nthe penalty term punishes y > 0 and v > 0 happening together:")
 for alpha in (0.55, 0.95):
     config = NcpConfig(alpha=alpha)
-    print(f"  alpha = {alpha}: phi(2, 2) = {phi(2.0, 2.0, config):.6f}")
+    print(f"  alpha = {alpha}: phi(2, 2) = {phi_vec([2.0], [2.0], config)[0]:.6f}")
 
 # Sample the square [-3, 3]^2 and confirm the zero set is exactly the
 # two nonnegative half-axes.
@@ -33,12 +35,13 @@ print(f"\nzero set on a 121 x 121 grid matches the half-axes: "
       f"{bool((zeros == expected).all())} ({int(zeros.sum())} grid zeros)")
 
 print("\ngeneralized derivative (used as the Jacobian's diagonal blocks):")
-for y, v in [(3.0, 4.0), (1.0, 0.0), (0.0, 1.0), (1e-9, 1e-9)]:
-    pair = phi_derivative(y, v)
-    print(f"  d phi({y:7.1e}, {v:7.1e}) = ({pair.d_y:.6f}, {pair.d_v:.6f})")
+ys = np.array([3.0, 1.0, 0.0, 1e-9])
+vs = np.array([4.0, 0.0, 1.0, 1e-9])
+for y, v, d_y, d_v in zip(ys, vs, *phi_derivative_vec(ys, vs)):
+    print(f"  d phi({y:7.1e}, {v:7.1e}) = ({d_y:.6f}, {d_v:.6f})")
 
 # The function is not differentiable at the origin. A fixed element of the
 # generalized derivative keeps the Newton matrix deterministic there.
-origin = phi_derivative(0.0, 0.0)
-print(f"  d phi(0, 0)          = ({origin.d_y:.6f}, {origin.d_v:.6f})"
+d_y, d_v = phi_derivative_vec([0.0], [0.0])
+print(f"  d phi(0, 0)          = ({d_y[0]:.6f}, {d_v[0]:.6f})"
       "   <- fixed selection, direction (1, 1)/sqrt(2)")

@@ -23,7 +23,7 @@ Quick start:
     'Solved'
 """
 
-from .ncp import DerivativePair, NcpConfig, phi, phi_derivative, phi_derivative_vec, phi_vec
+from .ncp import NcpConfig, phi_derivative_vec, phi_vec
 from .oracle import (
     MAX_ORACLE_INEQUALITIES,
     OracleResult,
@@ -78,7 +78,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DerivativePair",
     "FORMAT_VERSION",
     "GeneratorSpec",
     "Iterate",
@@ -110,8 +109,6 @@ __all__ = [
     "oracle_agrees",
     "parse_problem",
     "parse_solution",
-    "phi",
-    "phi_derivative",
     "phi_derivative_vec",
     "phi_vec",
     "random_problem",

@@ -24,7 +24,7 @@ import numpy as np
 from . import io as qpio
 from .ncp import NcpConfig
 from .oracle import OracleStatus, active_set_solve
-from .problem import GeneratorSpec, Iterate, kkt_error, random_problem
+from .problem import GeneratorSpec, kkt_error, random_problem
 from .solver import SolveStatus, SolverConfig, solve
 
 __all__ = ["build_parser", "cli_main", "main"]
@@ -56,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-stage shrink factor for the proximal weight")
     p_solve.add_argument("--max-outer", type=int, default=30)
     p_solve.add_argument("--max-inner", type=int, default=50)
-    p_solve.add_argument("--prox", choices=("recenter", "zero"), default="recenter",
-                         help="proximal center policy per stage")
     p_solve.add_argument("--warm-start", metavar="FILE",
                          help="start from the solution in FILE")
     p_solve.add_argument("--trace", metavar="FILE",
@@ -96,14 +94,6 @@ def _print_json(document) -> None:
     print(json.dumps(document, sort_keys=True, allow_nan=False))
 
 
-def _solution_doc(iterate: Iterate) -> dict:
-    return {
-        "z": [float(x) for x in iterate.z],
-        "lambda": [float(x) for x in iterate.lam],
-        "v": [float(x) for x in iterate.v],
-    }
-
-
 def _format_vector(vec: np.ndarray) -> str:
     return np.array2string(vec, max_line_width=100000, separator=", ")
 
@@ -117,7 +107,6 @@ def _cmd_solve(args) -> int:
         tol_kkt=args.tol,
         max_outer=args.max_outer,
         max_inner=args.max_inner,
-        prox_center_mode="prox_recenter" if args.prox == "recenter" else "fixed_zero",
     )
     warm = None
     if args.warm_start:
@@ -141,7 +130,7 @@ def _cmd_solve(args) -> int:
             "outer_iterations": result.outer_iterations,
             "inner_iterations": result.inner_iterations,
             "factorizations": result.factorizations,
-            "solution": _solution_doc(result.iterate),
+            "solution": qpio._solution_doc(result.iterate),
         })
     else:
         print(f"status: {result.status.value}")
@@ -216,7 +205,7 @@ def _cmd_oracle(args) -> int:
         if outcome.status is OracleStatus.OPTIMAL:
             document["objective"] = outcome.objective
             document["active_set"] = list(outcome.active_set)
-            document["solution"] = _solution_doc(outcome.solution)
+            document["solution"] = qpio._solution_doc(outcome.solution)
         _print_json(document)
     else:
         print(f"status: {outcome.status.value}")

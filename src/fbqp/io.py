@@ -215,6 +215,15 @@ def _vector_doc(vector: np.ndarray) -> list[float]:
     return [float(x) for x in vector]
 
 
+def _solution_doc(iterate: Iterate) -> dict:
+    """The solution block of a problem file, also printed by the CLI."""
+    return {
+        "z": _vector_doc(iterate.z),
+        "lambda": _vector_doc(iterate.lam),
+        "v": _vector_doc(iterate.v),
+    }
+
+
 def serialize_problem(
     problem: QpProblem,
     solution: Iterate | None = None,
@@ -238,11 +247,7 @@ def serialize_problem(
         "b": _vector_doc(problem.b),
     }
     if solution is not None:
-        document["solution"] = {
-            "z": _vector_doc(solution.z),
-            "lambda": _vector_doc(solution.lam),
-            "v": _vector_doc(solution.v),
-        }
+        document["solution"] = _solution_doc(solution)
     if metadata is not None:
         document["metadata"] = metadata
     return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -25,7 +25,8 @@ What is left is the symmetric quasi-definite matrix
 with M positive definite for s > 0. K is factored as the Cholesky factor L
 of M and the Cholesky factor of the Schur complement S = C + B M^-1 B', of
 size p plus the number of kept rows. J' reduces to the same K up to signs,
-so one factorization serves both J x = r and J' x = r.
+so one factorization serves both J x = r and J' x = r. ``norm_inf`` sums
+``||J + eps I||_inf`` from the same blocks when the solver's bound needs it.
 """
 
 from __future__ import annotations
@@ -35,37 +36,7 @@ from scipy.linalg import lapack
 
 from .problem import QpProblem
 
-__all__ = ["JacobianNorms", "ReducedJacobian"]
-
-
-class JacobianNorms:
-    """The parts of ``||J + eps I||_inf`` that stay fixed over a solve.
-
-    Holds the absolute row sums of the z rows of J without the diagonal of
-    H, that diagonal, and the absolute row sums of G and A. Build it once
-    per problem; ``row_norm`` then costs O(n + p + q) per Newton step.
-    """
-
-    def __init__(self, problem: QpProblem):
-        abs_g, abs_a = np.abs(problem.G), np.abs(problem.A)
-        self.h_diag = problem.H.diagonal().copy()
-        self.z_rows = (
-            np.abs(problem.H).sum(axis=1)
-            - np.abs(self.h_diag)
-            + abs_g.sum(axis=0)
-            + abs_a.sum(axis=0)
-        )
-        self.g_rows = abs_g.sum(axis=1)
-        self.a_rows = abs_a.sum(axis=1)
-
-    def row_norm(self, shift: float, d_y: np.ndarray, d_v: np.ndarray) -> float:
-        """``||J||_inf`` with ``shift`` = sigma + eps and ``d_v`` already shifted."""
-        norm = float((self.z_rows + np.abs(self.h_diag + shift)).max(initial=0.0))
-        if self.g_rows.size:
-            norm = max(norm, float(self.g_rows.max()) + shift)
-        if self.a_rows.size:
-            norm = max(norm, float((d_y * self.a_rows + d_v).max()))
-        return norm
+__all__ = ["ReducedJacobian"]
 
 
 class ReducedJacobian:
@@ -176,6 +147,17 @@ class ReducedJacobian:
             mid = shift * x_lam - problem.G @ x_z
             low = self.d_v * x_v - self.d_y * (problem.A @ x_z)
         return np.concatenate((top, mid, low)).reshape(x.shape)
+
+    def norm_inf(self) -> float:
+        """``||J + eps I||_inf``, the largest absolute row sum of J."""
+        problem, shift = self.problem, self.shift
+        abs_g, abs_a = np.abs(problem.G), np.abs(problem.A)
+        h_diag = problem.H.diagonal()
+        z_rows = np.abs(problem.H).sum(axis=1) - np.abs(h_diag) + abs_g.sum(axis=0)
+        z_rows = z_rows + abs_a.sum(axis=0) + np.abs(h_diag + shift)
+        lam_rows = abs_g.sum(axis=1) + shift
+        v_rows = self.d_y[:, 0] * abs_a.sum(axis=1) + self.d_v[:, 0]
+        return float(np.concatenate((z_rows, lam_rows, v_rows)).max())
 
 
 def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:

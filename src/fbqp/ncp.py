@@ -5,8 +5,11 @@ phi(y, v) = alpha * (y + v - sqrt(y^2 + v^2)) + (1 - alpha) * max(y, 0) * max(v,
 for a fixed alpha in (0, 1). Its zero set is exactly the complementarity
 set {y >= 0, v >= 0, y v = 0}, so stacking phi over the inequality rows
 turns the KKT system into a square root-finding problem. The function is
-smooth away from the origin; at (0, 0) a fixed element of the Clarke
-generalized derivative is used, selected by a unit direction.
+smooth away from the origin; at (0, 0) the fixed element of the Clarke
+generalized derivative selected by the direction (1, 1)/sqrt(2) is used.
+
+Both functions sit in the Newton loop, so they check shapes only; the
+solver screens problem data and warm starts for finiteness.
 """
 
 from __future__ import annotations
@@ -16,15 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "NcpConfig",
-    "DerivativePair",
-    "phi",
-    "phi_vec",
-    "phi_derivative",
-    "phi_derivative_vec",
-]
+__all__ = ["NcpConfig", "phi_vec", "phi_derivative_vec"]
 
+# Both components of the unit direction that selects the derivative at (0, 0).
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -35,37 +32,21 @@ class NcpConfig:
     Args:
         alpha: weight on the Fischer-Burmeister part, strictly inside (0, 1).
             The remaining 1 - alpha multiplies the positive-part penalty.
-        origin_direction: (xi, zeta) with xi^2 + zeta^2 <= 1, selecting the
-            generalized derivative alpha * (1 - xi, 1 - zeta) used at (0, 0).
     """
 
     alpha: float = 0.95
-    origin_direction: tuple[float, float] = (_INV_SQRT2, _INV_SQRT2)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
-        xi, zeta = self.origin_direction
-        if not (math.isfinite(xi) and math.isfinite(zeta)):
-            raise ValueError(f"origin_direction must be finite, got {self.origin_direction}")
-        # Allow a hair of roundoff on the unit-ball constraint.
-        if xi * xi + zeta * zeta > 1.0 + 1e-12:
-            raise ValueError(
-                f"origin_direction must lie in the closed unit ball, got {self.origin_direction}"
-            )
 
 
-@dataclass(frozen=True)
-class DerivativePair:
-    """Partial derivatives (d_y, d_v) of phi at one point."""
-
-    d_y: float
-    d_v: float
-
-
-def _check_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+def _as_pair(y, v) -> tuple[np.ndarray, np.ndarray]:
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if y.shape != v.shape or y.ndim != 1:
+        raise ValueError(f"y and v must be equal-length vectors, got {y.shape} and {v.shape}")
+    return y, v
 
 
 def phi_vec(y, v, config: NcpConfig | None = None) -> np.ndarray:
@@ -77,27 +58,17 @@ def phi_vec(y, v, config: NcpConfig | None = None) -> np.ndarray:
         config: function parameters; defaults to ``NcpConfig()``.
 
     Returns:
-        Array of shape (q,); empty inputs give an empty array.
+        Array of shape (q,); empty inputs give an empty array. Non-finite
+        inputs give non-finite values rather than an error.
 
     Raises:
-        ValueError: on shape mismatch or non-finite entries.
+        ValueError: on shape mismatch.
     """
-    config = config or NcpConfig()
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if y.shape != v.shape or y.ndim != 1:
-        raise ValueError(f"y and v must be equal-length vectors, got {y.shape} and {v.shape}")
-    _check_finite(y, "y")
-    _check_finite(v, "v")
-    alpha = config.alpha
+    y, v = _as_pair(y, v)
+    alpha = (config or NcpConfig()).alpha
     fischer = y + v - np.hypot(y, v)
     penalty = np.maximum(y, 0.0) * np.maximum(v, 0.0)
     return alpha * fischer + (1.0 - alpha) * penalty
-
-
-def phi(y: float, v: float, config: NcpConfig | None = None) -> float:
-    """Scalar penalized Fischer-Burmeister value; see ``phi_vec``."""
-    return float(phi_vec(np.array([y]), np.array([v]), config)[0])
 
 
 def phi_derivative_vec(
@@ -106,32 +77,21 @@ def phi_derivative_vec(
     """Elementwise generalized derivative of phi.
 
     Away from the origin the function is differentiable and the exact
-    partials are returned. At an exact (0, 0) pair the fixed Clarke element
-    selected by ``config.origin_direction`` is used.
+    partials are returned. At an exact (0, 0) pair both partials are
+    alpha * (1 - 1/sqrt(2)), the Clarke element along (1, 1)/sqrt(2).
 
     Returns:
-        (d_y, d_v), each of shape (q,).
+        (d_y, d_v), each of shape (q,); non-finite where an input is.
+
+    Raises:
+        ValueError: on shape mismatch.
     """
-    config = config or NcpConfig()
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if y.shape != v.shape or y.ndim != 1:
-        raise ValueError(f"y and v must be equal-length vectors, got {y.shape} and {v.shape}")
-    _check_finite(y, "y")
-    _check_finite(v, "v")
-    alpha = config.alpha
+    y, v = _as_pair(y, v)
+    alpha = (config or NcpConfig()).alpha
     radius = np.hypot(y, v)
     at_origin = radius == 0.0
     safe_radius = np.where(at_origin, 1.0, radius)
     d_y = alpha * (1.0 - y / safe_radius) + (1.0 - alpha) * np.maximum(v, 0.0) * (y > 0.0)
     d_v = alpha * (1.0 - v / safe_radius) + (1.0 - alpha) * np.maximum(y, 0.0) * (v > 0.0)
-    xi, zeta = config.origin_direction
-    d_y = np.where(at_origin, alpha * (1.0 - xi), d_y)
-    d_v = np.where(at_origin, alpha * (1.0 - zeta), d_v)
-    return d_y, d_v
-
-
-def phi_derivative(y: float, v: float, config: NcpConfig | None = None) -> DerivativePair:
-    """Generalized derivative of phi at one point; see ``phi_derivative_vec``."""
-    d_y, d_v = phi_derivative_vec(np.array([y]), np.array([v]), config)
-    return DerivativePair(d_y=float(d_y[0]), d_v=float(d_v[0]))
+    origin = alpha * (1.0 - _INV_SQRT2)
+    return np.where(at_origin, origin, d_y), np.where(at_origin, origin, d_v)

@@ -10,8 +10,8 @@ where phi is the penalized Fischer-Burmeister function and sigma > 0 is a
 proximal regularization weight with center (z_c, lambda_c). For sigma > 0
 the generalized Jacobian of R is nonsingular on convex data, so a damped
 Newton iteration on the merit 0.5 ||R||^2 is well defined. An outer loop
-shrinks sigma geometrically and (by default) re-centers the proximal term
-at the current iterate, driving the iterates to a solution of the
+shrinks sigma geometrically and re-centers the proximal term at the
+iterate each stage starts from, driving the iterates to a solution of the
 unregularized system. Termination is certified against the sigma-free
 KKT residuals only.
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jacobian import JacobianNorms, ReducedJacobian
+from .jacobian import ReducedJacobian
 from .ncp import NcpConfig, phi_derivative_vec, phi_vec
 from .problem import Iterate, KktError, QpProblem, kkt_error, validate_problem
 
@@ -66,6 +66,12 @@ _ENDGAME_RATIO = 1e-6
 _DIRECTION_TOL = 1e-10
 # Number of escalating diagonal perturbations tried after a failed factorization.
 _PERTURB_ATTEMPTS = 3
+# First rung of that ladder; each retry multiplies it by ten.
+_FIRST_PERTURB = 1e-10
+# Line search: sufficient-decrease constant, step factor, smallest step.
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+_MIN_STEP = 1e-12
 
 
 class SolveStatus(enum.Enum):
@@ -86,59 +92,40 @@ class LineSearchStalledError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """All solver knobs, with working defaults.
+    """The seven settings of the method, with working defaults.
 
     Args:
-        ncp: parameters of the complementarity function.
+        ncp: the complementarity function; its one setting is ``alpha``.
         sigma0: initial proximal weight.
         sigma_shrink: geometric factor in (0, 1) applied per outer stage.
         sigma_min: floor for the proximal weight; keeps the Jacobian
             nonsingular at degenerate solutions.
-        prox_center_mode: "prox_recenter" moves the proximal center to the
-            current iterate at each outer stage; "fixed_zero" keeps it at
-            the origin.
         tol_kkt: termination tolerance on the unregularized KKT residuals.
         max_outer: number of sigma stages.
         max_inner: Newton iterations per stage.
-        armijo_c: sufficient-decrease constant in (0, 0.5).
-        backtrack_factor: step shrink factor in (0, 1).
-        min_step: smallest step tried before declaring a stall.
-        jacobian_perturb: first diagonal perturbation tried when a Newton
-            system fails; escalates tenfold per retry.
+
+    Every stage re-centers at the iterate it starts from. The line search
+    and perturbation ladder use the module constants ``_ARMIJO_C``,
+    ``_BACKTRACK``, ``_MIN_STEP`` and ``_FIRST_PERTURB``.
     """
 
     ncp: NcpConfig = field(default_factory=NcpConfig)
     sigma0: float = 1e-3
     sigma_shrink: float = 0.1
     sigma_min: float = 1e-12
-    prox_center_mode: str = "prox_recenter"
     tol_kkt: float = 1e-8
     max_outer: int = 30
     max_inner: int = 50
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    min_step: float = 1e-12
-    jacobian_perturb: float = 1e-10
 
     def __post_init__(self):
         if self.sigma0 <= 0 or self.sigma_min <= 0:
             raise ValueError("sigma0 and sigma_min must be positive")
         if not (0.0 < self.sigma_shrink < 1.0):
             raise ValueError(f"sigma_shrink must lie in (0, 1), got {self.sigma_shrink}")
-        if self.prox_center_mode not in ("prox_recenter", "fixed_zero"):
-            raise ValueError(f"unknown prox_center_mode {self.prox_center_mode!r}")
         if self.tol_kkt <= 0:
             raise ValueError("tol_kkt must be positive")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("max_outer and max_inner must be at least 1")
-        if not (0.0 < self.armijo_c < 0.5):
-            raise ValueError(f"armijo_c must lie in (0, 0.5), got {self.armijo_c}")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ValueError(
-                f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor}"
-            )
-        if self.min_step <= 0 or self.jacobian_perturb <= 0:
-            raise ValueError("min_step and jacobian_perturb must be positive")
 
 
 @dataclass(frozen=True)
@@ -282,7 +269,6 @@ def assemble_jacobian(
 
 def _solve_checked(
     problem: QpProblem,
-    norms: JacobianNorms,
     d_y: np.ndarray,
     d_v: np.ndarray,
     sigma: float,
@@ -309,8 +295,8 @@ def _solve_checked(
         if error <= tol:
             return x
         # The widened bound, computed only when the plain one fails.
-        row_norm = norms.row_norm(sigma + eps, d_y, d_v + eps)
-        if error <= tol + _DIRECTION_TOL * row_norm * float(np.abs(x).max(initial=0.0)):
+        bound = _DIRECTION_TOL * system.norm_inf() * float(np.abs(x).max(initial=0.0))
+        if error <= tol + bound:
             return x
         if refine:
             x = x - system.solve(back)
@@ -323,7 +309,6 @@ def newton_direction(
     sigma: float,
     breakdown: ResidualBreakdown,
     config: SolverConfig | None = None,
-    norms: JacobianNorms | None = None,
 ) -> tuple[np.ndarray, int]:
     """Direction d with J d = -R at an iterate, and the factorizations it took.
 
@@ -332,19 +317,17 @@ def newton_direction(
     being assembled. A direction is accepted when its backward error against
     J is within 1e-10 * (1 + ||R||_inf + ||J||_inf ||d||_inf), after at most
     one pass of iterative refinement. Otherwise the system is retried as
-    J + eps I, with eps starting at ``config.jacobian_perturb`` and growing
+    J + eps I, with eps starting at ``_FIRST_PERTURB`` (1e-10) and growing
     tenfold, before ``SingularSystemError`` is raised. Each attempt counts
     as one factorization.
 
     Args:
         breakdown: ``residual`` at ``iterate`` with the same ``sigma``.
-        norms: ``JacobianNorms(problem)``; computed here when not given.
 
     Returns:
         (direction, factorization_count).
     """
     config = config or SolverConfig()
-    norms = norms or JacobianNorms(problem)
     rhs = -breakdown.as_vector()
     tol = _DIRECTION_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
     if problem.q:
@@ -353,10 +336,10 @@ def newton_direction(
         d_y = d_v = np.zeros(0)
     eps = 0.0
     for attempt in range(1, 2 + _PERTURB_ATTEMPTS):
-        direction = _solve_checked(problem, norms, d_y, d_v, sigma, eps, rhs, tol)
+        direction = _solve_checked(problem, d_y, d_v, sigma, eps, rhs, tol)
         if direction is not None:
             return direction, attempt
-        eps = config.jacobian_perturb if eps == 0.0 else eps * 10.0
+        eps = _FIRST_PERTURB if eps == 0.0 else eps * 10.0
     raise SingularSystemError(
         f"Newton system unsolved to tolerance after {_PERTURB_ATTEMPTS} perturbed retries"
     )
@@ -372,8 +355,8 @@ def line_search(
 ) -> tuple[float, Iterate, float]:
     """Backtracking Armijo search on the merit 0.5 ||R||^2.
 
-    Tries the full step first, then shrinks by ``backtrack_factor``. A step
-    t is accepted when merit(x + t d) <= (1 - 2 c t) * merit(x). The
+    Tries the full step first, then halves it. A step t is accepted when
+    merit(x + t d) <= (1 - 2 c t) * merit(x), with c = 1e-4. The
     stationarity and equality blocks of R are affine in t, so their change
     per unit step is formed once; each trial then costs one ``phi_vec``.
 
@@ -384,7 +367,7 @@ def line_search(
         (step, new_iterate, merit at new_iterate).
 
     Raises:
-        LineSearchStalledError: when no step of at least ``min_step`` passes.
+        LineSearchStalledError: when no step of at least 1e-12 passes.
     """
     config = config or SolverConfig()
     n, p = problem.n, problem.p
@@ -394,7 +377,7 @@ def line_search(
     d_equality = sigma * dlam - problem.G @ dz
     a_dz = problem.A @ dz
     step = 1.0
-    while step >= config.min_step:
+    while step >= _MIN_STEP:
         stationarity = base.stationarity_block + step * d_stationarity
         equality = base.equality_block + step * d_equality
         v = iterate.v + step * dv
@@ -403,11 +386,11 @@ def line_search(
             complementarity = phi_vec(base.slack - step * a_dz, v, config.ncp)
             merit += complementarity @ complementarity
         merit = 0.5 * float(merit)
-        if merit <= (1.0 - 2.0 * config.armijo_c * step) * base.merit:
+        if merit <= (1.0 - 2.0 * _ARMIJO_C * step) * base.merit:
             return step, Iterate(iterate.z + step * dz, iterate.lam + step * dlam, v), merit
-        step *= config.backtrack_factor
+        step *= _BACKTRACK
     raise LineSearchStalledError(
-        f"no step >= {config.min_step} gave sufficient decrease from merit {base.merit:.3e}"
+        f"no step >= {_MIN_STEP} gave sufficient decrease from merit {base.merit:.3e}"
     )
 
 
@@ -428,6 +411,7 @@ def solve(
         problem: the QP instance.
         config: solver parameters; defaults to ``SolverConfig()``.
         warm_start: starting iterate; default is z = 0, lambda = 0, v = 1.
+            It must match the problem's shapes and be finite.
         validate: screen the problem first and return status
             ``INVALID_PROBLEM`` (without iterating) when the screen fails.
 
@@ -435,10 +419,15 @@ def solve(
         A ``SolveResult``. Status ``SOLVED`` certifies that the plain KKT
         residuals, recomputed without any regularization, are all within
         ``config.tol_kkt``. The trace holds one record per accepted step.
+
+    Raises:
+        ValueError: when ``warm_start`` has the wrong shapes or is not finite.
     """
     config = config or SolverConfig()
     start = warm_start if warm_start is not None else Iterate.start(problem)
     _require_match(problem, start)
+    if not all(np.isfinite(part).all() for part in (start.z, start.lam, start.v)):
+        raise ValueError("warm_start must be finite")
 
     if validate and not validate_problem(problem).ok:
         return SolveResult(
@@ -453,8 +442,6 @@ def solve(
         )
 
     x = start
-    norms = JacobianNorms(problem)
-    zero_center = Iterate(np.zeros(problem.n), np.zeros(problem.p), np.zeros(problem.q))
     trace: list[TraceRecord] = []
     inner_total = 0
     factorizations = 0
@@ -473,7 +460,7 @@ def solve(
             polish = False
         else:
             sigma = max(config.sigma0 * config.sigma_shrink**outer, config.sigma_min)
-        center = x if config.prox_center_mode == "prox_recenter" else zero_center
+        center = x  # fixed for the stage while the inner loop moves x
         scale = 1.0 + float(
             np.sqrt(x.z @ x.z + x.lam @ x.lam + x.v @ x.v)
         )
@@ -490,9 +477,7 @@ def solve(
                 polish = breakdown.merit <= _ENDGAME_RATIO * 0.5 * kkt.max_error() ** 2
                 break
             try:
-                direction, nfact = newton_direction(
-                    problem, x, sigma, breakdown, config, norms
-                )
+                direction, nfact = newton_direction(problem, x, sigma, breakdown, config)
             except SingularSystemError:
                 singular = True
                 factorizations += 1 + _PERTURB_ATTEMPTS

@@ -87,7 +87,7 @@ def test_solve_solver_flags_accepted(planted_file):
     assert cli_main([
         "solve", str(planted_file), "--tol", "1e-9", "--alpha", "0.9",
         "--sigma0", "1e-2", "--sigma-shrink", "0.2", "--max-outer", "40",
-        "--max-inner", "60", "--prox", "zero",
+        "--max-inner", "60",
     ]) == 0
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fbqp import DerivativePair, NcpConfig, phi, phi_derivative, phi_derivative_vec, phi_vec
+from fbqp import NcpConfig, phi_derivative_vec, phi_vec
 
 # Hand-evaluated at alpha = 0.95.
 PHI_1_1 = 0.6064971157455596     # 0.95 * (2 - sqrt(2)) + 0.05
@@ -20,22 +20,14 @@ def test_config_rejects_alpha_outside_open_interval(alpha):
         NcpConfig(alpha=alpha)
 
 
-def test_config_rejects_origin_direction_outside_unit_ball():
-    with pytest.raises(ValueError):
-        NcpConfig(origin_direction=(1.0, 1.0))
-    NcpConfig(origin_direction=(1.0, 0.0))  # boundary is allowed
-
-
 def test_phi_zero_on_complementary_pairs():
-    assert phi(1.0, 0.0) == 0.0
-    assert phi(0.0, 3.0) == 0.0
-    assert phi(0.0, 0.0) == 0.0
+    np.testing.assert_array_equal(phi_vec([1.0, 0.0, 0.0], [0.0, 3.0, 0.0]), [0.0, 0.0, 0.0])
 
 
 def test_phi_frozen_values():
-    assert phi(1.0, 1.0) == pytest.approx(PHI_1_1, abs=1e-15)
-    assert phi(-1.0, 2.0) == pytest.approx(PHI_M1_2, abs=1e-15)
-    assert phi(-1.0, 0.0) == pytest.approx(-1.9, abs=1e-15)
+    np.testing.assert_allclose(
+        phi_vec([1.0, -1.0, -1.0], [1.0, 2.0, 0.0]), [PHI_1_1, PHI_M1_2, -1.9], rtol=0, atol=1e-15
+    )
 
 
 def test_phi_vec_elementwise_and_empty():
@@ -50,9 +42,12 @@ def test_phi_vec_rejects_mismatch_and_non_finite():
     with pytest.raises(ValueError):
         phi_vec([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
-        phi_vec([np.nan], [1.0])
-    with pytest.raises(ValueError):
-        phi_vec([1.0], [np.inf])
+        phi_derivative_vec([1.0, 2.0], [1.0])
+    # Non-finite data is rejected at the boundary (problem validation and
+    # solve's warm-start check, see test_solver); here it only propagates.
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(phi_vec([np.nan, 1.0], [1.0, np.inf])).any()
+        assert not np.isfinite(np.concatenate(phi_derivative_vec([np.nan], [1.0]))).any()
 
 
 def test_phi_zero_set_characterization():
@@ -69,48 +64,36 @@ def test_phi_zero_set_characterization():
 
 
 def test_derivative_frozen_values():
-    pair = phi_derivative(3.0, 4.0)
-    assert isinstance(pair, DerivativePair)
-    assert pair.d_y == pytest.approx(0.58, abs=1e-15)
-    assert pair.d_v == pytest.approx(0.34, abs=1e-15)
+    # Points (3, 4), the origin, (1, 0) and (1, 1).
+    d_y, d_v = phi_derivative_vec([3.0, 0.0, 1.0, 1.0], [4.0, 0.0, 0.0, 1.0])
+    np.testing.assert_allclose(d_y, [0.58, D_ORIGIN, 0.0, D_1_1], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(d_v, [0.34, D_ORIGIN, 0.95, D_1_1], rtol=0, atol=1e-15)
+    assert d_y[2] == 0.0
 
-    origin = phi_derivative(0.0, 0.0)
-    assert origin.d_y == pytest.approx(D_ORIGIN, abs=1e-15)
-    assert origin.d_v == pytest.approx(D_ORIGIN, abs=1e-15)
-
-    edge = phi_derivative(1.0, 0.0)
-    assert edge.d_y == 0.0
-    assert edge.d_v == pytest.approx(0.95, abs=1e-15)
-
-    both = phi_derivative(1.0, 1.0)
-    assert both.d_y == pytest.approx(D_1_1, abs=1e-15)
-    assert both.d_v == pytest.approx(D_1_1, abs=1e-15)
-
-
-def test_derivative_origin_rule_follows_config():
-    config = NcpConfig(alpha=0.5, origin_direction=(0.0, 1.0))
-    pair = phi_derivative(0.0, 0.0, config)
-    assert pair.d_y == pytest.approx(0.5)
-    assert pair.d_v == pytest.approx(0.0)
+    # The origin element scales with alpha along the same fixed direction.
+    d_y, d_v = phi_derivative_vec([0.0], [0.0], NcpConfig(alpha=0.5))
+    np.testing.assert_allclose((d_y[0], d_v[0]), (0.5 * (1 - 1 / math.sqrt(2)),) * 2)
 
 
 def test_derivative_matches_finite_differences_on_smooth_region():
     rng = np.random.default_rng(7)
     step = 1e-6
-    checked = 0
-    while checked < 500:
+    ys, vs = [], []
+    while len(ys) < 500:
         y = float(rng.uniform(-5.0, 5.0))
         v = float(rng.uniform(-5.0, 5.0))
         # Stay away from the origin and the positive-part kinks.
         if math.hypot(y, v) < 1e-3 or abs(y) < 1e-3 or abs(v) < 1e-3:
             continue
-        checked += 1
-        pair = phi_derivative(y, v)
-        fd_y = (phi(y + step, v) - phi(y - step, v)) / (2 * step)
-        fd_v = (phi(y, v + step) - phi(y, v - step)) / (2 * step)
-        scale = 1.0 + abs(pair.d_y) + abs(pair.d_v)
-        assert abs(pair.d_y - fd_y) <= 1e-6 * scale
-        assert abs(pair.d_v - fd_v) <= 1e-6 * scale
+        ys.append(y)
+        vs.append(v)
+    y, v = np.array(ys), np.array(vs)
+    d_y, d_v = phi_derivative_vec(y, v)
+    fd_y = (phi_vec(y + step, v) - phi_vec(y - step, v)) / (2 * step)
+    fd_v = (phi_vec(y, v + step) - phi_vec(y, v - step)) / (2 * step)
+    scale = 1.0 + np.abs(d_y) + np.abs(d_v)
+    assert np.all(np.abs(d_y - fd_y) <= 1e-6 * scale)
+    assert np.all(np.abs(d_v - fd_v) <= 1e-6 * scale)
 
 
 def test_derivative_nonnegative_everywhere():

@@ -40,12 +40,9 @@ def _zero_center(problem):
         dict(sigma0=0.0),
         dict(sigma_min=-1.0),
         dict(sigma_shrink=1.0),
-        dict(prox_center_mode="bogus"),
         dict(tol_kkt=0.0),
         dict(max_outer=0),
-        dict(armijo_c=0.5),
-        dict(backtrack_factor=1.0),
-        dict(min_step=0.0),
+        dict(max_inner=0),
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
@@ -279,6 +276,21 @@ def test_solve_rejects_mismatched_warm_start():
         solve(ONE_D, warm_start=Iterate([0.0, 0.0]))
 
 
+# Unchecked, a non-finite start wastes factorizations before SingularSystem
+# (q = 0) or fails inside phi with a message naming its internal argument.
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "problem, block",
+    [(EQ_2D, "z"), (EQ_2D, "lam"), (ONE_D, "z"), (ONE_D, "v")],
+    ids=["q0-z", "q0-lam", "q1-z", "q1-v"],
+)
+def test_solve_rejects_non_finite_warm_start(problem, block, bad):
+    parts = {"z": np.ones(problem.n), "lam": np.zeros(problem.p), "v": np.ones(problem.q)}
+    parts[block][0] = bad
+    with pytest.raises(ValueError, match="warm_start"):
+        solve(problem, warm_start=Iterate(**parts))
+
+
 def test_solve_max_iterations_status():
     config = SolverConfig(max_outer=1, max_inner=1, tol_kkt=1e-12)
     problem, _ = random_problem(
@@ -342,13 +354,6 @@ def test_solve_deterministic_trace():
     assert first.trace == second.trace
     np.testing.assert_array_equal(first.iterate.z, second.iterate.z)
     np.testing.assert_array_equal(first.iterate.v, second.iterate.v)
-
-
-def test_fixed_zero_center_mode_also_solves():
-    config = SolverConfig(prox_center_mode="fixed_zero")
-    result = solve(ONE_D, config)
-    assert result.solved
-    np.testing.assert_allclose(result.iterate.z, [1.0], atol=1e-7)
 
 
 def test_solve_handles_empty_blocks_unconstrained():

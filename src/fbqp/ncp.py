@@ -42,10 +42,12 @@ class NcpConfig:
 
 
 def _as_pair(y, v) -> tuple[np.ndarray, np.ndarray]:
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if y.shape != v.shape or y.ndim != 1:
-        raise ValueError(f"y and v must be equal-length vectors, got {y.shape} and {v.shape}")
+    y = np.asarray(y, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if not (y.ndim and v.ndim):
+        y, v = np.atleast_1d(y, v)
+    if y.shape != v.shape or y.ndim > 2:
+        raise ValueError(f"y and v must share a shape (q,) or (k, q), got {y.shape} and {v.shape}")
     return y, v
 
 
@@ -53,16 +55,17 @@ def phi_vec(y, v, config: NcpConfig | None = None) -> np.ndarray:
     """Elementwise penalized Fischer-Burmeister values.
 
     Args:
-        y: slack values, shape (q,).
-        v: multiplier values, shape (q,).
+        y: slack values, shape (q,), or a stack of k such rows, shape (k, q).
+        v: multiplier values, the same shape as ``y``.
         config: function parameters; defaults to ``NcpConfig()``.
 
     Returns:
-        Array of shape (q,); empty inputs give an empty array. Non-finite
+        Array of the inputs' shape; empty inputs give an empty array. Each
+        row of a stack has the bits of the same row passed alone. Non-finite
         inputs give non-finite values rather than an error.
 
     Raises:
-        ValueError: on shape mismatch.
+        ValueError: on shape mismatch or an input of more than two axes.
     """
     y, v = _as_pair(y, v)
     alpha = (config or NcpConfig()).alpha
@@ -80,11 +83,14 @@ def phi_derivative_vec(
     partials are returned. At an exact (0, 0) pair both partials are
     alpha * (1 - 1/sqrt(2)), the Clarke element along (1, 1)/sqrt(2).
 
+    Args:
+        y, v: as for ``phi_vec``, shape (q,) or (k, q).
+
     Returns:
-        (d_y, d_v), each of shape (q,); non-finite where an input is.
+        (d_y, d_v), each of the inputs' shape; non-finite where an input is.
 
     Raises:
-        ValueError: on shape mismatch.
+        ValueError: on shape mismatch or an input of more than two axes.
     """
     y, v = _as_pair(y, v)
     alpha = (config or NcpConfig()).alpha

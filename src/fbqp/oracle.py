@@ -11,17 +11,20 @@ whose solution is a KKT point when v_S >= 0 and A z <= b holds on the
 inactive rows. The lowest objective over all accepted subsets is the
 optimum. This is exponential in q by design; it exists to check the Newton
 solver, not to be fast, and refuses q > 16.
+
+The subsets of one size share the shape of their system, so they are
+stacked and solved with one call to ``np.linalg.solve`` (LU with partial
+pivoting), and the checks run over the whole stack. The oracle uses none
+of the solver's linear algebra.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .problem import Iterate, QpProblem
@@ -44,6 +47,9 @@ _DUAL_TOL = 1e-9
 _TIE_TOL = 1e-9
 # ... and the tie is only degenerate if the points or multipliers differ by more.
 _DISTINCT_TOL = 1e-6
+# A stack of bordered systems holds at most this many entries (8 MB), so
+# that q = 16 at larger n is solved in several stacks.
+_STACK_ENTRIES = 1 << 20
 
 
 class OracleStatus(enum.Enum):
@@ -87,6 +93,41 @@ def _feasible_point_exists(problem: QpProblem) -> bool:
     return result.status != 2
 
 
+def _bordered_systems(problem: QpProblem, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bordered systems (k, dim, dim) and right-hand sides (k, dim) of the
+    subsets of one size, given as rows of indices, shape (k, size)."""
+    n, p = problem.n, problem.p
+    count, size = subsets.shape
+    dim = n + p + size
+    a_s = problem.A[subsets]
+    systems = np.zeros((count, dim, dim))
+    systems[:, :n, :n] = problem.H
+    systems[:, :n, n : n + p] = problem.G.T
+    systems[:, :n, n + p :] = a_s.transpose(0, 2, 1)
+    systems[:, n : n + p, :n] = problem.G
+    systems[:, n + p :, :n] = a_s
+    rhs = np.empty((count, dim))
+    rhs[:, :n] = -problem.f
+    rhs[:, n : n + p] = problem.h
+    rhs[:, n + p :] = problem.b[subsets]
+    return systems, rhs
+
+
+def _solve_stack(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions of a stack of systems; NaN rows where a system is singular."""
+    try:
+        return np.linalg.solve(systems, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # Some system is exactly singular: solve them one at a time.
+        solutions = np.full(rhs.shape, np.nan)
+        for i, (system, b) in enumerate(zip(systems, rhs)):
+            try:
+                solutions[i] = np.linalg.solve(system, b[:, None])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return solutions
+
+
 def active_set_solve(problem: QpProblem, max_q: int = MAX_ORACLE_INEQUALITIES) -> OracleResult:
     """Enumerate all active sets and return the best KKT point found.
 
@@ -104,47 +145,30 @@ def active_set_solve(problem: QpProblem, max_q: int = MAX_ORACLE_INEQUALITIES) -
 
     accepted: list[tuple[float, Iterate, tuple[int, ...]]] = []
     for size in range(q + 1):
-        for subset in itertools.combinations(range(q), size):
-            rows = np.array(subset, dtype=int)
-            A_S = problem.A[rows] if size else np.zeros((0, n))
-            b_S = problem.b[rows] if size else np.zeros(0)
-            dim = n + p + size
-            system = np.zeros((dim, dim))
-            system[:n, :n] = problem.H
-            system[:n, n : n + p] = problem.G.T
-            system[:n, n + p :] = A_S.T
-            system[n : n + p, :n] = problem.G
-            system[n + p :, :n] = A_S
-            rhs = np.concatenate((-problem.f, problem.h, b_S))
-            try:
-                with warnings.catch_warnings():
-                    # Near-singular subsets are rejected by the residual
-                    # check below; warnings (ill conditioning, divide by
-                    # zero on diagonal fast paths) are just noise here.
-                    warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    solution = scipy.linalg.solve(system, rhs)
-            except (scipy.linalg.LinAlgError, ValueError):
-                continue
-            if not np.all(np.isfinite(solution)):
-                continue
-            # Guard against near-singular systems that "solved" to garbage.
-            if np.max(np.abs(system @ solution - rhs), initial=0.0) > 1e-7 * (
-                1.0 + np.max(np.abs(rhs), initial=0.0)
-            ):
-                continue
-            z = solution[:n]
-            lam = solution[n : n + p]
-            v = np.zeros(q)
-            if size:
-                v_S = solution[n + p :]
-                if np.min(v_S) < -_DUAL_TOL:
-                    continue
-                v[rows] = v_S
-            slack = problem.b - problem.A @ z
-            if q and np.min(slack) < -_FEAS_TOL:
-                continue
-            accepted.append((problem.objective(z), Iterate(z, lam, v), subset))
+        combinations = list(itertools.combinations(range(q), size))
+        batch = max(1, _STACK_ENTRIES // (n + p + size) ** 2)
+        for start in range(0, len(combinations), batch):
+            chunk = combinations[start : start + batch]
+            subsets = np.array(chunk, dtype=int).reshape(len(chunk), size)
+            systems, rhs = _bordered_systems(problem, subsets)
+            # Near-singular systems can solve to garbage, even to inf or
+            # NaN; the checks reject those, so their warnings are noise.
+            with np.errstate(all="ignore"):
+                solutions = _solve_stack(systems, rhs)
+                back = np.matmul(systems, solutions[..., None])[..., 0] - rhs
+                ok = np.isfinite(solutions).all(axis=1)
+                ok &= np.abs(back).max(axis=1) <= 1e-7 * (1.0 + np.abs(rhs).max(axis=1))
+                if size:
+                    ok &= solutions[:, n + p :].min(axis=1) >= -_DUAL_TOL
+                if q:
+                    slack = problem.b - solutions[:, :n] @ problem.A.T
+                    ok &= slack.min(axis=1) >= -_FEAS_TOL
+            for i in np.flatnonzero(ok):
+                z = solutions[i, :n]
+                v = np.zeros(q)
+                v[subsets[i]] = solutions[i, n + p :]
+                iterate = Iterate(z, solutions[i, n : n + p], v)
+                accepted.append((problem.objective(z), iterate, chunk[i]))
 
     if not accepted:
         if _feasible_point_exists(problem):

@@ -20,13 +20,15 @@ reduces it to a symmetric quasi-definite system with two Cholesky factors.
 A direction is kept only when its backward error against the full J passes,
 after at most one refinement pass; otherwise the step is retried on
 J + eps I with a growing eps. The stationarity and equality blocks of R
-are affine along a direction, so each line-search trial costs one
-evaluation of phi. ``assemble_jacobian`` builds the dense J as a reference.
+are affine along a direction, so the line search evaluates phi once for
+the full step and once for each stack of shorter steps.
+``assemble_jacobian`` builds the dense J as a reference.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,6 +347,21 @@ def newton_direction(
     )
 
 
+def _squares(x: np.ndarray) -> np.ndarray:
+    """``x @ x`` for a vector, and per row for a stack of rows.
+
+    A stacked matmul gives each row the bits of its vector product, which
+    ``einsum`` and ``sum`` do not.
+    """
+    return x @ x if x.ndim == 1 else np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
+
+
+# The backtracked steps 1/2, 1/4, ... down to _MIN_STEP as two columns,
+# 2^-1 to 2^-7 and the rest, each with its Armijo factors 1 - 2 c t.
+_STEPS = _BACKTRACK ** np.arange(1, math.floor(math.log(_MIN_STEP, _BACKTRACK)) + 1)[:, None]
+_STEP_BLOCKS = [(t, 1.0 - 2.0 * _ARMIJO_C * t[:, 0]) for t in (_STEPS[:7], _STEPS[7:])]
+
+
 def line_search(
     problem: QpProblem,
     iterate: Iterate,
@@ -355,10 +372,14 @@ def line_search(
 ) -> tuple[float, Iterate, float]:
     """Backtracking Armijo search on the merit 0.5 ||R||^2.
 
-    Tries the full step first, then halves it. A step t is accepted when
+    Accepts the first step t in 1, 1/2, 1/4, ... with
     merit(x + t d) <= (1 - 2 c t) * merit(x), with c = 1e-4. The
     stationarity and equality blocks of R are affine in t, so their change
-    per unit step is formed once; each trial then costs one ``phi_vec``.
+    per unit step is formed once; each evaluation then costs one
+    ``phi_vec``. The full step is tried alone; after it, the steps 1/2 to
+    2^-7 and then the rest are each evaluated as one stack of rows. A row
+    gets the bits of a lone trial, so the result is that of trying the
+    steps one by one.
 
     Args:
         base: ``residual`` at ``iterate`` with the same ``sigma``.
@@ -376,19 +397,28 @@ def line_search(
     d_stationarity = problem.H @ dz + sigma * dz + problem.G.T @ dlam + problem.A.T @ dv
     d_equality = sigma * dlam - problem.G @ dz
     a_dz = problem.A @ dz
-    step = 1.0
-    while step >= _MIN_STEP:
-        stationarity = base.stationarity_block + step * d_stationarity
-        equality = base.equality_block + step * d_equality
-        v = iterate.v + step * dv
-        merit = stationarity @ stationarity + equality @ equality
+
+    def trial(t):
+        """Merit and v at x + t d, for a float t or a column of steps."""
+        stationarity = base.stationarity_block + t * d_stationarity
+        equality = base.equality_block + t * d_equality
+        v = iterate.v + t * dv
+        merit = _squares(stationarity) + _squares(equality)
         if problem.q:
-            complementarity = phi_vec(base.slack - step * a_dz, v, config.ncp)
-            merit += complementarity @ complementarity
-        merit = 0.5 * float(merit)
-        if merit <= (1.0 - 2.0 * _ARMIJO_C * step) * base.merit:
-            return step, Iterate(iterate.z + step * dz, iterate.lam + step * dlam, v), merit
-        step *= _BACKTRACK
+            merit += _squares(phi_vec(base.slack - t * a_dz, v, config.ncp))
+        return 0.5 * merit, v
+
+    merit, v = trial(1.0)
+    merit = float(merit)
+    if merit <= (1.0 - 2.0 * _ARMIJO_C) * base.merit:
+        return 1.0, Iterate(iterate.z + dz, iterate.lam + dlam, v), merit
+    for steps, factors in _STEP_BLOCKS:
+        merits, vs = trial(steps)
+        passed = np.flatnonzero(merits <= factors * base.merit)
+        if passed.size:
+            i = passed[0]
+            t = float(steps[i, 0])
+            return t, Iterate(iterate.z + t * dz, iterate.lam + t * dlam, vs[i]), float(merits[i])
     raise LineSearchStalledError(
         f"no step >= {_MIN_STEP} gave sufficient decrease from merit {base.merit:.3e}"
     )

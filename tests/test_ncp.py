@@ -127,3 +127,35 @@ def test_fischer_burmeister_part_is_positively_homogeneous():
         np.testing.assert_allclose(
             fb_part(t * y, t * v), t * fb_part(y, v), rtol=1e-12, atol=1e-12
         )
+
+
+def test_stacked_rows_match_row_by_row_bits():
+    # The line search evaluates a stack of trial points at once; each row
+    # must carry the bits of that row evaluated alone.
+    rng = np.random.default_rng(11)
+    y = rng.uniform(-5.0, 5.0, size=(9, 6)) * 10.0 ** rng.integers(-8, 8, size=(9, 6))
+    v = rng.uniform(-5.0, 5.0, size=(9, 6))
+    y[0] = 0.0
+    v[0, :3] = 0.0
+    y[1, ::2] = 1e-300
+    for config in (None, NcpConfig(alpha=0.3)):
+        stacked = phi_vec(y, v, config)
+        d_y, d_v = phi_derivative_vec(y, v, config)
+        assert stacked.shape == d_y.shape == d_v.shape == y.shape
+        for row in range(y.shape[0]):
+            np.testing.assert_array_equal(stacked[row], phi_vec(y[row], v[row], config))
+            row_d_y, row_d_v = phi_derivative_vec(y[row], v[row], config)
+            np.testing.assert_array_equal(d_y[row], row_d_y)
+            np.testing.assert_array_equal(d_v[row], row_d_v)
+    assert phi_vec(np.zeros((4, 0)), np.zeros((4, 0))).shape == (4, 0)
+
+
+def test_stacked_inputs_reject_three_axes_and_mismatch():
+    cube = np.ones((2, 2, 2))
+    for function in (phi_vec, phi_derivative_vec):
+        with pytest.raises(ValueError):
+            function(cube, cube)
+        with pytest.raises(ValueError):
+            function(np.ones((3, 2)), np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            function(np.ones((3, 2)), np.ones(2))

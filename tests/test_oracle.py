@@ -1,6 +1,9 @@
 """Active-set enumeration oracle and solver-agreement tests."""
 
 import dataclasses
+import gc
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from fbqp import (
     random_problem,
     solve,
 )
+from fbqp.oracle import _DISTINCT_TOL, _DUAL_TOL, _FEAS_TOL, _TIE_TOL
 
 ONE_D = QpProblem(H=[[1.0]], f=[0.0], A=[[-1.0]], b=[-1.0])
 
@@ -186,3 +190,126 @@ def test_agreement_raises_when_oracle_too_large():
     result = solve(problem)
     with pytest.raises(ValueError):
         oracle_agrees(problem, result)
+
+
+def _reference_oracle(problem):
+    """The enumeration one subset at a time: (status, z, objective, active set, flag).
+
+    Only Optimal outcomes are spelled out; any other verdict reads "other".
+    """
+    n, p, q = problem.n, problem.p, problem.q
+    accepted = []
+    for size in range(q + 1):
+        for subset in itertools.combinations(range(q), size):
+            rows = list(subset)
+            a_s = problem.A[rows]
+            dim = n + p + size
+            system = np.zeros((dim, dim))
+            system[:n, :n] = problem.H
+            system[:n, n : n + p] = problem.G.T
+            system[:n, n + p :] = a_s.T
+            system[n : n + p, :n] = problem.G
+            system[n + p :, :n] = a_s
+            rhs = np.concatenate((-problem.f, problem.h, problem.b[rows]))
+            try:
+                with np.errstate(all="ignore"):
+                    solution = np.linalg.solve(system, rhs)
+                    back = np.max(np.abs(system @ solution - rhs))
+            except np.linalg.LinAlgError:
+                continue
+            if not np.isfinite(solution).all() or back > 1e-7 * (1.0 + np.max(np.abs(rhs))):
+                continue
+            z, lam, v = solution[:n], solution[n : n + p], np.zeros(q)
+            if size:
+                if solution[n + p :].min() < -_DUAL_TOL:
+                    continue
+                v[rows] = solution[n + p :]
+            if q and (problem.b - problem.A @ z).min() < -_FEAS_TOL:
+                continue
+            accepted.append((problem.objective(z), z, lam, v, subset))
+    if not accepted:
+        return ("other", None, None, None, False)
+    accepted.sort(key=lambda item: item[0])
+    best, z, _, v, subset = accepted[0]
+    flag = any(
+        np.max(np.abs(other_z - z), initial=0.0) > _DISTINCT_TOL
+        or np.max(np.abs(other_v - v), initial=0.0) > _DISTINCT_TOL
+        for objective, other_z, _, other_v, _ in accepted[1:]
+        if objective <= best + _TIE_TOL
+    )
+    if not flag and q:
+        stack = np.vstack((problem.G, problem.A[problem.b - problem.A @ z <= 1e-7]))
+        flag = bool(stack.shape[0]) and np.linalg.matrix_rank(stack) < stack.shape[0]
+    return ("Optimal", z, best, subset, flag)
+
+
+def _oracle_fleet():
+    """About 200 problems with q <= 8: planted, duplicated rows, PSD-only H,
+    equality rows and infeasible copies."""
+    rng = np.random.default_rng(404)
+    for seed in range(200):
+        n = int(rng.integers(1, 7))
+        p = int(rng.integers(0, min(2, n) + 1))
+        q = int(rng.integers(0, 7))
+        activity = float(rng.choice([0.0, 0.5, 1.0]))
+        problem, _ = random_problem(
+            GeneratorSpec(n=n, p=p, q=q, activity_fraction=activity, seed=seed)
+        )
+        H, f, G, h, A, b = problem.H, problem.f, problem.G, problem.h, problem.A, problem.b
+        kind = seed % 4
+        if kind == 1 and q:
+            # Duplicate up to two rows.
+            copies = rng.choice(q, size=min(2, q), replace=False)
+            A, b = np.vstack((A, A[copies])), np.concatenate((b, b[copies]))
+        elif kind == 2:
+            # PSD-only H of rank n - 1 (zero when n = 1).
+            factor = rng.standard_normal((n, n - 1))
+            H = factor @ factor.T
+        elif kind == 3:
+            # The contradictory pair a'z <= -1, -a'z <= -1.
+            row = rng.standard_normal(n)
+            A, b = np.vstack((A, row, -row)), np.concatenate((b, [-1.0, -1.0]))
+        yield QpProblem(H, f, G, h, A, b)
+
+
+def test_oracle_matches_one_subset_at_a_time():
+    kinds = {"Optimal": 0, "other": 0}
+    for problem in _oracle_fleet():
+        assert problem.q <= 8
+        status, z, objective, subset, flag = _reference_oracle(problem)
+        outcome = active_set_solve(problem)
+        kinds[status] += 1
+        if status == "other":
+            assert outcome.status in (OracleStatus.INFEASIBLE, OracleStatus.UNBOUNDED)
+            continue
+        assert outcome.status is OracleStatus.OPTIMAL
+        assert outcome.multiplicity_flag == flag
+        assert outcome.objective == objective
+        np.testing.assert_allclose(outcome.solution.z, z, rtol=0.0, atol=1e-12)
+        if not flag:
+            assert outcome.active_set == subset
+    # The fleet exercises both verdicts.
+    assert kinds["Optimal"] >= 100 and kinds["other"] >= 40
+
+
+def test_oracle_memory_stays_flat_on_singular_subsets():
+    # Duplicated rows make many bordered systems exactly singular. Each
+    # call must free what it allocates, including on the singular path.
+    problem, _ = random_problem(GeneratorSpec(n=2, p=1, q=3, activity_fraction=0.5, seed=1))
+    duplicated = QpProblem(
+        problem.H, problem.f, problem.G, problem.h,
+        np.vstack((problem.A, problem.A)), np.concatenate((problem.b, problem.b)),
+    )
+    for _ in range(5):
+        active_set_solve(duplicated)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            active_set_solve(duplicated)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024

@@ -15,6 +15,7 @@ from fbqp import (
     kkt_error,
     line_search,
     newton_direction,
+    phi_vec,
     random_problem,
     residual,
     solve,
@@ -216,6 +217,77 @@ def test_line_search_stalls_on_ascent_direction():
     base = residual(problem, x, 0.0, _zero_center(problem))
     with pytest.raises(LineSearchStalledError):
         line_search(problem, x, np.array([-3.0]), 0.0, base)
+
+
+def _reference_line_search(problem, iterate, direction, sigma, base):
+    """The line search as a plain loop: try 1, 1/2, ..., 2^-39 one at a time."""
+    n, p = problem.n, problem.p
+    dz, dlam, dv = direction[:n], direction[n : n + p], direction[n + p :]
+    d_stationarity = problem.H @ dz + sigma * dz + problem.G.T @ dlam + problem.A.T @ dv
+    d_equality = sigma * dlam - problem.G @ dz
+    a_dz = problem.A @ dz
+    step = 1.0
+    while step >= 1e-12:
+        stationarity = base.stationarity_block + step * d_stationarity
+        equality = base.equality_block + step * d_equality
+        v = iterate.v + step * dv
+        merit = stationarity @ stationarity + equality @ equality
+        if problem.q:
+            complementarity = phi_vec(base.slack - step * a_dz, v)
+            merit += complementarity @ complementarity
+        merit = 0.5 * float(merit)
+        if merit <= (1.0 - 2.0 * 1e-4 * step) * base.merit:
+            return step, Iterate(iterate.z + step * dz, iterate.lam + step * dlam, v), merit
+        step *= 0.5
+    raise LineSearchStalledError("stalled")
+
+
+def _line_search_case(spec):
+    rng = np.random.default_rng(3)
+    problem, _ = random_problem(spec)
+    n, p, q = problem.n, problem.p, problem.q
+    x = Iterate(rng.standard_normal(n), rng.standard_normal(p), rng.standard_normal(q))
+    center = Iterate(rng.standard_normal(n), rng.standard_normal(p), np.zeros(q))
+    direction, base = _direction(problem, x, 0.01, center)
+    return problem, x, direction, base
+
+
+LINE_SEARCH_SPECS = [
+    GeneratorSpec(n=5, p=1, q=4, seed=7),
+    GeneratorSpec(n=3, p=2, q=7, activity_fraction=1.0, seed=11),
+    GeneratorSpec(n=4, p=0, q=0, seed=5),
+]
+LINE_SEARCH_IDS = ["n5p1q4", "n3p2q7", "n4p0q0"]
+
+
+@pytest.mark.parametrize("spec", LINE_SEARCH_SPECS, ids=LINE_SEARCH_IDS)
+@pytest.mark.parametrize("exponent", [0, 1, 7, 8, 39])
+def test_line_search_matches_reference_loop(spec, exponent):
+    # Scale the Newton direction so that the first step passing the Armijo
+    # test is 2^-exponent, on either side of each block boundary.
+    problem, x, direction, base = _line_search_case(spec)
+    target = 0.5**exponent
+    for factor in (1.0, 1.25, 1.5, 1.75, 1.1, 1.9):
+        scaled = direction * (factor / target)
+        want = _reference_line_search(problem, x, scaled, 0.01, base)
+        if want[0] == target:
+            break
+    else:
+        pytest.fail(f"no scaling of the direction gives first step {target}")
+    step, new_x, merit = line_search(problem, x, scaled, 0.01, base)
+    assert step == want[0]
+    assert merit == want[2]
+    for got, expected in zip((new_x.z, new_x.lam, new_x.v), (want[1].z, want[1].lam, want[1].v)):
+        np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("spec", LINE_SEARCH_SPECS, ids=LINE_SEARCH_IDS)
+def test_line_search_stalls_like_reference_loop(spec):
+    problem, x, direction, base = _line_search_case(spec)
+    with pytest.raises(LineSearchStalledError):
+        _reference_line_search(problem, x, -direction, 0.01, base)
+    with pytest.raises(LineSearchStalledError):
+        line_search(problem, x, -direction, 0.01, base)
 
 
 def test_solve_one_d_inequality():

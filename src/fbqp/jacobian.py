@@ -72,7 +72,6 @@ class ReducedJacobian:
         self.a_elim = problem.A[self.elim]
         self.dy_elim, self.dv_elim = self.d_y[self.elim], self.d_v[self.elim]
         self.dy_kept = self.d_y[self.kept]
-        self._norm_inf = None
 
         m = self.a_elim.T @ ((self.dy_elim / self.dv_elim) * self.a_elim)
         m += problem.H
@@ -150,20 +149,15 @@ class ReducedJacobian:
         return np.concatenate((top, mid, low)).reshape(x.shape)
 
     def norm_inf(self) -> float:
-        """``||J + eps I||_inf``, the largest absolute row sum of J.
-
-        Computed on the first call and kept; the blocks do not change.
-        """
-        if self._norm_inf is None:
-            problem, shift = self.problem, self.shift
-            abs_g, abs_a = np.abs(problem.G), np.abs(problem.A)
-            h_diag = problem.H.diagonal()
-            z_rows = np.abs(problem.H).sum(axis=1) - np.abs(h_diag) + abs_g.sum(axis=0)
-            z_rows = z_rows + abs_a.sum(axis=0) + np.abs(h_diag + shift)
-            lam_rows = abs_g.sum(axis=1) + shift
-            v_rows = self.d_y[:, 0] * abs_a.sum(axis=1) + self.d_v[:, 0]
-            self._norm_inf = float(np.concatenate((z_rows, lam_rows, v_rows)).max())
-        return self._norm_inf
+        """``||J + eps I||_inf``, the largest absolute row sum of J."""
+        problem, shift = self.problem, self.shift
+        abs_g, abs_a = np.abs(problem.G), np.abs(problem.A)
+        h_diag = problem.H.diagonal()
+        z_rows = np.abs(problem.H).sum(axis=1) - np.abs(h_diag) + abs_g.sum(axis=0)
+        z_rows = z_rows + abs_a.sum(axis=0) + np.abs(h_diag + shift)
+        lam_rows = abs_g.sum(axis=1) + shift
+        v_rows = self.d_y[:, 0] * abs_a.sum(axis=1) + self.d_v[:, 0]
+        return float(np.concatenate((z_rows, lam_rows, v_rows)).max())
 
 
 def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:

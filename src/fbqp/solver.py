@@ -358,6 +358,9 @@ def _squares(x: np.ndarray) -> np.ndarray:
 
 # The backtracked steps 1/2, 1/4, ... down to _MIN_STEP as two columns,
 # 2^-1 to 2^-7 and the rest, each with its Armijo factors 1 - 2 c t.
+# Backtracked searches on dense problems mostly accept a step in the first
+# column, where one stack of all 39 steps costs about 1.3x as much; a
+# stalled search, common on infeasible inputs, pays for both.
 _STEPS = _BACKTRACK ** np.arange(1, math.floor(math.log(_MIN_STEP, _BACKTRACK)) + 1)[:, None]
 _STEP_BLOCKS = [(t, 1.0 - 2.0 * _ARMIJO_C * t[:, 0]) for t in (_STEPS[:7], _STEPS[7:])]
 

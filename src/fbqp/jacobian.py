@@ -27,6 +27,9 @@ of M and the Cholesky factor of the Schur complement S = C + B M^-1 B', of
 size p plus the number of kept rows. J' reduces to the same K up to signs,
 so one factorization serves both J x = r and J' x = r. ``norm_inf`` sums
 ``||J + eps I||_inf`` from the same blocks when the solver's bound needs it.
+
+``checked_solve`` is the one place a solve is checked against J: the Newton
+steps and both sensitivity modes go through it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,10 @@ from scipy.linalg import lapack
 
 from .problem import QpProblem
 
-__all__ = ["ReducedJacobian"]
+__all__ = ["ReducedJacobian", "checked_solve"]
+
+# Relative accuracy demanded of every checked solve.
+_SOLVE_TOL = 1e-10
 
 
 class ReducedJacobian:
@@ -148,16 +154,64 @@ class ReducedJacobian:
             low = self.d_v * x_v - self.d_y * (problem.A @ x_z)
         return np.concatenate((top, mid, low)).reshape(x.shape)
 
-    def norm_inf(self) -> float:
-        """``||J + eps I||_inf``, the largest absolute row sum of J."""
+    def norm_inf(self, transpose: bool = False) -> float:
+        """``||J + eps I||_inf``, the largest absolute row sum of J, or of J'."""
         problem, shift = self.problem, self.shift
         abs_g, abs_a = np.abs(problem.G), np.abs(problem.A)
+        d_y, d_v = self.d_y[:, 0], self.d_v[:, 0]
         h_diag = problem.H.diagonal()
         z_rows = np.abs(problem.H).sum(axis=1) - np.abs(h_diag) + abs_g.sum(axis=0)
-        z_rows = z_rows + abs_a.sum(axis=0) + np.abs(h_diag + shift)
         lam_rows = abs_g.sum(axis=1) + shift
-        v_rows = self.d_y[:, 0] * abs_a.sum(axis=1) + self.d_v[:, 0]
+        if transpose:
+            z_rows = z_rows + d_y @ abs_a + np.abs(h_diag + shift)
+            v_rows = abs_a.sum(axis=1) + d_v
+        else:
+            z_rows = z_rows + abs_a.sum(axis=0) + np.abs(h_diag + shift)
+            v_rows = d_y * abs_a.sum(axis=1) + d_v
         return float(np.concatenate((z_rows, lam_rows, v_rows)).max())
+
+
+def checked_solve(
+    problem: QpProblem,
+    d_y: np.ndarray,
+    d_v: np.ndarray,
+    sigma: float,
+    rhs: np.ndarray,
+    eps: float = 0.0,
+    transpose: bool = False,
+) -> np.ndarray | None:
+    """x with ``(J + eps I) x = rhs``, or its transpose, checked against J.
+
+    Arguments are those of ``ReducedJacobian``; rhs is (N,) or (N, k). The
+    answer is accepted when its backward error ``||J x - rhs||_inf`` is
+    within 1e-10 * (1 + ||rhs||_inf), widened by 1e-10 * ||J||_inf ||x||_inf
+    since no double-precision solve can beat that floor when the solution
+    dwarfs the right-hand side. One pass of iterative refinement is tried
+    before giving up.
+
+    Returns:
+        The solution, or None when J cannot be factored or the check fails.
+    """
+    try:
+        system = ReducedJacobian(problem, d_y, d_v, sigma, eps)
+    except np.linalg.LinAlgError:
+        return None
+    tol = _SOLVE_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+    x = system.solve(rhs, transpose)
+    for refine in (True, False):
+        if not np.isfinite(x).all():
+            return None
+        back = system.apply(x, transpose) - rhs
+        error = float(np.abs(back).max(initial=0.0))
+        if error <= tol:
+            return x
+        # The widened bound, computed only when the plain one fails.
+        norm = system.norm_inf(transpose)
+        if error <= tol + _SOLVE_TOL * norm * float(np.abs(x).max(initial=0.0)):
+            return x
+        if refine:
+            x = x - system.solve(back, transpose)
+    return None
 
 
 def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:

@@ -179,6 +179,14 @@ class Iterate:
             and self.v.shape == (problem.q,)
         )
 
+    def require_match(self, problem: QpProblem) -> None:
+        """Raise ValueError unless ``matches(problem)``."""
+        if not self.matches(problem):
+            raise ValueError(
+                f"iterate shapes {self.z.shape}/{self.lam.shape}/{self.v.shape} "
+                f"do not match problem with (n, p, q) = ({problem.n}, {problem.p}, {problem.q})"
+            )
+
 
 @dataclass(frozen=True)
 class KktError:
@@ -223,11 +231,7 @@ def kkt_error(problem: QpProblem, iterate: Iterate) -> KktError:
     Raises:
         ValueError: if the iterate shapes do not match the problem.
     """
-    if not iterate.matches(problem):
-        raise ValueError(
-            f"iterate shapes {iterate.z.shape}/{iterate.lam.shape}/{iterate.v.shape} "
-            f"do not match problem with (n, p, q) = ({problem.n}, {problem.p}, {problem.q})"
-        )
+    iterate.require_match(problem)
     z, lam, v = iterate.z, iterate.lam, iterate.v
     grad_lagrangian = problem.H @ z + problem.f + problem.G.T @ lam + problem.A.T @ v
     eq_residual = problem.G @ z - problem.h

@@ -3,17 +3,19 @@
 At a solved iterate x* the residual satisfies R(x*, theta) = 0, so for any
 problem datum theta the implicit function theorem gives
 
-    dx*/dtheta = -J^{-1} dR/dtheta
+    dz*/dtheta = -E_z' J^{-1} dR/dtheta = W' dR/dtheta,    J' W = -E_z,
 
-with J the generalized Jacobian at x*. J is taken with the proximal
-weight held at its floor (sigma_min), which keeps it invertible even at
-mildly degenerate solutions while perturbing the sensitivities only at the
-level of sigma_min. J is not assembled: it is factored once through the
-same reduced symmetric system as the Newton steps (``fbqp.jacobian``),
-which serves the forward solve and, up to signs, the transposed one.
-Forward mode returns dense dz/df, dz/dh, dz/db; reverse mode (vjp) pulls a
-cotangent on z back to gradients with respect to every datum, including
-the matrices, in one transposed solve. Every solve is checked against J.
+with J the generalized Jacobian at x* and E_z the columns of the identity
+that pick out z. Only the z rows of J^{-1} enter, so one transposed solve
+gives them. J is taken with the proximal weight held at its floor
+(sigma_min), which keeps it invertible even at mildly degenerate solutions
+while perturbing the sensitivities only at the level of sigma_min.
+
+Both modes pull cotangents on z back through that one transposed solve,
+checked against J by ``fbqp.jacobian.checked_solve``. Reverse mode (vjp)
+pulls back one cotangent to gradients with respect to every datum,
+including the matrices. Forward mode pulls back the n unit cotangents:
+dz/df = W_z', dz/dh = W_lam' and dz/db = (D_y W_v)'.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobian import ReducedJacobian
+from .jacobian import checked_solve
 from .ncp import phi_derivative_vec
 from .problem import QpProblem
-from .solver import SingularSystemError, SolverConfig, SolveResult, SolveStatus
+from .solver import SingularSystemError, SolveResult, SolveStatus
 
 __all__ = [
     "NotSolvedError",
@@ -35,12 +37,9 @@ __all__ = [
     "vjp",
 ]
 
-# Strict complementarity fails when a slack and its multiplier are both
-# below this; the linearization is then one-sided and flagged.
+# A row with slack below this is active; strict complementarity fails when
+# its multiplier is below this too.
 _DEGENERACY_TOL = 1e-7
-# Back-substitution residual above this (relative) means the Jacobian was
-# effectively singular.
-_SOLVE_CHECK_TOL = 1e-6
 
 
 class NotSolvedError(ValueError):
@@ -52,8 +51,10 @@ class SensitivityResult:
     """Dense forward sensitivities of the primal solution.
 
     ``dz_df[i, j]`` is the derivative of z_i with respect to f_j, and
-    likewise for the right-hand sides h and b. ``wellposed`` is False when
-    strict complementarity fails at the solution; the values are then a
+    likewise for the right-hand sides h and b. ``wellposed`` is True when
+    strict complementarity and LICQ (the equality rows and active
+    inequality rows are linearly independent) hold at the solution. When
+    it is False, z* need not be differentiable there: the values are a
     one-sided linearization and finite differencing may disagree.
     """
 
@@ -67,7 +68,9 @@ class SensitivityResult:
 class VjpResult:
     """Gradients of g' z* with respect to every problem datum.
 
-    ``dH`` is symmetrized, matching the ingestion convention for H.
+    ``dH`` is symmetrized, matching the ingestion convention for H. The
+    vector parts equal g contracted with the forward sensitivities, and
+    ``wellposed`` is as in ``SensitivityResult``.
     """
 
     df: np.ndarray
@@ -79,79 +82,59 @@ class VjpResult:
     wellposed: bool
 
 
-def _final_jacobian(
-    problem: QpProblem, result: SolveResult, config: SolverConfig | None
-) -> tuple[ReducedJacobian, np.ndarray, bool]:
-    """The factored Jacobian at the final iterate, plus phi derivative data."""
+def _pull_back(
+    problem: QpProblem, result: SolveResult, cotangents: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(W, d_y, wellposed) with J' W = [-cotangents; 0; 0] at the solution.
+
+    ``cotangents`` is (n,) or (n, k), and W is (N,) or (N, k) to match.
+    """
     if result.status is not SolveStatus.SOLVED:
         raise NotSolvedError(
             f"sensitivities need a Solved result, got status {result.status.value}"
         )
-    config = config or result.config
-    slack = problem.b - problem.A @ result.iterate.z
-    d_y, d_v = phi_derivative_vec(slack, result.iterate.v, config.ncp)
-    strict = not bool(
-        np.any((slack < _DEGENERACY_TOL) & (result.iterate.v < _DEGENERACY_TOL))
-    )
-    try:
-        system = ReducedJacobian(problem, d_y, d_v, config.sigma_min)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"final Jacobian could not be factorized: {exc}") from exc
-    return system, d_y, strict
-
-
-def _checked_solve(system: ReducedJacobian, rhs: np.ndarray, transpose: bool) -> np.ndarray:
-    out = system.solve(rhs, transpose)
-    scale = 1.0 + np.max(np.abs(rhs), initial=0.0)
-    if not np.all(np.isfinite(out)) or (
-        np.max(np.abs(system.apply(out, transpose) - rhs), initial=0.0)
-        > _SOLVE_CHECK_TOL * scale
-    ):
+    z, v = result.iterate.z, result.iterate.v
+    slack = problem.b - problem.A @ z
+    d_y, d_v = phi_derivative_vec(slack, v, result.config.ncp)
+    rhs = np.zeros((problem.n + problem.p + problem.q,) + cotangents.shape[1:])
+    rhs[: problem.n] = -cotangents
+    w = checked_solve(problem, d_y, d_v, result.config.sigma_min, rhs, transpose=True)
+    if w is None:
         raise SingularSystemError("final Jacobian is numerically singular")
-    return out
+    active = slack < _DEGENERACY_TOL
+    wellposed = not np.any(active & (v < _DEGENERACY_TOL))
+    if wellposed:
+        # LICQ, by the rank test the oracle's multiplicity flag uses.
+        rows = np.vstack((problem.G, problem.A[active]))
+        wellposed = not rows.shape[0] or np.linalg.matrix_rank(rows) == rows.shape[0]
+    return w, d_y, bool(wellposed)
 
 
-def solution_sensitivity(
-    problem: QpProblem, result: SolveResult, config: SolverConfig | None = None
-) -> SensitivityResult:
+def solution_sensitivity(problem: QpProblem, result: SolveResult) -> SensitivityResult:
     """Forward-mode sensitivities dz/df, dz/dh, dz/db at a solved result.
 
-    Args:
-        config: overrides ``result.config`` (only ``sigma_min`` and the
-            complementarity parameters enter).
+    The pull-back of the n unit cotangents; ``sigma_min`` and the
+    complementarity parameters are taken from ``result.config``.
 
     Raises:
         NotSolvedError: when the result status is not Solved.
         SingularSystemError: when the final Jacobian cannot be solved.
     """
-    system, d_y, strict = _final_jacobian(problem, result, config)
-    n, p, q = problem.n, problem.p, problem.q
-    size = n + p + q
-    rhs = np.zeros((size, size))
-    rhs[:n, :n] = np.eye(n)
-    rhs[n : n + p, n : n + p] = np.eye(p)
-    rhs[n + p :, n + p :] = np.diag(d_y)
-    solution = _checked_solve(system, rhs, transpose=False)
+    n, p = problem.n, problem.p
+    w, d_y, wellposed = _pull_back(problem, result, np.eye(n))
     return SensitivityResult(
-        dz_df=-solution[:n, :n],
-        dz_dh=-solution[:n, n : n + p],
-        dz_db=-solution[:n, n + p :],
-        wellposed=strict,
+        dz_df=w[:n].T,
+        dz_dh=w[n : n + p].T,
+        dz_db=(d_y[:, None] * w[n + p :]).T,
+        wellposed=wellposed,
     )
 
 
-def vjp(
-    problem: QpProblem,
-    result: SolveResult,
-    z_cotangent: np.ndarray,
-    config: SolverConfig | None = None,
-) -> VjpResult:
+def vjp(problem: QpProblem, result: SolveResult, z_cotangent: np.ndarray) -> VjpResult:
     """Reverse-mode pull-back of a cotangent on z* to all problem data.
 
     For the scalar L = z_cotangent' z*, returns dL/df, dL/dh, dL/db and the
-    matrix gradients dL/dH, dL/dG, dL/dA via one transposed solve. The
-    vector parts coincide with contracting the forward sensitivities by
-    the cotangent.
+    matrix gradients dL/dH, dL/dG, dL/dA via one transposed solve.
 
     Raises:
         NotSolvedError, SingularSystemError: as in ``solution_sensitivity``.
@@ -162,10 +145,8 @@ def vjp(
         raise ValueError(
             f"z_cotangent must have shape ({problem.n},), got {z_cotangent.shape}"
         )
-    system, d_y, strict = _final_jacobian(problem, result, config)
+    w, d_y, wellposed = _pull_back(problem, result, z_cotangent)
     n, p = problem.n, problem.p
-    rhs = np.concatenate((-z_cotangent, np.zeros(p), np.zeros(problem.q)))
-    w = _checked_solve(system, rhs, transpose=True)
     w_z, w_lam, w_v = w[:n], w[n : n + p], w[n + p :]
     z, lam, v = result.iterate.z, result.iterate.lam, result.iterate.v
     raw_dH = np.outer(w_z, z)
@@ -176,5 +157,5 @@ def vjp(
         dH=0.5 * (raw_dH + raw_dH.T),
         dG=np.outer(lam, w_z) - np.outer(w_lam, z),
         dA=np.outer(v, w_z) - np.outer(d_y * w_v, z),
-        wellposed=strict,
+        wellposed=wellposed,
     )

@@ -18,10 +18,11 @@ KKT residuals only.
 Each Newton step solves J d = -R without assembling J: ``fbqp.jacobian``
 reduces it to a symmetric quasi-definite system with two Cholesky factors.
 A direction is kept only when its backward error against the full J passes,
-after at most one refinement pass; otherwise the step is retried on
-J + eps I with a growing eps. The stationarity and equality blocks of R
-are affine along a direction, so the line search evaluates phi once for
-the full step and once for each stack of shorter steps.
+after at most one refinement pass (``fbqp.jacobian.checked_solve``);
+otherwise the step is retried on J + eps I with a growing eps. The
+stationarity and equality blocks of R are affine along a direction, so the
+line search evaluates phi once for the full step and once for each stack
+of shorter steps.
 ``assemble_jacobian`` builds the dense J as a reference.
 """
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jacobian import ReducedJacobian
+from .jacobian import checked_solve
 from .ncp import NcpConfig, phi_derivative_vec, phi_vec
 from .problem import Iterate, KktError, QpProblem, kkt_error, validate_problem
 
@@ -64,8 +65,6 @@ _STAGE_ETA = 0.1
 # remaining error is pure proximal bias; the next stage then drops sigma
 # straight to the floor rather than shedding the bias one decade at a time.
 _ENDGAME_RATIO = 1e-6
-# Relative accuracy demanded of a computed Newton step.
-_DIRECTION_TOL = 1e-10
 # Number of escalating diagonal perturbations tried after a failed factorization.
 _PERTURB_ATTEMPTS = 3
 # First rung of that ladder; each retry multiplies it by ten.
@@ -184,14 +183,6 @@ class SolveResult:
         return self.status is SolveStatus.SOLVED
 
 
-def _require_match(problem: QpProblem, iterate: Iterate) -> None:
-    if not iterate.matches(problem):
-        raise ValueError(
-            f"iterate shapes {iterate.z.shape}/{iterate.lam.shape}/{iterate.v.shape} "
-            f"do not match problem with (n, p, q) = ({problem.n}, {problem.p}, {problem.q})"
-        )
-
-
 def residual(
     problem: QpProblem,
     iterate: Iterate,
@@ -210,8 +201,8 @@ def residual(
         ValueError: on shape mismatch or negative sigma.
     """
     config = config or SolverConfig()
-    _require_match(problem, iterate)
-    _require_match(problem, center)
+    iterate.require_match(problem)
+    center.require_match(problem)
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     z, lam, v = iterate.z, iterate.lam, iterate.v
@@ -250,7 +241,7 @@ def assemble_jacobian(
     dense reference that the structured solves are tested against.
     """
     config = config or SolverConfig()
-    _require_match(problem, iterate)
+    iterate.require_match(problem)
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     n, p, q = problem.n, problem.p, problem.q
@@ -269,42 +260,6 @@ def assemble_jacobian(
     return jac
 
 
-def _solve_checked(
-    problem: QpProblem,
-    d_y: np.ndarray,
-    d_v: np.ndarray,
-    sigma: float,
-    eps: float,
-    rhs: np.ndarray,
-    tol: float,
-) -> np.ndarray | None:
-    """Solve (J + eps I) x = rhs with one refinement pass; None if inaccurate.
-
-    Acceptance is backward-stable: the absolute bound ``tol`` is widened by
-    a term proportional to ``||J + eps I|| * ||x||``, since no double-precision
-    solve can beat that floor when the solution dwarfs the right-hand side.
-    """
-    try:
-        system = ReducedJacobian(problem, d_y, d_v, sigma, eps)
-    except np.linalg.LinAlgError:
-        return None
-    x = system.solve(rhs)
-    for refine in (True, False):
-        if not np.isfinite(x).all():
-            return None
-        back = system.apply(x) - rhs
-        error = float(np.abs(back).max(initial=0.0))
-        if error <= tol:
-            return x
-        # The widened bound, computed only when the plain one fails.
-        bound = _DIRECTION_TOL * system.norm_inf() * float(np.abs(x).max(initial=0.0))
-        if error <= tol + bound:
-            return x
-        if refine:
-            x = x - system.solve(back)
-    return None
-
-
 def newton_direction(
     problem: QpProblem,
     iterate: Iterate,
@@ -315,13 +270,14 @@ def newton_direction(
     """Direction d with J d = -R at an iterate, and the factorizations it took.
 
     J is the generalized Jacobian of the residual (``assemble_jacobian``),
-    solved through its reduced symmetric form (``fbqp.jacobian``) without
-    being assembled. A direction is accepted when its backward error against
-    J is within 1e-10 * (1 + ||R||_inf + ||J||_inf ||d||_inf), after at most
-    one pass of iterative refinement. Otherwise the system is retried as
-    J + eps I, with eps starting at ``_FIRST_PERTURB`` (1e-10) and growing
-    tenfold, before ``SingularSystemError`` is raised. Each attempt counts
-    as one factorization.
+    solved through its reduced symmetric form without being assembled. A
+    direction is accepted when ``fbqp.jacobian.checked_solve`` passes it:
+    its backward error against J is within 1e-10 * (1 + ||R||_inf +
+    ||J||_inf ||d||_inf), after at most one pass of iterative refinement.
+    Otherwise the system is retried as J + eps I, with eps starting at
+    ``_FIRST_PERTURB`` (1e-10) and growing tenfold, before
+    ``SingularSystemError`` is raised. Each attempt counts as one
+    factorization.
 
     Args:
         breakdown: ``residual`` at ``iterate`` with the same ``sigma``.
@@ -331,14 +287,13 @@ def newton_direction(
     """
     config = config or SolverConfig()
     rhs = -breakdown.as_vector()
-    tol = _DIRECTION_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
     if problem.q:
         d_y, d_v = phi_derivative_vec(breakdown.slack, iterate.v, config.ncp)
     else:
         d_y = d_v = np.zeros(0)
     eps = 0.0
     for attempt in range(1, 2 + _PERTURB_ATTEMPTS):
-        direction = _solve_checked(problem, d_y, d_v, sigma, eps, rhs, tol)
+        direction = checked_solve(problem, d_y, d_v, sigma, rhs, eps)
         if direction is not None:
             return direction, attempt
         eps = _FIRST_PERTURB if eps == 0.0 else eps * 10.0
@@ -458,7 +413,7 @@ def solve(
     """
     config = config or SolverConfig()
     start = warm_start if warm_start is not None else Iterate.start(problem)
-    _require_match(problem, start)
+    start.require_match(problem)
     if not all(np.isfinite(part).all() for part in (start.z, start.lam, start.v)):
         raise ValueError("warm_start must be finite")
 

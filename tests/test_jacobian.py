@@ -12,7 +12,7 @@ from fbqp import (
     random_problem,
     residual,
 )
-from fbqp.jacobian import ReducedJacobian
+from fbqp.jacobian import ReducedJacobian, checked_solve
 from fbqp.ncp import phi_derivative_vec
 
 SIGMA = 1e-3
@@ -109,7 +109,7 @@ def test_direction_matches_dense_solve(name):
 @pytest.mark.parametrize("name", CASES)
 def test_solves_match_perturbed_jacobian_and_transpose(name, eps):
     problem, x = _case(name)
-    system, _, _ = _system(problem, x, SIGMA, eps)
+    system, d_y, d_v = _system(problem, x, SIGMA, eps)
     size = problem.n + problem.p + problem.q
     jac = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(size)
     rng = np.random.default_rng(size)
@@ -123,6 +123,10 @@ def test_solves_match_perturbed_jacobian_and_transpose(name, eps):
     np.testing.assert_allclose(
         system.apply(block, transpose=True), jac.T @ block, rtol=1e-12, atol=1e-12
     )
+    for transpose, dense in ((False, jac), (True, jac.T)):
+        for right in (rhs, block):
+            checked = checked_solve(problem, d_y, d_v, SIGMA, right, eps, transpose)
+            _close(checked, np.linalg.solve(dense, right))
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -135,6 +139,8 @@ def test_row_norm_matches_dense(name):
     jac = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(problem.n + problem.p + problem.q)
     expected = np.max(np.abs(jac).sum(axis=1))
     assert system.norm_inf() == pytest.approx(expected, rel=1e-14)
+    expected = np.max(np.abs(jac).sum(axis=0))
+    assert system.norm_inf(transpose=True) == pytest.approx(expected, rel=1e-14)
 
 
 def test_singular_reduced_block_raises():
@@ -142,3 +148,6 @@ def test_singular_reduced_block_raises():
     problem = QpProblem(H=np.zeros((2, 2)), f=np.zeros(2))
     with pytest.raises(np.linalg.LinAlgError):
         ReducedJacobian(problem, np.zeros(0), np.zeros(0), 0.0)
+    for transpose in (False, True):
+        x = checked_solve(problem, np.zeros(0), np.zeros(0), 0.0, np.ones(2), 0.0, transpose)
+        assert x is None

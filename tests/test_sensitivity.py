@@ -71,6 +71,30 @@ def test_degenerate_solution_flagged_not_wellposed():
     assert not vjp(problem, result, np.ones(1)).wellposed
 
 
+def test_licq_failure_returns_in_both_modes_flagged():
+    # Project c = (1, 1) onto {z1 <= 0, z2 <= 0, z1 + z2 <= 0}: three rows
+    # are active at z = 0 in R^2, so LICQ fails while every multiplier is
+    # positive and strict complementarity holds. The default tolerance is
+    # used: a tighter solve drives d_v, and with it J, to singularity.
+    problem = QpProblem(
+        H=np.eye(2), f=[-1.0, -1.0], A=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b=np.zeros(3)
+    )
+    result = solve(problem)
+    assert result.solved
+    sens = solution_sensitivity(problem, result)
+    assert not sens.wellposed
+    g = np.ones(2)
+    grads = vjp(problem, result, g)
+    assert not grads.wellposed
+    np.testing.assert_allclose(grads.df, g @ sens.dz_df, atol=1e-10)
+    np.testing.assert_allclose(grads.db, g @ sens.dz_db, atol=1e-10)
+    # J at sigma_min has a condition number near 1e12 here, so for a general
+    # cotangent the two modes agree only to about that times roundoff.
+    g = np.array([0.3, -1.2])
+    grads = vjp(problem, result, g)
+    np.testing.assert_allclose(grads.db, g @ sens.dz_db, atol=1e-3)
+
+
 def _finite_difference_columns(problem, perturb, config, base_count=None):
     """Central differences of the solved primal over a data perturbation."""
     step = 1e-5

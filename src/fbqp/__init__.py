@@ -61,17 +61,11 @@ from .io import (
     write_trace,
 )
 from .solver import (
-    LineSearchStalledError,
-    ResidualBreakdown,
     SingularSystemError,
     SolveResult,
     SolveStatus,
     SolverConfig,
     TraceRecord,
-    assemble_jacobian,
-    line_search,
-    newton_direction,
-    residual,
     solve,
 )
 
@@ -82,7 +76,6 @@ __all__ = [
     "GeneratorSpec",
     "Iterate",
     "KktError",
-    "LineSearchStalledError",
     "MAX_ORACLE_INEQUALITIES",
     "NcpConfig",
     "NotSolvedError",
@@ -90,7 +83,6 @@ __all__ = [
     "OracleStatus",
     "ProblemFormatError",
     "QpProblem",
-    "ResidualBreakdown",
     "SensitivityResult",
     "SingularSystemError",
     "SolveResult",
@@ -101,18 +93,14 @@ __all__ = [
     "Violation",
     "VjpResult",
     "active_set_solve",
-    "assemble_jacobian",
     "kkt_error",
-    "line_search",
     "load_problem",
-    "newton_direction",
     "oracle_agrees",
     "parse_problem",
     "parse_solution",
     "phi_derivative_vec",
     "phi_vec",
     "random_problem",
-    "residual",
     "save_problem",
     "serialize_problem",
     "solution_sensitivity",

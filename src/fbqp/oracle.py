@@ -128,7 +128,7 @@ def _solve_stack(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return solutions
 
 
-def active_set_solve(problem: QpProblem, max_q: int = MAX_ORACLE_INEQUALITIES) -> OracleResult:
+def active_set_solve(problem: QpProblem) -> OracleResult:
     """Enumerate all active sets and return the best KKT point found.
 
     Subsets whose bordered system is singular (to numerical tolerance) are
@@ -137,10 +137,11 @@ def active_set_solve(problem: QpProblem, max_q: int = MAX_ORACLE_INEQUALITIES) -
     indices into A.
 
     Returns:
-        ``OracleResult``; status ``TOO_LARGE`` when q > max_q.
+        ``OracleResult``; status ``TOO_LARGE`` when q exceeds
+        ``MAX_ORACLE_INEQUALITIES``.
     """
     n, p, q = problem.n, problem.p, problem.q
-    if q > max_q:
+    if q > MAX_ORACLE_INEQUALITIES:
         return OracleResult(OracleStatus.TOO_LARGE, None, None, None, False)
 
     accepted: list[tuple[float, Iterate, tuple[int, ...]]] = []
@@ -210,16 +211,15 @@ def oracle_agrees(
     result: SolveResult,
     oracle: OracleResult | None = None,
     tol: float = 1e-6,
-    dual_tol: float | None = None,
 ) -> bool:
     """Check a solver result against the enumeration oracle.
 
     Agreement means: both sides claim solvability consistently, the primal
     points match within ``tol`` (infinity norm), and the objectives match
     within ``tol * (1 + |objective|)``. Multipliers are compared at
-    ``dual_tol`` (default ``10 * tol``), and only when the oracle found a
-    unique optimum (``multiplicity_flag`` unset); ties make the dual side
-    non-unique, so only primal quantities are meaningful there.
+    ``10 * tol``, and only when the oracle found a unique optimum
+    (``multiplicity_flag`` unset); ties make the dual side non-unique, so
+    only primal quantities are meaningful there.
 
     Args:
         oracle: reuse a precomputed ``active_set_solve`` outcome; computed
@@ -229,8 +229,7 @@ def oracle_agrees(
         oracle = active_set_solve(problem)
     if oracle.status is OracleStatus.TOO_LARGE:
         raise ValueError(f"oracle refuses problems with q > {MAX_ORACLE_INEQUALITIES}")
-    if dual_tol is None:
-        dual_tol = 10.0 * tol
+    dual_tol = 10.0 * tol
     solver_claims_solved = result.status is SolveStatus.SOLVED
     if oracle.status is not OracleStatus.OPTIMAL:
         return not solver_claims_solved

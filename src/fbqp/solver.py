@@ -15,6 +15,11 @@ iterate each stage starts from, driving the iterates to a solution of the
 unregularized system. Termination is certified against the sigma-free
 KKT residuals only.
 
+Each point is evaluated once. ``residual`` forms R from the products the
+certificate needs (``fbqp.problem.kkt_error``), H z + f + G' lambda + A' v,
+G z - h and b - A z, and returns that certificate with R, so the loop reads
+the KKT error of each accepted point from the residual it needs anyway.
+
 Each Newton step solves J d = -R without assembling J: ``fbqp.jacobian``
 reduces it to a symmetric quasi-definite system with two Cholesky factors.
 A direction is kept only when its backward error against the full J passes,
@@ -24,6 +29,9 @@ stationarity and equality blocks of R are affine along a direction, so the
 line search evaluates phi once for the full step and once for each stack
 of shorter steps.
 ``assemble_jacobian`` builds the dense J as a reference.
+
+The package exports ``solve`` with its settings and result types; the loop's
+building blocks are internals of this module.
 """
 
 from __future__ import annotations
@@ -36,20 +44,14 @@ import numpy as np
 
 from .jacobian import checked_solve
 from .ncp import NcpConfig, phi_derivative_vec, phi_vec
-from .problem import Iterate, KktError, QpProblem, kkt_error, validate_problem
+from .problem import Iterate, KktError, QpProblem, _kkt_products, kkt_error, validate_problem
 
 __all__ = [
     "SolveStatus",
     "SolverConfig",
-    "ResidualBreakdown",
     "TraceRecord",
     "SolveResult",
     "SingularSystemError",
-    "LineSearchStalledError",
-    "residual",
-    "assemble_jacobian",
-    "newton_direction",
-    "line_search",
     "solve",
 ]
 
@@ -85,10 +87,6 @@ class SolveStatus(enum.Enum):
 
 class SingularSystemError(RuntimeError):
     """The Newton system could not be solved to tolerance, even perturbed."""
-
-
-class LineSearchStalledError(RuntimeError):
-    """Backtracking hit the minimum step without sufficient decrease."""
 
 
 @dataclass(frozen=True)
@@ -131,14 +129,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ResidualBreakdown:
-    """The three residual blocks at one point, the merit 0.5 ||R||^2, and
-    the slack b - A z at which the complementarity block was evaluated."""
+    """The three residual blocks at one point, the merit 0.5 ||R||^2, the
+    slack b - A z at which the complementarity block was evaluated, and the
+    sigma-free KKT error at the point."""
 
     stationarity_block: np.ndarray
     equality_block: np.ndarray
     complementarity_block: np.ndarray
     merit: float
     slack: np.ndarray
+    kkt: KktError
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate(
@@ -188,38 +188,28 @@ def residual(
     iterate: Iterate,
     sigma: float,
     center: Iterate,
-    config: SolverConfig | None = None,
+    config: SolverConfig,
 ) -> ResidualBreakdown:
-    """Evaluate the regularized residual R at an iterate.
+    """Evaluate the regularized residual R and the KKT error at an iterate.
+
+    This is the one evaluation of a point: R adds the sigma terms to the
+    gradient of the Lagrangian and to G z - h, the products from which
+    ``kkt_error`` is computed, and the breakdown carries that certificate.
+    Shapes are not checked here; ``solve`` checks its start once.
 
     Args:
-        sigma: proximal weight, must be nonnegative. Zero gives the plain
+        sigma: proximal weight, nonnegative. Zero gives the plain
             (unregularized) KKT residual in root form.
         center: proximal center; only its z and lam components enter.
-
-    Raises:
-        ValueError: on shape mismatch or negative sigma.
     """
-    config = config or SolverConfig()
-    iterate.require_match(problem)
-    center.require_match(problem)
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    z, lam, v = iterate.z, iterate.lam, iterate.v
-    stationarity = (
-        problem.H @ z
-        + problem.f
-        + problem.G.T @ lam
-        + problem.A.T @ v
-        + sigma * (z - center.z)
-    )
-    equality = -(problem.G @ z) + problem.h + sigma * (lam - center.lam)
-    slack = problem.b - problem.A @ z
-    complementarity = phi_vec(slack, v, config.ncp) if problem.q else np.zeros(0)
+    grad_lagrangian, eq_residual, slack, kkt = _kkt_products(problem, iterate)
+    stationarity = grad_lagrangian + sigma * (iterate.z - center.z)
+    equality = -eq_residual + sigma * (iterate.lam - center.lam)
+    complementarity = phi_vec(slack, iterate.v, config.ncp) if problem.q else np.zeros(0)
     merit = 0.5 * (
         stationarity @ stationarity + equality @ equality + complementarity @ complementarity
     )
-    return ResidualBreakdown(stationarity, equality, complementarity, float(merit), slack)
+    return ResidualBreakdown(stationarity, equality, complementarity, float(merit), slack, kkt)
 
 
 def assemble_jacobian(
@@ -260,13 +250,13 @@ def assemble_jacobian(
     return jac
 
 
-def newton_direction(
+def _newton_direction(
     problem: QpProblem,
     iterate: Iterate,
     sigma: float,
     breakdown: ResidualBreakdown,
-    config: SolverConfig | None = None,
-) -> tuple[np.ndarray, int]:
+    config: SolverConfig,
+) -> tuple[np.ndarray | None, int]:
     """Direction d with J d = -R at an iterate, and the factorizations it took.
 
     J is the generalized Jacobian of the residual (``assemble_jacobian``),
@@ -275,17 +265,16 @@ def newton_direction(
     its backward error against J is within 1e-10 * (1 + ||R||_inf +
     ||J||_inf ||d||_inf), after at most one pass of iterative refinement.
     Otherwise the system is retried as J + eps I, with eps starting at
-    ``_FIRST_PERTURB`` (1e-10) and growing tenfold, before
-    ``SingularSystemError`` is raised. Each attempt counts as one
-    factorization.
+    ``_FIRST_PERTURB`` (1e-10) and growing tenfold, for ``_PERTURB_ATTEMPTS``
+    retries. Each attempt counts as one factorization.
 
     Args:
         breakdown: ``residual`` at ``iterate`` with the same ``sigma``.
 
     Returns:
-        (direction, factorization_count).
+        (direction, factorization_count); the direction is None when every
+        attempt failed.
     """
-    config = config or SolverConfig()
     rhs = -breakdown.as_vector()
     if problem.q:
         d_y, d_v = phi_derivative_vec(breakdown.slack, iterate.v, config.ncp)
@@ -295,11 +284,9 @@ def newton_direction(
     for attempt in range(1, 2 + _PERTURB_ATTEMPTS):
         direction = checked_solve(problem, d_y, d_v, sigma, rhs, eps)
         if direction is not None:
-            return direction, attempt
+            break
         eps = _FIRST_PERTURB if eps == 0.0 else eps * 10.0
-    raise SingularSystemError(
-        f"Newton system unsolved to tolerance after {_PERTURB_ATTEMPTS} perturbed retries"
-    )
+    return direction, attempt
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
@@ -320,14 +307,14 @@ _STEPS = _BACKTRACK ** np.arange(1, math.floor(math.log(_MIN_STEP, _BACKTRACK)) 
 _STEP_BLOCKS = [(t, 1.0 - 2.0 * _ARMIJO_C * t[:, 0]) for t in (_STEPS[:7], _STEPS[7:])]
 
 
-def line_search(
+def _line_search(
     problem: QpProblem,
     iterate: Iterate,
     direction: np.ndarray,
     sigma: float,
     base: ResidualBreakdown,
-    config: SolverConfig | None = None,
-) -> tuple[float, Iterate, float]:
+    config: SolverConfig,
+) -> tuple[float, Iterate, float] | None:
     """Backtracking Armijo search on the merit 0.5 ||R||^2.
 
     Accepts the first step t in 1, 1/2, 1/4, ... with
@@ -343,12 +330,9 @@ def line_search(
         base: ``residual`` at ``iterate`` with the same ``sigma``.
 
     Returns:
-        (step, new_iterate, merit at new_iterate).
-
-    Raises:
-        LineSearchStalledError: when no step of at least 1e-12 passes.
+        (step, new_iterate, merit at new_iterate), or None when no step of
+        at least 1e-12 passes.
     """
-    config = config or SolverConfig()
     n, p = problem.n, problem.p
     direction = np.asarray(direction, dtype=float)
     dz, dlam, dv = direction[:n], direction[n : n + p], direction[n + p :]
@@ -377,31 +361,24 @@ def line_search(
             i = passed[0]
             t = float(steps[i, 0])
             return t, Iterate(iterate.z + t * dz, iterate.lam + t * dlam, vs[i]), float(merits[i])
-    raise LineSearchStalledError(
-        f"no step >= {_MIN_STEP} gave sufficient decrease from merit {base.merit:.3e}"
-    )
-
-
-# bench/tracing.py times the direction and the line search under these names.
-_newton_direction = newton_direction
-_line_search = line_search
+    return None
 
 
 def solve(
     problem: QpProblem,
     config: SolverConfig | None = None,
     warm_start: Iterate | None = None,
-    validate: bool = True,
 ) -> SolveResult:
     """Solve the QP via sigma-continuation over damped semismooth Newton.
+
+    The problem is screened first (``validate_problem``); when the screen
+    fails, the result has status ``INVALID_PROBLEM`` and no iteration runs.
 
     Args:
         problem: the QP instance.
         config: solver parameters; defaults to ``SolverConfig()``.
         warm_start: starting iterate; default is z = 0, lambda = 0, v = 1.
             It must match the problem's shapes and be finite.
-        validate: screen the problem first and return status
-            ``INVALID_PROBLEM`` (without iterating) when the screen fails.
 
     Returns:
         A ``SolveResult``. Status ``SOLVED`` certifies that the plain KKT
@@ -417,7 +394,7 @@ def solve(
     if not all(np.isfinite(part).all() for part in (start.z, start.lam, start.v)):
         raise ValueError("warm_start must be finite")
 
-    if validate and not validate_problem(problem).ok:
+    if not validate_problem(problem).ok:
         return SolveResult(
             iterate=start,
             status=SolveStatus.INVALID_PROBLEM,
@@ -455,28 +432,29 @@ def solve(
         stage_merit_target = max(0.5 * (_STAGE_ETA * sigma * scale) ** 2, _MERIT_FLOOR)
         outer_used = outer + 1
         stalled = False
+        # A new sigma and center change R at the stage's first point; every
+        # later point is evaluated once, right after the step that reaches it.
+        breakdown = residual(problem, x, sigma, center, config)
         for inner in range(config.max_inner):
             if kkt.within(config.tol_kkt):
                 solved = True
                 break
-            breakdown = residual(problem, x, sigma, center, config)
             if breakdown.merit <= stage_merit_target:
                 # Subproblem solved to sigma-proportional accuracy; move on.
                 polish = breakdown.merit <= _ENDGAME_RATIO * 0.5 * kkt.max_error() ** 2
                 break
-            try:
-                direction, nfact = newton_direction(problem, x, sigma, breakdown, config)
-            except SingularSystemError:
-                singular = True
-                factorizations += 1 + _PERTURB_ATTEMPTS
-                break
+            direction, nfact = _newton_direction(problem, x, sigma, breakdown, config)
             factorizations += nfact
-            try:
-                step, x, merit = line_search(problem, x, direction, sigma, breakdown, config)
-            except LineSearchStalledError:
+            if direction is None:
+                singular = True
+                break
+            searched = _line_search(problem, x, direction, sigma, breakdown, config)
+            if searched is None:
                 stalled = True
                 break
-            kkt = kkt_error(problem, x)
+            step, x, merit = searched
+            breakdown = residual(problem, x, sigma, center, config)
+            kkt = breakdown.kkt
             inner_total += 1
             trace.append(
                 TraceRecord(

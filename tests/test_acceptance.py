@@ -19,20 +19,19 @@ from fbqp import (
     QpProblem,
     SolverConfig,
     active_set_solve,
-    assemble_jacobian,
     kkt_error,
     oracle_agrees,
     parse_problem,
     phi_derivative_vec,
     phi_vec,
     random_problem,
-    residual,
     save_problem,
     serialize_problem,
     solution_sensitivity,
     solve,
     vjp,
 )
+from fbqp.solver import assemble_jacobian, residual
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -121,10 +120,12 @@ def test_criterion_2_derivative_correctness():
             plus = base + offset
             minus = base - offset
             r_plus = residual(
-                problem, Iterate(plus[:n], plus[n:n + p], plus[n + p:]), sigma, center
+                problem, Iterate(plus[:n], plus[n:n + p], plus[n + p:]), sigma, center,
+                SolverConfig(),
             ).as_vector()
             r_minus = residual(
-                problem, Iterate(minus[:n], minus[n:n + p], minus[n + p:]), sigma, center
+                problem, Iterate(minus[:n], minus[n:n + p], minus[n + p:]), sigma, center,
+                SolverConfig(),
             ).as_vector()
             column = (r_plus - r_minus) / (2 * step)
             jac_err = max(

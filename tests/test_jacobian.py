@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from fbqp import (
-    GeneratorSpec,
-    Iterate,
-    QpProblem,
-    assemble_jacobian,
-    newton_direction,
-    random_problem,
-    residual,
-)
+from fbqp import GeneratorSpec, Iterate, QpProblem, SolverConfig, random_problem
 from fbqp.jacobian import ReducedJacobian, checked_solve
 from fbqp.ncp import phi_derivative_vec
+from fbqp.solver import _newton_direction, assemble_jacobian, residual
 
 SIGMA = 1e-3
 
@@ -98,8 +91,9 @@ def test_cases_cover_the_structure():
 def test_direction_matches_dense_solve(name):
     problem, x = _case(name)
     center = Iterate(np.zeros(problem.n), np.zeros(problem.p), np.zeros(problem.q))
-    breakdown = residual(problem, x, SIGMA, center)
-    direction, count = newton_direction(problem, x, SIGMA, breakdown)
+    config = SolverConfig()
+    breakdown = residual(problem, x, SIGMA, center, config)
+    direction, count = _newton_direction(problem, x, SIGMA, breakdown, config)
     expected = np.linalg.solve(assemble_jacobian(problem, x, SIGMA), -breakdown.as_vector())
     assert count == 1
     _close(direction, expected)

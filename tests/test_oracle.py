@@ -68,9 +68,9 @@ def test_oracle_unbounded_direction():
 def test_oracle_refuses_large_enumeration():
     problem = QpProblem(
         H=np.eye(2), f=np.zeros(2),
-        A=np.ones((3, 2)), b=np.ones(3),
+        A=np.ones((17, 2)), b=np.ones(17),
     )
-    outcome = active_set_solve(problem, max_q=2)
+    outcome = active_set_solve(problem)
     assert outcome.status is OracleStatus.TOO_LARGE
     assert outcome.solution is None
 

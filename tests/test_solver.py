@@ -6,20 +6,23 @@ import pytest
 from fbqp import (
     GeneratorSpec,
     Iterate,
-    LineSearchStalledError,
     QpProblem,
-    SingularSystemError,
     SolverConfig,
     SolveStatus,
-    assemble_jacobian,
     kkt_error,
-    line_search,
-    newton_direction,
     phi_vec,
     random_problem,
-    residual,
     solve,
 )
+from fbqp.solver import (
+    _PERTURB_ATTEMPTS,
+    _line_search,
+    _newton_direction,
+    assemble_jacobian,
+    residual,
+)
+
+CONFIG = SolverConfig()
 
 # Hand-evaluated phi derivative at (1, 1), alpha = 0.95.
 D_1_1 = 0.32824855787277996
@@ -53,7 +56,7 @@ def test_config_rejects_bad_fields(kwargs):
 
 def test_residual_vanishes_at_solution_with_zero_sigma():
     x = Iterate([1.0], v=[1.0])
-    breakdown = residual(ONE_D, x, 0.0, x)
+    breakdown = residual(ONE_D, x, 0.0, x, CONFIG)
     assert breakdown.merit == 0.0
     np.testing.assert_array_equal(breakdown.as_vector(), np.zeros(2))
 
@@ -62,7 +65,7 @@ def test_residual_shows_pure_proximal_bias_at_solution():
     # At the solution with center 0, the only leftovers are the sigma terms.
     star = Iterate([0.5, 0.5], lam=[-0.5])
     sigma = 0.1
-    breakdown = residual(EQ_2D, star, sigma, _zero_center(EQ_2D))
+    breakdown = residual(EQ_2D, star, sigma, _zero_center(EQ_2D), CONFIG)
     np.testing.assert_allclose(breakdown.stationarity_block, sigma * star.z, atol=1e-15)
     np.testing.assert_allclose(breakdown.equality_block, sigma * star.lam, atol=1e-15)
     assert breakdown.complementarity_block.shape == (0,)
@@ -71,19 +74,11 @@ def test_residual_shows_pure_proximal_bias_at_solution():
 def test_residual_complementarity_block_frozen_value():
     # At (z, v) = (0, 0) the slack is -1 and phi(-1, 0) = -2 * alpha = -1.9.
     x = Iterate([0.0], v=[0.0])
-    breakdown = residual(ONE_D, x, 0.0, x)
+    breakdown = residual(ONE_D, x, 0.0, x, CONFIG)
     np.testing.assert_array_equal(breakdown.stationarity_block, [0.0])
     assert breakdown.equality_block.shape == (0,)
     np.testing.assert_allclose(breakdown.complementarity_block, [-1.9], atol=1e-15)
     assert breakdown.merit == pytest.approx(0.5 * 1.9**2)
-
-
-def test_residual_rejects_negative_sigma_and_mismatch():
-    x = Iterate([1.0], v=[1.0])
-    with pytest.raises(ValueError):
-        residual(ONE_D, x, -1e-3, x)
-    with pytest.raises(ValueError):
-        residual(ONE_D, Iterate([1.0, 2.0]), 0.0, x)
 
 
 def test_jacobian_unconstrained_single_block():
@@ -112,8 +107,8 @@ def test_jacobian_equality_blocks_placement():
 
 
 def _direction(problem, x, sigma, center):
-    breakdown = residual(problem, x, sigma, center)
-    direction, _ = newton_direction(problem, x, sigma, breakdown)
+    breakdown = residual(problem, x, sigma, center, CONFIG)
+    direction, _ = _newton_direction(problem, x, sigma, breakdown, CONFIG)
     return direction, breakdown
 
 
@@ -163,8 +158,8 @@ def test_newton_direction_counts_one_factorization_per_attempt():
     # H = 0 at sigma = 0 is singular; the first rung, J + 1e-10 I, solves.
     problem = QpProblem(H=[[0.0]], f=[1.0])
     x = Iterate([0.0])
-    breakdown = residual(problem, x, 0.0, x)
-    direction, count = newton_direction(problem, x, 0.0, breakdown)
+    breakdown = residual(problem, x, 0.0, x, CONFIG)
+    direction, count = _newton_direction(problem, x, 0.0, breakdown, CONFIG)
     assert count == 2
     np.testing.assert_allclose(direction, [-1e10])
 
@@ -172,9 +167,10 @@ def test_newton_direction_counts_one_factorization_per_attempt():
 def test_newton_direction_singular_after_perturbation():
     problem = QpProblem(H=[[np.nan]], f=[0.0])
     x = Iterate([1.0])
-    breakdown = residual(problem, x, 1e-3, x)
-    with pytest.raises(SingularSystemError):
-        newton_direction(problem, x, 1e-3, breakdown)
+    breakdown = residual(problem, x, 1e-3, x, CONFIG)
+    direction, count = _newton_direction(problem, x, 1e-3, breakdown, CONFIG)
+    assert direction is None
+    assert count == 1 + _PERTURB_ATTEMPTS
 
 
 def test_line_search_accepts_full_newton_step():
@@ -183,10 +179,10 @@ def test_line_search_accepts_full_newton_step():
     x = Iterate([0.0])
     center = _zero_center(problem)
     direction, breakdown = _direction(problem, x, 0.0, center)
-    step, new_x, merit = line_search(problem, x, direction, 0.0, breakdown)
+    step, new_x, merit = _line_search(problem, x, direction, 0.0, breakdown, CONFIG)
     assert step == 1.0
     assert merit <= 1e-20
-    assert residual(problem, new_x, 0.0, center).merit <= 1e-20
+    assert residual(problem, new_x, 0.0, center, CONFIG).merit <= 1e-20
     np.testing.assert_allclose(new_x.z, [3.0])
 
 
@@ -198,14 +194,15 @@ def test_line_search_merit_matches_residual_at_trial():
     x = Iterate(rng.standard_normal(5), rng.standard_normal(1), rng.standard_normal(4))
     center = Iterate(rng.standard_normal(5), rng.standard_normal(1), np.zeros(4))
     direction, breakdown = _direction(problem, x, 0.01, center)
-    _, new_x, merit = line_search(problem, x, direction, 0.01, breakdown)
-    assert merit == pytest.approx(residual(problem, new_x, 0.01, center).merit, rel=1e-9)
+    _, new_x, merit = _line_search(problem, x, direction, 0.01, breakdown, CONFIG)
+    assert merit == pytest.approx(residual(problem, new_x, 0.01, center, CONFIG).merit, rel=1e-9)
     assert merit < breakdown.merit
 
 
 def test_line_search_zero_direction_at_solution():
     x = Iterate([1.0], v=[1.0])
-    step, new_x, _ = line_search(ONE_D, x, np.zeros(2), 0.0, residual(ONE_D, x, 0.0, x))
+    base = residual(ONE_D, x, 0.0, x, CONFIG)
+    step, new_x, _ = _line_search(ONE_D, x, np.zeros(2), 0.0, base, CONFIG)
     assert step == 1.0
     np.testing.assert_array_equal(new_x.z, x.z)
     np.testing.assert_array_equal(new_x.v, x.v)
@@ -214,13 +211,13 @@ def test_line_search_zero_direction_at_solution():
 def test_line_search_stalls_on_ascent_direction():
     problem = QpProblem(H=[[1.0]], f=[-3.0])
     x = Iterate([0.0])
-    base = residual(problem, x, 0.0, _zero_center(problem))
-    with pytest.raises(LineSearchStalledError):
-        line_search(problem, x, np.array([-3.0]), 0.0, base)
+    base = residual(problem, x, 0.0, _zero_center(problem), CONFIG)
+    assert _line_search(problem, x, np.array([-3.0]), 0.0, base, CONFIG) is None
 
 
 def _reference_line_search(problem, iterate, direction, sigma, base):
-    """The line search as a plain loop: try 1, 1/2, ..., 2^-39 one at a time."""
+    """The line search as a plain loop: try 1, 1/2, ..., 2^-39 one at a time;
+    None when none passes."""
     n, p = problem.n, problem.p
     dz, dlam, dv = direction[:n], direction[n : n + p], direction[n + p :]
     d_stationarity = problem.H @ dz + sigma * dz + problem.G.T @ dlam + problem.A.T @ dv
@@ -239,7 +236,7 @@ def _reference_line_search(problem, iterate, direction, sigma, base):
         if merit <= (1.0 - 2.0 * 1e-4 * step) * base.merit:
             return step, Iterate(iterate.z + step * dz, iterate.lam + step * dlam, v), merit
         step *= 0.5
-    raise LineSearchStalledError("stalled")
+    return None
 
 
 def _line_search_case(spec):
@@ -274,7 +271,7 @@ def test_line_search_matches_reference_loop(spec, exponent):
             break
     else:
         pytest.fail(f"no scaling of the direction gives first step {target}")
-    step, new_x, merit = line_search(problem, x, scaled, 0.01, base)
+    step, new_x, merit = _line_search(problem, x, scaled, 0.01, base, CONFIG)
     assert step == want[0]
     assert merit == want[2]
     for got, expected in zip((new_x.z, new_x.lam, new_x.v), (want[1].z, want[1].lam, want[1].v)):
@@ -284,10 +281,8 @@ def test_line_search_matches_reference_loop(spec, exponent):
 @pytest.mark.parametrize("spec", LINE_SEARCH_SPECS, ids=LINE_SEARCH_IDS)
 def test_line_search_stalls_like_reference_loop(spec):
     problem, x, direction, base = _line_search_case(spec)
-    with pytest.raises(LineSearchStalledError):
-        _reference_line_search(problem, x, -direction, 0.01, base)
-    with pytest.raises(LineSearchStalledError):
-        line_search(problem, x, -direction, 0.01, base)
+    assert _reference_line_search(problem, x, -direction, 0.01, base) is None
+    assert _line_search(problem, x, -direction, 0.01, base, CONFIG) is None
 
 
 def test_solve_one_d_inequality():
@@ -337,10 +332,13 @@ def test_solve_invalid_problem_short_circuits():
     assert result.trace == ()
 
 
-def test_solve_validate_false_reaches_singular_system():
-    problem = QpProblem(H=[[np.nan]], f=[0.0])
-    result = solve(problem, validate=False)
+def test_solve_reaches_singular_system(monkeypatch):
+    # Every rung of the ladder fails: the first step ends the solve.
+    monkeypatch.setattr("fbqp.solver.checked_solve", lambda *args: None)
+    result = solve(ONE_D)
     assert result.status is SolveStatus.SINGULAR_SYSTEM
+    assert result.factorizations == 1 + _PERTURB_ATTEMPTS
+    assert result.trace == ()
 
 
 def test_solve_rejects_mismatched_warm_start():
@@ -382,6 +380,22 @@ def test_solved_certificate_is_sigma_free():
         recheck = kkt_error(problem, result.iterate)
         assert recheck.within(result.config.tol_kkt)
         assert recheck.as_dict() == result.kkt.as_dict()
+    # The certificate of an unsolved end is the recomputed one too.
+    contradictory = QpProblem(H=np.eye(1), f=[0.0], G=[[1.0], [1.0]], h=[0.0, 1.0])
+    planted, _ = random_problem(GeneratorSpec(n=5, q=4, activity_fraction=0.5, seed=77))
+    # The pair a'z <= -1 and -a'z <= -1 has no feasible point.
+    row = np.array([1.0, -0.5])
+    infeasible = QpProblem(H=np.eye(2), f=[1.0, 1.0], A=[row, -row], b=[-1.0, -1.0])
+    cases = [
+        (contradictory, None),
+        (planted, SolverConfig(max_outer=1, max_inner=1, tol_kkt=1e-12)),
+        (infeasible, None),
+    ]
+    for problem, config in cases:
+        result = solve(problem, config)
+        assert not result.solved
+        assert result.inner_iterations > 0
+        assert result.kkt.as_dict() == kkt_error(problem, result.iterate).as_dict()
 
 
 def test_merit_monotone_within_each_stage():

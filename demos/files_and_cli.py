@@ -3,7 +3,8 @@
 Builds a small instance in memory, serializes it, then drives the same
 pipeline a shell user would: generate a problem file, solve it with a trace,
 verify the reported solution with the independent checker, and compare
-against the enumeration oracle. Everything runs in-process through
+against the enumeration oracle. Last, an infeasible file is solved and its
+certificate of infeasibility re-checked. Everything runs in-process through
 ``cli_main`` so the exit codes are visible.
 """
 
@@ -62,10 +63,23 @@ code = cli_main(["oracle", str(problem_file), "--json"])
 print(f"(exit code {code})\n")
 
 # An infeasible instance exits with code 2 so scripts can tell "solved
-# wrong" from "cannot be solved".
+# wrong" from "cannot be solved". The report carries a Farkas certificate,
+# which the checker verifies from the problem data alone.
 bad = QpProblem(H=[[1.0]], f=[0.0], G=[[1.0], [1.0]], h=[0.0, 1.0])
 bad_file = workdir / "infeasible.json"
+bad_report = workdir / "infeasible-report.json"
 bad_file.write_text(serialize_problem(bad))
-print(f"$ fbqp solve {bad_file.name}")
-code = cli_main(["solve", str(bad_file)])
+print(f"$ fbqp solve {bad_file.name} --json > {bad_report.name}")
+captured = io.StringIO()
+with contextlib.redirect_stdout(captured):
+    code = cli_main(["solve", str(bad_file), "--json"])
+bad_report.write_text(captured.getvalue())
+report = json.loads(captured.getvalue())
+print(f"(exit code {code}) status: {report['status']}, "
+      f"certificate: {report['certificate']}\n")
+assert code == 2 and report["status"] == "PrimalInfeasible"
+
+print(f"$ fbqp check {bad_file.name} --certificate {bad_report.name}")
+code = cli_main(["check", str(bad_file), "--certificate", str(bad_report)])
 print(f"(exit code {code})")
+assert code == 0

@@ -38,6 +38,7 @@ from .problem import (
     QpProblem,
     ValidationReport,
     Violation,
+    infeasibility_error,
     kkt_error,
     random_problem,
     validate_problem,
@@ -93,6 +94,7 @@ __all__ = [
     "Violation",
     "VjpResult",
     "active_set_solve",
+    "infeasibility_error",
     "kkt_error",
     "load_problem",
     "oracle_agrees",

@@ -3,7 +3,7 @@
 Subcommands:
     solve   solve a problem file, optionally writing a JSON report and a
             per-iteration trace CSV
-    check   re-verify a solution against a problem at a tolerance
+    check   re-verify a solution or an infeasibility certificate at a tolerance
     gen     write a random problem file with a planted solution
     oracle  run the active-set enumeration on a small problem
 
@@ -24,7 +24,7 @@ import numpy as np
 from . import io as qpio
 from .ncp import NcpConfig
 from .oracle import OracleStatus, active_set_solve
-from .problem import GeneratorSpec, kkt_error, random_problem
+from .problem import GeneratorSpec, infeasibility_error, kkt_error, random_problem
 from .solver import SolveStatus, SolverConfig, solve
 
 __all__ = ["build_parser", "cli_main", "main"]
@@ -63,10 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--json", action="store_true", help="JSON report on stdout")
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_check = sub.add_parser("check", help="re-verify a solution")
+    p_check = sub.add_parser("check", help="re-verify a solution or a certificate")
     p_check.add_argument("problem", help="problem file (JSON)")
-    p_check.add_argument("--solution", metavar="FILE",
-                         help="solution file; defaults to the problem's own solution block")
+    given = p_check.add_mutually_exclusive_group()
+    given.add_argument("--solution", metavar="FILE",
+                       help="solution file; defaults to the problem's own solution block")
+    given.add_argument("--certificate", metavar="FILE",
+                       help="certificate of infeasibility, or a solve report carrying one")
     p_check.add_argument("--tol", type=float, default=1e-8)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=_cmd_check)
@@ -123,7 +126,7 @@ def _cmd_solve(args) -> int:
         return 1
     objective = problem.objective(result.iterate.z)
     if args.json:
-        _print_json({
+        report = {
             "status": result.status.value,
             "objective": objective,
             "kkt": result.kkt.as_dict(),
@@ -131,7 +134,10 @@ def _cmd_solve(args) -> int:
             "inner_iterations": result.inner_iterations,
             "factorizations": result.factorizations,
             "solution": qpio._solution_doc(result.iterate),
-        })
+        }
+        if result.certificate is not None:
+            report["certificate"] = qpio._solution_doc(result.certificate)
+        _print_json(report)
     else:
         print(f"status: {result.status.value}")
         print(f"objective: {objective!r}")
@@ -147,6 +153,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     problem, embedded = qpio.load_problem(args.problem)
+    if args.certificate:
+        return _check_certificate(problem, args)
     if args.solution:
         with open(args.solution, "r", encoding="utf-8") as handle:
             iterate = qpio.parse_solution(
@@ -168,6 +176,23 @@ def _cmd_check(args) -> int:
         print(f"tol: {args.tol!r}")
         for name, value in kkt.as_dict().items():
             print(f"  {name}: {value:.3e}")
+    return 0 if ok else 2
+
+
+def _check_certificate(problem, args) -> int:
+    with open(args.certificate, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    document = document.get("certificate", document) if isinstance(document, dict) else document
+    ray = qpio.parse_solution(document, n=problem.n, p=problem.p, q=problem.q)
+    error = infeasibility_error(problem, ray)
+    ok = error <= args.tol
+    if args.json:
+        _print_json({"ok": ok, "tol": args.tol,
+                     "infeasibility_error": error if np.isfinite(error) else None})
+    else:
+        print(f"ok: {str(ok).lower()}")
+        print(f"tol: {args.tol!r}")
+        print(f"  infeasibility_error: {error:.3e}")
     return 0 if ok else 2
 
 

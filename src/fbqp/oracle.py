@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .problem import Iterate, QpProblem
+from .problem import Iterate, QpProblem, kkt_error
 from .solver import SolveResult, SolveStatus
 
 __all__ = [
@@ -177,11 +177,13 @@ def active_set_solve(problem: QpProblem) -> OracleResult:
         return OracleResult(OracleStatus.INFEASIBLE, None, None, None, False)
 
     accepted.sort(key=lambda item: item[0])
-    best_objective, best_iterate, best_subset = accepted[0]
+    # Ties go to the smallest KKT error: which tie is lowest is up to rounding.
+    ties = [item for item in accepted if item[0] <= accepted[0][0] + _TIE_TOL]
+    if len(ties) > 1:
+        ties.sort(key=lambda item: kkt_error(problem, item[1]).max_error())
+    best_objective, best_iterate, best_subset = ties[0]
     multiplicity = False
-    for objective, iterate, _ in accepted[1:]:
-        if objective > best_objective + _TIE_TOL:
-            break
+    for _, iterate, _ in ties:
         z_gap = np.max(np.abs(iterate.z - best_iterate.z), initial=0.0)
         v_gap = np.max(np.abs(iterate.v - best_iterate.v), initial=0.0)
         if z_gap > _DISTINCT_TOL or v_gap > _DISTINCT_TOL:
@@ -214,8 +216,10 @@ def oracle_agrees(
 ) -> bool:
     """Check a solver result against the enumeration oracle.
 
-    Agreement means: both sides claim solvability consistently, the primal
-    points match within ``tol`` (infinity norm), and the objectives match
+    ``PRIMAL_INFEASIBLE`` agrees only with ``INFEASIBLE`` and
+    ``DUAL_INFEASIBLE`` only with ``UNBOUNDED``; other unsolved statuses
+    agree with either. ``SOLVED`` agrees with an optimum when the primal
+    points match within ``tol`` (infinity norm) and the objectives match
     within ``tol * (1 + |objective|)``. Multipliers are compared at
     ``10 * tol``, and only when the oracle found a unique optimum
     (``multiplicity_flag`` unset); ties make the dual side non-unique, so
@@ -229,6 +233,10 @@ def oracle_agrees(
         oracle = active_set_solve(problem)
     if oracle.status is OracleStatus.TOO_LARGE:
         raise ValueError(f"oracle refuses problems with q > {MAX_ORACLE_INEQUALITIES}")
+    if result.status is SolveStatus.PRIMAL_INFEASIBLE:
+        return oracle.status is OracleStatus.INFEASIBLE
+    if result.status is SolveStatus.DUAL_INFEASIBLE:
+        return oracle.status is OracleStatus.UNBOUNDED
     dual_tol = 10.0 * tol
     solver_claims_solved = result.status is SolveStatus.SOLVED
     if oracle.status is not OracleStatus.OPTIMAL:

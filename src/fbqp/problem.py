@@ -28,6 +28,7 @@ __all__ = [
     "ValidationReport",
     "validate_problem",
     "kkt_error",
+    "infeasibility_error",
     "random_problem",
 ]
 
@@ -35,6 +36,8 @@ __all__ = [
 _SYMMETRY_TOL = 1e-12
 # Eigenvalues above -_PSD_TOL count as nonnegative when screening for convexity.
 _PSD_TOL = 1e-10
+# A certificate scaled to unit max-norm needs a margin below -_MARGIN_TOL.
+_MARGIN_TOL = 1e-8
 
 
 def _as_float_array(value, name: str) -> np.ndarray:
@@ -254,6 +257,41 @@ def kkt_error(problem: QpProblem, iterate: Iterate) -> KktError:
     """
     iterate.require_match(problem)
     return _kkt_products(problem, iterate)[3]
+
+
+def infeasibility_error(problem: QpProblem, ray: Iterate) -> float:
+    """How far a ray is from proving that the QP has no solution, from the data alone.
+
+    A ray (0, lam, v) claims that no z is feasible (Farkas): v >= 0,
+    G' lam + A' v = 0 and h' lam + b' v < 0. A ray (d, 0, 0) claims that the
+    objective falls without bound along d: H d = 0, G d = 0, A d <= 0 and
+    f' d < 0. A Farkas ray with error e proves that no feasible z has
+    ||z||_1 < 1 / e.
+
+    Returns:
+        The residual of those equations over the margin |h' lam + b' v| or
+        |f' d|, for the ray scaled to unit max-norm. It is inf when the
+        margin is not below -1e-8, or the ray is zero, not finite, has a
+        negative v or mixes both kinds.
+
+    Raises:
+        ValueError: if the ray's shapes do not match the problem.
+    """
+    ray.require_match(problem)
+    dual = ray.z.any()
+    scale = max(_inf_norm(ray.z), _inf_norm(ray.lam), _inf_norm(ray.v))
+    mixed = dual and (ray.lam.any() or ray.v.any())
+    if mixed or (ray.v < 0.0).any() or not 0.0 < scale < np.inf:
+        return np.inf
+    z, lam, v = ray.z / scale, ray.lam / scale, ray.v / scale
+    if dual:
+        margin = problem.f @ z
+        residual = max(_inf_norm(problem.H @ z), _inf_norm(problem.G @ z))
+        residual = max(residual, (problem.A @ z).max(initial=0.0))
+    else:
+        margin = problem.h @ lam + problem.b @ v
+        residual = _inf_norm(problem.G.T @ lam + problem.A.T @ v)
+    return float(residual / -margin) if margin < -_MARGIN_TOL else np.inf
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ the generalized Jacobian of R is nonsingular on convex data, so a damped
 Newton iteration on the merit 0.5 ||R||^2 is well defined. An outer loop
 shrinks sigma geometrically and re-centers the proximal term at the
 iterate each stage starts from, driving the iterates to a solution of the
-unregularized system. Termination is certified against the sigma-free
-KKT residuals only.
+unregularized system, certified by its sigma-free KKT residuals, or along a
+ray that certifies that there is none (``_certificate``).
 
 Each point is evaluated once. ``residual`` forms R from the products the
 certificate needs (``fbqp.problem.kkt_error``), H z + f + G' lambda + A' v,
@@ -38,13 +38,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .jacobian import checked_solve
 from .ncp import NcpConfig, phi_derivative_vec, phi_vec
-from .problem import Iterate, KktError, QpProblem, _kkt_products, kkt_error, validate_problem
+from .problem import Iterate, KktError, QpProblem, _kkt_products, infeasibility_error, kkt_error
+from .problem import validate_problem
 
 __all__ = [
     "SolveStatus",
@@ -75,6 +76,8 @@ _FIRST_PERTURB = 1e-10
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-12
+# Largest ``infeasibility_error`` of a certificate that ends a solve.
+_CERTIFICATE_TOL = 1e-8
 
 
 class SolveStatus(enum.Enum):
@@ -83,6 +86,8 @@ class SolveStatus(enum.Enum):
     LINE_SEARCH_STALLED = "LineSearchStalled"
     SINGULAR_SYSTEM = "SingularSystem"
     INVALID_PROBLEM = "InvalidProblem"
+    PRIMAL_INFEASIBLE = "PrimalInfeasible"
+    DUAL_INFEASIBLE = "DualInfeasible"
 
 
 class SingularSystemError(RuntimeError):
@@ -129,16 +134,22 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ResidualBreakdown:
-    """The three residual blocks at one point, the merit 0.5 ||R||^2, the
-    slack b - A z at which the complementarity block was evaluated, and the
-    sigma-free KKT error at the point."""
+    """The three residual blocks at one point, the slack b - A z they used,
+    the sigma-free gradient of the Lagrangian, G z - h and KKT error at the
+    point, and the merit 0.5 ||R||^2."""
 
     stationarity_block: np.ndarray
     equality_block: np.ndarray
     complementarity_block: np.ndarray
-    merit: float
     slack: np.ndarray
+    grad_lagrangian: np.ndarray
+    eq_residual: np.ndarray
     kkt: KktError
+    merit: float = field(init=False)
+
+    def __post_init__(self):
+        blocks = (self.stationarity_block, self.equality_block, self.complementarity_block)
+        object.__setattr__(self, "merit", float(0.5 * sum(block @ block for block in blocks)))
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate(
@@ -163,6 +174,7 @@ class TraceRecord:
 class SolveResult:
     """Outcome of ``solve``.
 
+    ``certificate`` is the ray behind ``PRIMAL_INFEASIBLE`` or ``DUAL_INFEASIBLE``, else None.
     ``factorizations`` counts attempts at the Newton system: one per
     direction that succeeded on the first try, plus one per perturbed
     retry of the ladder. One attempt factors both Cholesky blocks of the
@@ -177,6 +189,7 @@ class SolveResult:
     factorizations: int
     outer_iterations: int
     config: SolverConfig
+    certificate: Iterate | None = None
 
     @property
     def solved(self) -> bool:
@@ -206,10 +219,9 @@ def residual(
     stationarity = grad_lagrangian + sigma * (iterate.z - center.z)
     equality = -eq_residual + sigma * (iterate.lam - center.lam)
     complementarity = phi_vec(slack, iterate.v, config.ncp) if problem.q else np.zeros(0)
-    merit = 0.5 * (
-        stationarity @ stationarity + equality @ equality + complementarity @ complementarity
+    return ResidualBreakdown(
+        stationarity, equality, complementarity, slack, grad_lagrangian, eq_residual, kkt
     )
-    return ResidualBreakdown(stationarity, equality, complementarity, float(merit), slack, kkt)
 
 
 def assemble_jacobian(
@@ -364,6 +376,23 @@ def _line_search(
     return None
 
 
+def _certificate(problem: QpProblem, x: Iterate, center: Iterate) -> Iterate | None:
+    """A certificate of infeasibility at a hopeless stage end, or None.
+
+    Without a solution, the proximal iterates drift along one (Banjac et al.,
+    JOTA 2019; FBstab, arXiv:1901.04046). Candidates: (0, lam, v) and the step
+    (0, dlam, dv) since the centre, v clipped at 0 and lam moved by one
+    least-squares step toward G' lam = -A' v; then the step (dz, 0, 0)."""
+    lam = np.stack((x.lam, x.lam - center.lam))
+    v = np.maximum(np.stack((x.v, x.v - center.v)), 0.0)
+    if problem.p:
+        gap = lam @ problem.G + v @ problem.A
+        lam = lam - np.linalg.lstsq(problem.G.T, gap.T, rcond=None)[0].T
+    rays = [Iterate(np.zeros(problem.n), lam_k, v_k) for lam_k, v_k in zip(lam, v)]
+    rays.append(Iterate(x.z - center.z, np.zeros(problem.p), np.zeros(problem.q)))
+    return next((r for r in rays if infeasibility_error(problem, r) <= _CERTIFICATE_TOL), None)
+
+
 def solve(
     problem: QpProblem,
     config: SolverConfig | None = None,
@@ -383,7 +412,11 @@ def solve(
     Returns:
         A ``SolveResult``. Status ``SOLVED`` certifies that the plain KKT
         residuals, recomputed without any regularization, are all within
-        ``config.tol_kkt``. The trace holds one record per accepted step.
+        ``config.tol_kkt``. ``PRIMAL_INFEASIBLE`` and ``DUAL_INFEASIBLE``
+        come with a certificate, sought only at a stage end that missed its
+        merit target, or took steps that failed to halve its primal or
+        stationarity error since the previous stage end. The trace holds one
+        record per accepted step.
 
     Raises:
         ValueError: when ``warm_start`` has the wrong shapes or is not finite.
@@ -413,7 +446,9 @@ def solve(
     outer_used = 0
     stalled = False
     singular = False
-    kkt = kkt_error(problem, x)
+    certificate = None
+    breakdown = residual(problem, x, 0.0, x, config)
+    kkt = breakdown.kkt
     solved = kkt.within(config.tol_kkt)
 
     polish = False
@@ -432,9 +467,11 @@ def solve(
         stage_merit_target = max(0.5 * (_STAGE_ETA * sigma * scale) ** 2, _MERIT_FLOOR)
         outer_used = outer + 1
         stalled = False
-        # A new sigma and center change R at the stage's first point; every
-        # later point is evaluated once, right after the step that reaches it.
-        breakdown = residual(problem, x, sigma, center, config)
+        last = kkt
+        # Every point is evaluated once, right after the step that reaches
+        # it. At the new centre the sigma terms of R vanish.
+        breakdown = replace(breakdown, stationarity_block=breakdown.grad_lagrangian,
+                            equality_block=-breakdown.eq_residual)
         for inner in range(config.max_inner):
             if kkt.within(config.tol_kkt):
                 solved = True
@@ -468,6 +505,13 @@ def solve(
             )
         if solved or singular:
             break
+        # Hopeless: a stall or spent budget (target missed), or steps that left an error unhalved.
+        primal = [max(k.eq_infeas_inf, k.ineq_infeas_inf) for k in (last, kkt)]
+        stuck = primal[1] > 0.5 * primal[0] or kkt.stationarity_inf > 0.5 * last.stationarity_inf
+        if (stuck and x is not center) or breakdown.merit > stage_merit_target:
+            certificate = _certificate(problem, x, center)
+            if certificate is not None:
+                break
 
     if not solved:
         # The inner budget can end right on the achieving step.
@@ -477,6 +521,8 @@ def solve(
         status = SolveStatus.SOLVED
     elif singular:
         status = SolveStatus.SINGULAR_SYSTEM
+    elif certificate is not None:
+        status = SolveStatus["DUAL_INFEASIBLE" if certificate.z.any() else "PRIMAL_INFEASIBLE"]
     elif stalled:
         status = SolveStatus.LINE_SEARCH_STALLED
     else:
@@ -490,4 +536,5 @@ def solve(
         factorizations=factorizations,
         outer_iterations=outer_used,
         config=config,
+        certificate=certificate,
     )

@@ -83,6 +83,43 @@ def test_solve_infeasible_exits_two(tmp_path, capsys):
     assert "status:" in capsys.readouterr().out
 
 
+def test_solve_json_certificate_feeds_check(tmp_path, capsys):
+    path = tmp_path / "infeasible.json"
+    save_problem(path, INFEASIBLE)
+    assert cli_main(["solve", str(path), "--json"]) == 2
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert report["status"] == "PrimalInfeasible"
+    assert report["certificate"]["z"] == [0.0]
+    assert cli_main(["solve", str(path), "--json"]) == 2
+    assert capsys.readouterr().out == text
+    report_path = tmp_path / "report.json"
+    report_path.write_text(text)
+    assert cli_main(["check", str(path), "--certificate", str(report_path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    # The bare certificate block is accepted too.
+    bare_path = tmp_path / "certificate.json"
+    bare_path.write_text(json.dumps(report["certificate"]))
+    assert cli_main(["check", str(path), "--certificate", str(bare_path)]) == 0
+    assert "ok: true" in capsys.readouterr().out
+
+
+def test_check_rejects_wrong_certificate(tmp_path, capsys):
+    path = tmp_path / "infeasible.json"
+    save_problem(path, INFEASIBLE)
+    # Both multipliers positive: G'lam != 0, so this is no Farkas ray.
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(json.dumps({"z": [0.0], "lambda": [1.0, 1.0], "v": []}))
+    assert cli_main(["check", str(path), "--certificate", str(wrong)]) == 2
+    assert "ok: false" in capsys.readouterr().out
+    assert cli_main(["check", str(path), "--certificate", str(wrong), "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"z": [0.0], "lambda": [1.0], "v": []}))
+    assert cli_main(["check", str(path), "--certificate", str(short)]) == 1
+    assert "lambda" in capsys.readouterr().err
+
+
 def test_solve_solver_flags_accepted(planted_file):
     assert cli_main([
         "solve", str(planted_file), "--tol", "1e-9", "--alpha", "0.9",

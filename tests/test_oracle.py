@@ -180,6 +180,49 @@ def test_agreement_status_matrix():
     assert not oracle_agrees(ONE_D, timid)
 
 
+CONTRADICTORY_EQ = QpProblem(H=np.eye(1), f=[0.0], G=[[1.0], [1.0]], h=[0.0, 1.0])
+UNBOUNDED = QpProblem(H=np.zeros((2, 2)), f=[-1.0, 0.0], A=-np.eye(2), b=[0.0, 0.0])
+
+
+def test_agreement_of_solved_infeasibility_verdicts():
+    primal = solve(CONTRADICTORY_EQ)
+    assert primal.status is SolveStatus.PRIMAL_INFEASIBLE
+    assert oracle_agrees(CONTRADICTORY_EQ, primal)
+    dual = solve(UNBOUNDED)
+    assert dual.status is SolveStatus.DUAL_INFEASIBLE
+    assert active_set_solve(UNBOUNDED).status is OracleStatus.UNBOUNDED
+    assert oracle_agrees(UNBOUNDED, dual)
+
+
+@pytest.mark.parametrize(
+    "problem, status",
+    [
+        (UNBOUNDED, SolveStatus.PRIMAL_INFEASIBLE),
+        (ONE_D, SolveStatus.PRIMAL_INFEASIBLE),
+        (CONTRADICTORY_EQ, SolveStatus.DUAL_INFEASIBLE),
+        (ONE_D, SolveStatus.DUAL_INFEASIBLE),
+    ],
+    ids=["primal-vs-unbounded", "primal-vs-optimal", "dual-vs-infeasible", "dual-vs-optimal"],
+)
+def test_agreement_rejects_wrong_kind_of_verdict(problem, status):
+    fake = dataclasses.replace(solve(problem), status=status)
+    assert not oracle_agrees(problem, fake)
+
+
+def test_oracle_breaks_objective_ties_by_kkt_error():
+    # Bench acceptance_fleet seed 1, item 1,585: six rows active at the
+    # planted point in five variables, so several active sets tie. Picked by
+    # objective alone, rounding once chose a set with KKT error 7.1e-11.
+    problem, planted = random_problem(
+        GeneratorSpec(n=5, p=1, q=6, activity_fraction=1.0, seed=8_000_009)
+    )
+    outcome = active_set_solve(problem)
+    assert outcome.status is OracleStatus.OPTIMAL
+    assert outcome.multiplicity_flag
+    assert kkt_error(problem, outcome.solution).max_error() <= 1e-12
+    np.testing.assert_allclose(outcome.solution.z, planted.z, rtol=0.0, atol=1e-9)
+
+
 def test_agreement_raises_when_oracle_too_large():
     rng = np.random.default_rng(5)
     problem = QpProblem(
@@ -194,6 +237,8 @@ def test_agreement_raises_when_oracle_too_large():
 
 def _reference_oracle(problem):
     """The enumeration one subset at a time: (status, z, objective, active set, flag).
+
+    Among candidates tied on the objective it picks the smallest KKT error.
 
     Only Optimal outcomes are spelled out; any other verdict reads "other".
     """
@@ -230,12 +275,14 @@ def _reference_oracle(problem):
     if not accepted:
         return ("other", None, None, None, False)
     accepted.sort(key=lambda item: item[0])
-    best, z, _, v, subset = accepted[0]
+    ties = [item for item in accepted if item[0] <= accepted[0][0] + _TIE_TOL]
+    best, z, _, v, subset = min(
+        ties, key=lambda item: kkt_error(problem, Iterate(*item[1:4])).max_error()
+    )
     flag = any(
         np.max(np.abs(other_z - z), initial=0.0) > _DISTINCT_TOL
         or np.max(np.abs(other_v - v), initial=0.0) > _DISTINCT_TOL
-        for objective, other_z, _, other_v, _ in accepted[1:]
-        if objective <= best + _TIE_TOL
+        for _, other_z, _, other_v, _ in ties
     )
     if not flag and q:
         stack = np.vstack((problem.G, problem.A[problem.b - problem.A @ z <= 1e-7]))

@@ -7,6 +7,7 @@ from fbqp import (
     GeneratorSpec,
     Iterate,
     QpProblem,
+    infeasibility_error,
     kkt_error,
     random_problem,
     validate_problem,
@@ -153,6 +154,60 @@ def test_kkt_error_permutation_equivariant():
         for name in base:
             # Row reordering reassociates the A'v sum, so allow roundoff.
             assert swapped[name] == pytest.approx(base[name], rel=1e-14, abs=0.0)
+
+
+# z1 <= -1 and -z1 <= -1 in two variables; v = (1, 1) is a Farkas ray.
+CONTRADICTORY = QpProblem(H=np.eye(2), f=[1.0, 0.0], A=[[1.0, 0.0], [-1.0, 0.0]], b=[-1.0, -1.0])
+# min -z1 over z >= 0 with H = 0; d = (1, 0) is a direction of descent.
+UNBOUNDED = QpProblem(H=np.zeros((2, 2)), f=[-1.0, 0.0], A=-np.eye(2), b=[0.0, 0.0])
+
+
+def _primal(v):
+    return Iterate(np.zeros(2), [], v)
+
+
+def _dual(d):
+    return Iterate(d, [], [0.0, 0.0])
+
+
+def test_infeasibility_error_accepts_exact_rays_at_any_scale():
+    for scale in (1e-6, 1.0, 1e9):
+        assert infeasibility_error(CONTRADICTORY, _primal([scale, scale])) == 0.0
+        assert infeasibility_error(UNBOUNDED, _dual([scale, 0.0])) == 0.0
+
+
+def test_infeasibility_error_is_residual_over_margin():
+    # G'lam + A'v = (0.5, 0) against the margin b'v = -2.5; scaling the ray
+    # to unit max-norm divides both by 1.5.
+    assert infeasibility_error(CONTRADICTORY, _primal([1.5, 1.0])) == pytest.approx(0.5 / 2.5)
+    # A d = (-1, -0.5) is fine, H d = 0, f'd = -1 against no residual.
+    assert infeasibility_error(UNBOUNDED, _dual([1.0, 0.5])) == 0.0
+
+
+@pytest.mark.parametrize(
+    "problem, ray",
+    [
+        (CONTRADICTORY, _primal([1.0, -1.0])),  # v must be nonnegative
+        (CONTRADICTORY, _primal([0.0, 0.0])),  # zero ray
+        (CONTRADICTORY, _primal([1e-9, 0.0])),  # one row alone: A'v != 0
+        (UNBOUNDED, _dual([-1.0, 0.0])),  # ascent: f'd > 0
+        (CONTRADICTORY, _dual([-1.0, 0.0])),  # H d != 0
+        (UNBOUNDED, Iterate([1.0, 0.0], [], [1.0, 0.0])),  # both kinds at once
+    ],
+)
+def test_infeasibility_error_rejects_non_certificates(problem, ray):
+    assert not infeasibility_error(problem, ray) <= 1e-8
+
+
+def test_infeasibility_error_rejects_feasible_problem_rays():
+    # The pair z1 <= 1, -z1 <= 1 is feasible: no ray has a negative margin.
+    feasible = QpProblem(H=np.eye(2), f=[1.0, 0.0], A=[[1.0, 0.0], [-1.0, 0.0]], b=[1.0, 1.0])
+    assert infeasibility_error(feasible, _primal([1.0, 1.0])) == np.inf
+
+
+def test_infeasibility_error_checks_shapes():
+    with pytest.raises(ValueError):
+        infeasibility_error(CONTRADICTORY, Iterate(np.zeros(2), [], [1.0]))
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbqp import (
     GeneratorSpec,
@@ -9,6 +11,7 @@ from fbqp import (
     QpProblem,
     SolverConfig,
     SolveStatus,
+    infeasibility_error,
     kkt_error,
     phi_vec,
     random_problem,
@@ -318,10 +321,83 @@ def test_solve_contradictory_equalities_never_solved():
         H=np.eye(1), f=[0.0], G=[[1.0], [1.0]], h=[0.0, 1.0]
     )
     result = solve(problem)
-    assert result.status in (
-        SolveStatus.MAX_ITERATIONS, SolveStatus.LINE_SEARCH_STALLED
-    )
+    assert result.status is SolveStatus.PRIMAL_INFEASIBLE
     assert not result.solved
+
+
+def test_solve_contradictory_bounds_end_in_first_stage():
+    # z1 <= -1 and -z1 <= -1 in three variables.
+    problem = QpProblem(
+        H=np.eye(3), f=np.zeros(3), A=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], b=[-1.0, -1.0]
+    )
+    result = solve(problem)
+    assert result.status is SolveStatus.PRIMAL_INFEASIBLE
+    assert result.outer_iterations == 1
+    assert not result.certificate.z.any()
+    assert infeasibility_error(problem, result.certificate) <= 1e-8
+
+
+def test_solve_unbounded_ends_dual_infeasible():
+    # min -z1 over z >= 0 with H = 0.
+    problem = QpProblem(H=np.zeros((2, 2)), f=[-1.0, 0.0], A=-np.eye(2), b=[0.0, 0.0])
+    result = solve(problem)
+    assert result.status is SolveStatus.DUAL_INFEASIBLE
+    assert result.outer_iterations <= 2
+    assert not (result.certificate.lam.any() or result.certificate.v.any())
+    assert infeasibility_error(problem, result.certificate) <= 1e-8
+
+
+def _contradictory_problems():
+    """The 20 problems of acceptance criterion 7: ten with a pair of
+    contradictory equalities, ten with a contradictory pair of inequalities."""
+    rng = np.random.default_rng(303)
+    problems = []
+    for kind in ("equalities", "inequalities"):
+        for _ in range(10):
+            n = int(rng.integers(1, 5))
+            row = rng.standard_normal(n)
+            row[0] += np.sign(row[0]) + 0.5
+            if kind == "equalities":
+                c = float(rng.standard_normal())
+                problems.append(QpProblem(
+                    H=np.eye(n), f=rng.standard_normal(n),
+                    G=np.vstack((row, row)), h=[c, c + 1.0],
+                ))
+            else:
+                problems.append(QpProblem(
+                    H=np.eye(n), f=rng.standard_normal(n),
+                    A=np.vstack((row, -row)), b=[-1.0, -1.0],
+                ))
+    return problems
+
+
+def test_solve_certifies_criterion_7_problems():
+    for problem in _contradictory_problems():
+        result = solve(problem)
+        assert result.status is SolveStatus.PRIMAL_INFEASIBLE
+        assert infeasibility_error(problem, result.certificate) <= 1e-8
+        assert result.kkt.as_dict() == kkt_error(problem, result.iterate).as_dict()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 8),
+    p=st.integers(0, 2),
+    q=st.integers(0, 8),
+    condition=st.floats(1.0, 1e4),
+    activity=st.floats(0.0, 1.0),
+    strictly_convex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_planted_problems_never_end_infeasible(n, p, q, condition, activity, strictly_convex, seed):
+    spec = GeneratorSpec(
+        n=n, p=min(p, n), q=q, condition_target=condition, activity_fraction=activity,
+        strictly_convex=strictly_convex, seed=seed,
+    )
+    problem, _ = random_problem(spec)
+    result = solve(problem)
+    assert result.status not in (SolveStatus.PRIMAL_INFEASIBLE, SolveStatus.DUAL_INFEASIBLE)
+    assert result.certificate is None
 
 
 def test_solve_invalid_problem_short_circuits():

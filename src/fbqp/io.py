@@ -15,15 +15,21 @@ A problem file is a JSON object:
     }
 
 Matrices accept either a dense row-major list of rows or a triplet list
-(duplicate triplets are summed). Serialization always writes dense rows
-and round-trips every float exactly via repr. Parsing rejects non-finite
-numbers and shape mismatches with the offending field named.
+(duplicate triplets are summed). Every entry must be a JSON number: strings,
+booleans and null are rejected, as are non-finite numbers and shape
+mismatches, each with the offending field named.
+
+Serialization always writes dense rows and round-trips every float exactly
+via repr. Its output is byte-identical to ``json.dumps(document, indent=2,
+sort_keys=True)`` plus a newline, which tests/test_io.py pins; a small
+writer produces it, since json's indenting encoder runs in pure Python.
 """
 
 from __future__ import annotations
 
 import io as _io
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -52,24 +58,36 @@ class ProblemFormatError(ValueError):
     """A problem document is malformed; the message names the field."""
 
 
+# The types json.loads gives a JSON number; bool is excluded, although it
+# subclasses int.
+_NUMBER_TYPES = {int, float}
+
+
+def _all_numbers(values: list) -> bool:
+    return set(map(type, values)) <= _NUMBER_TYPES
+
+
 def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise ProblemFormatError(f"field '{name}' contains non-finite values")
 
 
-def _parse_vector(doc: Any, length: int, name: str) -> np.ndarray:
-    if not isinstance(doc, list):
-        raise ProblemFormatError(f"field '{name}' must be a list of numbers")
+def _float_array(values: list, name: str) -> np.ndarray:
+    """A finite float array from a (nested) list of JSON numbers."""
     try:
-        vec = np.array(doc, dtype=float)
-    except (TypeError, ValueError):
-        raise ProblemFormatError(f"field '{name}' must be a list of numbers") from None
-    if vec.shape != (length,):
-        raise ProblemFormatError(
-            f"field '{name}' must have length {length}, got shape {vec.shape}"
-        )
-    _require_finite(vec, name)
-    return vec
+        arr = np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ProblemFormatError(f"field '{name}' contains non-finite values") from None
+    _require_finite(arr, name)
+    return arr
+
+
+def _parse_vector(doc: Any, length: int, name: str) -> np.ndarray:
+    if not (isinstance(doc, list) and _all_numbers(doc)):
+        raise ProblemFormatError(f"field '{name}' must be a list of numbers")
+    if len(doc) != length:
+        raise ProblemFormatError(f"field '{name}' must have length {length}, got {len(doc)}")
+    return _float_array(doc, name)
 
 
 def _parse_matrix(doc: Any, rows: int, cols: int, name: str) -> np.ndarray:
@@ -78,18 +96,17 @@ def _parse_matrix(doc: Any, rows: int, cols: int, name: str) -> np.ndarray:
             f"field '{name}' must be an object with exactly one of 'dense' or 'triplets'"
         )
     if "dense" in doc:
-        try:
-            mat = np.array(doc["dense"], dtype=float)
-        except (TypeError, ValueError):
-            raise ProblemFormatError(f"field '{name}.dense' must be a list of rows") from None
-        if mat.shape == (0,) and rows == 0:
-            mat = np.zeros((0, cols))
-        if mat.shape != (rows, cols):
-            raise ProblemFormatError(
-                f"field '{name}.dense' must have shape ({rows}, {cols}), got {mat.shape}"
+        dense = doc["dense"]
+        if not (
+            isinstance(dense, list)
+            and len(dense) == rows
+            and all(
+                isinstance(row, list) and len(row) == cols and _all_numbers(row)
+                for row in dense
             )
-        _require_finite(mat, f"{name}.dense")
-        return mat
+        ):
+            raise ProblemFormatError(f"field '{name}.dense' must be {rows} rows of {cols} numbers")
+        return _float_array(dense, f"{name}.dense") if rows else np.zeros((0, cols))
     if "triplets" in doc:
         mat = np.zeros((rows, cols))
         entries = doc["triplets"]
@@ -101,7 +118,7 @@ def _parse_matrix(doc: Any, rows: int, cols: int, name: str) -> np.ndarray:
                     f"field '{name}.triplets[{k}]' must be [row, col, value]"
                 )
             row, col, value = entry
-            if not (isinstance(row, int) and isinstance(col, int)):
+            if not (type(row) is int and type(col) is int):
                 raise ProblemFormatError(
                     f"field '{name}.triplets[{k}]' indices must be integers"
                 )
@@ -110,13 +127,15 @@ def _parse_matrix(doc: Any, rows: int, cols: int, name: str) -> np.ndarray:
                     f"field '{name}.triplets[{k}]' index ({row}, {col}) is outside "
                     f"({rows}, {cols})"
                 )
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
+            if type(value) not in _NUMBER_TYPES:
                 raise ProblemFormatError(
                     f"field '{name}.triplets[{k}]' value must be a number"
-                ) from None
-            if not np.isfinite(value):
+                )
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
                 raise ProblemFormatError(f"field '{name}.triplets[{k}]' value is non-finite")
             # Duplicates accumulate.
             mat[row, col] += value
@@ -207,10 +226,6 @@ def parse_solution(
     return Iterate(z, lam, v)
 
 
-def _matrix_doc(matrix: np.ndarray) -> dict:
-    return {"dense": [[float(x) for x in row] for row in matrix]}
-
-
 def _vector_doc(vector: np.ndarray) -> list[float]:
     return [float(x) for x in vector]
 
@@ -224,6 +239,25 @@ def _solution_doc(iterate: Iterate) -> dict:
     }
 
 
+def _json_floats(values: list, depth: int) -> list[str]:
+    """A list (of lists) of floats as json.dumps(indent=2) lays it out at
+    `depth`, in pieces for serialize_problem's one join: concatenating a
+    matrix's text into ever larger strings costs time and peak memory."""
+    if not values:
+        return ["[]"]
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(values[0], list):
+        items = ["".join(_json_floats(row, depth + 1)) for row in values]
+    else:
+        items = map(float.__repr__, values)
+    return ["[", pad, ("," + pad).join(items), "\n" + "  " * depth + "]"]
+
+
+def _json_array(arr: np.ndarray, depth: int, name: str) -> list[str]:
+    _require_finite(arr, name)
+    return _json_floats(arr.tolist(), depth)
+
+
 def serialize_problem(
     problem: QpProblem,
     solution: Iterate | None = None,
@@ -231,26 +265,34 @@ def serialize_problem(
 ) -> str:
     """Serialize a problem (and optionally a solution) to canonical JSON.
 
-    The output is deterministic (sorted keys, repr floats) and parses back
-    to bit-identical arrays.
+    The text is what ``json.dumps(document, indent=2, sort_keys=True)``
+    writes, plus a newline, for the document with every array as floats:
+    keys sorted, repr floats. It parses back to bit-identical arrays.
+
+    Raises:
+        ProblemFormatError: a ValueError naming an array that holds a
+            non-finite value.
     """
-    document: dict[str, Any] = {
-        "version": FORMAT_VERSION,
-        "n": problem.n,
-        "p": problem.p,
-        "q": problem.q,
-        "H": _matrix_doc(problem.H),
-        "f": _vector_doc(problem.f),
-        "G": _matrix_doc(problem.G),
-        "h": _vector_doc(problem.h),
-        "A": _matrix_doc(problem.A),
-        "b": _vector_doc(problem.b),
-    }
-    if solution is not None:
-        document["solution"] = _solution_doc(solution)
+    # Fields in sorted() order (upper-case names first); "version" is last.
+    out = ["{\n"]
+    for name in ("A", "G", "H"):
+        out += [f'  "{name}": {{\n    "dense": ', *_json_array(getattr(problem, name), 2, name)]
+        out.append("\n  },\n")
+    for name in ("b", "f", "h"):
+        out += [f'  "{name}": ', *_json_array(getattr(problem, name), 1, name), ",\n"]
     if metadata is not None:
-        document["metadata"] = metadata
-    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(metadata, indent=2, sort_keys=True, allow_nan=False)
+        out += ['  "metadata": ', text.replace("\n", "\n  "), ",\n"]
+    out.append(f'  "n": {problem.n},\n  "p": {problem.p},\n  "q": {problem.q},\n')
+    if solution is not None:
+        out.append('  "solution": {\n')
+        for key, vector, end in (
+            ("lambda", solution.lam, ",\n"), ("v", solution.v, ",\n"), ("z", solution.z, "\n")
+        ):
+            out += [f'    "{key}": ', *_json_array(vector, 2, "solution." + key), end]
+        out.append("  },\n")
+    out.append(f'  "version": {FORMAT_VERSION}\n}}\n')
+    return "".join(out)
 
 
 def load_problem(path) -> tuple[QpProblem, Iterate | None]:

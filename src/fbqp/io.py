@@ -35,7 +35,6 @@ from typing import Any
 import numpy as np
 
 from .problem import Iterate, QpProblem
-from .solver import TraceRecord
 
 __all__ = [
     "FORMAT_VERSION",
@@ -226,17 +225,9 @@ def parse_solution(
     return Iterate(z, lam, v)
 
 
-def _vector_doc(vector: np.ndarray) -> list[float]:
-    return [float(x) for x in vector]
-
-
 def _solution_doc(iterate: Iterate) -> dict:
     """The solution block of a problem file, also printed by the CLI."""
-    return {
-        "z": _vector_doc(iterate.z),
-        "lambda": _vector_doc(iterate.lam),
-        "v": _vector_doc(iterate.v),
-    }
+    return {"z": iterate.z.tolist(), "lambda": iterate.lam.tolist(), "v": iterate.v.tolist()}
 
 
 def _json_floats(values: list, depth: int) -> list[str]:

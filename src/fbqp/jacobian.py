@@ -1,7 +1,7 @@
 """Structured solves with the generalized Jacobian of the regularized residual.
 
 At a point (z, lambda, v) with proximal weight sigma, and shifted by a
-diagonal eps >= 0 as the solver's perturbation ladder does, the Jacobian of
+diagonal eps >= 0 on the rungs of the perturbation ladder, the Jacobian of
 ``solver.residual`` is
 
     J = [ H + s I    G'     A'  ]      s = sigma + eps,
@@ -28,8 +28,9 @@ size p plus the number of kept rows. J' reduces to the same K up to signs,
 so one factorization serves both J x = r and J' x = r. ``norm_inf`` sums
 ``||J + eps I||_inf`` from the same blocks when the solver's bound needs it.
 
-``checked_solve`` is the one place a solve is checked against J: the Newton
-steps and both sensitivity modes go through it.
+``checked_solve`` is the one place a solve is checked, and the one
+perturbation ladder: when J fails, it retries J + eps I with a growing eps.
+The Newton steps and both sensitivity modes go through it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ __all__ = ["ReducedJacobian", "checked_solve"]
 
 # Relative accuracy demanded of every checked solve.
 _SOLVE_TOL = 1e-10
+# Number of escalating diagonal perturbations tried after J itself fails.
+_PERTURB_ATTEMPTS = 3
+# First rung of that ladder; each retry multiplies it by ten.
+_FIRST_PERTURB = 1e-10
 
 
 class ReducedJacobian:
@@ -52,7 +57,8 @@ class ReducedJacobian:
         problem: the QP.
         d_y, d_v: generalized derivatives of phi at (b - A z, v), shape (q,).
         sigma: proximal weight; ``sigma + eps`` must be positive.
-        eps: diagonal shift of the whole of J.
+        eps: diagonal shift of the whole of J; set by the ladder of
+            ``checked_solve``.
 
     Raises:
         np.linalg.LinAlgError: when M or S is not numerically positive
@@ -177,41 +183,46 @@ def checked_solve(
     d_v: np.ndarray,
     sigma: float,
     rhs: np.ndarray,
-    eps: float = 0.0,
     transpose: bool = False,
-) -> np.ndarray | None:
-    """x with ``(J + eps I) x = rhs``, or its transpose, checked against J.
+) -> tuple[np.ndarray | None, int]:
+    """x with ``J x = rhs``, or its transpose, through the perturbation ladder.
 
-    Arguments are those of ``ReducedJacobian``; rhs is (N,) or (N, k). The
-    answer is accepted when its backward error ``||J x - rhs||_inf`` is
-    within 1e-10 * (1 + ||rhs||_inf), widened by 1e-10 * ||J||_inf ||x||_inf
+    Arguments are those of ``ReducedJacobian``; rhs is (N,) or (N, k). J is
+    tried first, then J + eps I with eps = 1e-10 (``_FIRST_PERTURB``), 1e-9
+    and 1e-8 (``_PERTURB_ATTEMPTS`` retries). An attempt is accepted when
+    its backward error ``||(J + eps I) x - rhs||_inf`` is within
+    1e-10 * (1 + ||rhs||_inf), widened by 1e-10 * ||J + eps I||_inf ||x||_inf
     since no double-precision solve can beat that floor when the solution
     dwarfs the right-hand side. One pass of iterative refinement is tried
-    before giving up.
+    before an attempt fails. An answer from a rung eps > 0 is checked
+    against J + eps I, not J.
 
     Returns:
-        The solution, or None when J cannot be factored or the check fails.
+        (x, attempts): x is None when every attempt failed; ``attempts`` is
+        the number of factorizations tried, 1 when J itself passed.
     """
-    try:
-        system = ReducedJacobian(problem, d_y, d_v, sigma, eps)
-    except np.linalg.LinAlgError:
-        return None
     tol = _SOLVE_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
-    x = system.solve(rhs, transpose)
-    for refine in (True, False):
-        if not np.isfinite(x).all():
-            return None
-        back = system.apply(x, transpose) - rhs
-        error = float(np.abs(back).max(initial=0.0))
-        if error <= tol:
-            return x
-        # The widened bound, computed only when the plain one fails.
-        norm = system.norm_inf(transpose)
-        if error <= tol + _SOLVE_TOL * norm * float(np.abs(x).max(initial=0.0)):
-            return x
-        if refine:
-            x = x - system.solve(back, transpose)
-    return None
+    for rung in range(1 + _PERTURB_ATTEMPTS):
+        eps = _FIRST_PERTURB * 10.0 ** (rung - 1) if rung else 0.0
+        try:
+            system = ReducedJacobian(problem, d_y, d_v, sigma, eps)
+        except np.linalg.LinAlgError:
+            continue
+        x = system.solve(rhs, transpose)
+        for refine in (True, False):
+            if not np.isfinite(x).all():
+                break
+            back = system.apply(x, transpose) - rhs
+            error = float(np.abs(back).max(initial=0.0))
+            if error <= tol:
+                return x, rung + 1
+            # The widened bound, computed only when the plain one fails.
+            norm = system.norm_inf(transpose)
+            if error <= tol + _SOLVE_TOL * norm * float(np.abs(x).max(initial=0.0)):
+                return x, rung + 1
+            if refine:
+                x = x - system.solve(back, transpose)
+    return None, 1 + _PERTURB_ATTEMPTS
 
 
 def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:

@@ -12,10 +12,17 @@ gives them. J is taken with the proximal weight held at its floor
 while perturbing the sensitivities only at the level of sigma_min.
 
 Both modes pull cotangents on z back through that one transposed solve,
-checked against J by ``fbqp.jacobian.checked_solve``. Reverse mode (vjp)
-pulls back one cotangent to gradients with respect to every datum,
-including the matrices. Forward mode pulls back the n unit cotangents:
-dz/df = W_z', dz/dh = W_lam' and dz/db = (D_y W_v)'.
+made and checked by ``fbqp.jacobian.checked_solve`` with the solver's own
+perturbation ladder. Reverse mode (vjp) pulls back one cotangent to
+gradients with respect to every datum, including the matrices. Forward
+mode pulls back the n unit cotangents: dz/df = W_z', dz/dh = W_lam' and
+dz/db = (D_y W_v)'.
+
+Where LICQ fails, J at sigma_min can be numerically singular. The solve
+then passes on J + eps I (eps >= 1e-10), is checked against that matrix,
+and the result is flagged not well-posed. The value there is a one-sided
+linearization of the nonsmooth solution map (Bolte, Le, Pauwels &
+Silveti-Falls, NeurIPS 2021, arXiv:2106.04350).
 """
 
 from __future__ import annotations
@@ -53,9 +60,10 @@ class SensitivityResult:
     ``dz_df[i, j]`` is the derivative of z_i with respect to f_j, and
     likewise for the right-hand sides h and b. ``wellposed`` is True when
     strict complementarity and LICQ (the equality rows and active
-    inequality rows are linearly independent) hold at the solution. When
-    it is False, z* need not be differentiable there: the values are a
-    one-sided linearization and finite differencing may disagree.
+    inequality rows are linearly independent) hold at the solution and J
+    solved without perturbation. When it is False, z* need not be
+    differentiable there: the values are a one-sided linearization, and
+    finite differencing may disagree.
     """
 
     dz_df: np.ndarray
@@ -88,6 +96,8 @@ def _pull_back(
     """(W, d_y, wellposed) with J' W = [-cotangents; 0; 0] at the solution.
 
     ``cotangents`` is (n,) or (n, k), and W is (N,) or (N, k) to match.
+    When J passes only on a rung J + eps I of the ladder, W solves that
+    system and ``wellposed`` is False.
     """
     if result.status is not SolveStatus.SOLVED:
         raise NotSolvedError(
@@ -98,11 +108,11 @@ def _pull_back(
     d_y, d_v = phi_derivative_vec(slack, v, result.config.ncp)
     rhs = np.zeros((problem.n + problem.p + problem.q,) + cotangents.shape[1:])
     rhs[: problem.n] = -cotangents
-    w = checked_solve(problem, d_y, d_v, result.config.sigma_min, rhs, transpose=True)
+    w, attempts = checked_solve(problem, d_y, d_v, result.config.sigma_min, rhs, transpose=True)
     if w is None:
-        raise SingularSystemError("final Jacobian is numerically singular")
+        raise SingularSystemError("final Jacobian is numerically singular, even perturbed")
     active = slack < _DEGENERACY_TOL
-    wellposed = not np.any(active & (v < _DEGENERACY_TOL))
+    wellposed = attempts == 1 and not np.any(active & (v < _DEGENERACY_TOL))
     if wellposed:
         # LICQ, by the rank test the oracle's multiplicity flag uses.
         rows = np.vstack((problem.G, problem.A[active]))
@@ -118,7 +128,7 @@ def solution_sensitivity(problem: QpProblem, result: SolveResult) -> Sensitivity
 
     Raises:
         NotSolvedError: when the result status is not Solved.
-        SingularSystemError: when the final Jacobian cannot be solved.
+        SingularSystemError: when every rung of the ladder fails.
     """
     n, p = problem.n, problem.p
     w, d_y, wellposed = _pull_back(problem, result, np.eye(n))

@@ -23,11 +23,11 @@ the KKT error of each accepted point from the residual it needs anyway.
 Each Newton step solves J d = -R without assembling J: ``fbqp.jacobian``
 reduces it to a symmetric quasi-definite system with two Cholesky factors.
 A direction is kept only when its backward error against the full J passes,
-after at most one refinement pass (``fbqp.jacobian.checked_solve``);
-otherwise the step is retried on J + eps I with a growing eps. The
-stationarity and equality blocks of R are affine along a direction, so the
-line search evaluates phi once for the full step and once for each stack
-of shorter steps.
+after at most one refinement pass, or else on J + eps I with a growing eps
+(the ladder of ``fbqp.jacobian.checked_solve``). The stationarity and
+equality blocks of R are affine along a direction, so the line search
+evaluates phi once for the full step and once for each stack of shorter
+steps.
 ``assemble_jacobian`` builds the dense J as a reference.
 
 The package exports ``solve`` with its settings and result types; the loop's
@@ -68,10 +68,6 @@ _STAGE_ETA = 0.1
 # remaining error is pure proximal bias; the next stage then drops sigma
 # straight to the floor rather than shedding the bias one decade at a time.
 _ENDGAME_RATIO = 1e-6
-# Number of escalating diagonal perturbations tried after a failed factorization.
-_PERTURB_ATTEMPTS = 3
-# First rung of that ladder; each retry multiplies it by ten.
-_FIRST_PERTURB = 1e-10
 # Line search: sufficient-decrease constant, step factor, smallest step.
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
@@ -109,8 +105,9 @@ class SolverConfig:
         max_inner: Newton iterations per stage.
 
     Every stage re-centers at the iterate it starts from. The line search
-    and perturbation ladder use the module constants ``_ARMIJO_C``,
-    ``_BACKTRACK``, ``_MIN_STEP`` and ``_FIRST_PERTURB``.
+    uses the module constants ``_ARMIJO_C``, ``_BACKTRACK`` and
+    ``_MIN_STEP``; the perturbation ladder is that of
+    ``fbqp.jacobian.checked_solve``.
     """
 
     ncp: NcpConfig = field(default_factory=NcpConfig)
@@ -271,14 +268,11 @@ def _newton_direction(
 ) -> tuple[np.ndarray | None, int]:
     """Direction d with J d = -R at an iterate, and the factorizations it took.
 
-    J is the generalized Jacobian of the residual (``assemble_jacobian``),
-    solved through its reduced symmetric form without being assembled. A
-    direction is accepted when ``fbqp.jacobian.checked_solve`` passes it:
-    its backward error against J is within 1e-10 * (1 + ||R||_inf +
-    ||J||_inf ||d||_inf), after at most one pass of iterative refinement.
-    Otherwise the system is retried as J + eps I, with eps starting at
-    ``_FIRST_PERTURB`` (1e-10) and growing tenfold, for ``_PERTURB_ATTEMPTS``
-    retries. Each attempt counts as one factorization.
+    J is the generalized Jacobian of the residual (``assemble_jacobian``).
+    ``fbqp.jacobian.checked_solve`` solves it through its reduced symmetric
+    form without assembling it: J first, then J + eps I for eps = 1e-10,
+    1e-9 and 1e-8, each attempt checked by its backward error. Each attempt
+    counts as one factorization.
 
     Args:
         breakdown: ``residual`` at ``iterate`` with the same ``sigma``.
@@ -292,13 +286,7 @@ def _newton_direction(
         d_y, d_v = phi_derivative_vec(breakdown.slack, iterate.v, config.ncp)
     else:
         d_y = d_v = np.zeros(0)
-    eps = 0.0
-    for attempt in range(1, 2 + _PERTURB_ATTEMPTS):
-        direction = checked_solve(problem, d_y, d_v, sigma, rhs, eps)
-        if direction is not None:
-            break
-        eps = _FIRST_PERTURB if eps == 0.0 else eps * 10.0
-    return direction, attempt
+    return checked_solve(problem, d_y, d_v, sigma, rhs)
 
 
 def _squares(x: np.ndarray) -> np.ndarray:

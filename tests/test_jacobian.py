@@ -117,9 +117,12 @@ def test_solves_match_perturbed_jacobian_and_transpose(name, eps):
     np.testing.assert_allclose(
         system.apply(block, transpose=True), jac.T @ block, rtol=1e-12, atol=1e-12
     )
-    for transpose, dense in ((False, jac), (True, jac.T)):
+    # checked_solve passes on J itself, the first rung of its ladder.
+    unperturbed = assemble_jacobian(problem, x, SIGMA)
+    for transpose, dense in ((False, unperturbed), (True, unperturbed.T)):
         for right in (rhs, block):
-            checked = checked_solve(problem, d_y, d_v, SIGMA, right, eps, transpose)
+            checked, attempts = checked_solve(problem, d_y, d_v, SIGMA, right, transpose)
+            assert attempts == 1
             _close(checked, np.linalg.solve(dense, right))
 
 
@@ -138,10 +141,16 @@ def test_row_norm_matches_dense(name):
 
 
 def test_singular_reduced_block_raises():
-    # H = 0 and sigma = 0 leave M = 0 when no row is eliminated.
+    # H = 0 and sigma = 0 leave M = 0 when no row is eliminated, so J
+    # fails and the ladder's first rung, J + 1e-10 I, passes.
     problem = QpProblem(H=np.zeros((2, 2)), f=np.zeros(2))
+    empty = np.zeros(0)
     with pytest.raises(np.linalg.LinAlgError):
-        ReducedJacobian(problem, np.zeros(0), np.zeros(0), 0.0)
+        ReducedJacobian(problem, empty, empty, 0.0)
+    rung = ReducedJacobian(problem, empty, empty, 0.0, 1e-10)
+    rhs = np.ones(2)
     for transpose in (False, True):
-        x = checked_solve(problem, np.zeros(0), np.zeros(0), 0.0, np.ones(2), 0.0, transpose)
-        assert x is None
+        x, attempts = checked_solve(problem, empty, empty, 0.0, rhs, transpose)
+        assert attempts == 2
+        assert np.max(np.abs(rung.apply(x, transpose) - rhs)) <= 1e-10 * (1.0 + 1.0)
+        np.testing.assert_allclose(x, [1e10, 1e10])

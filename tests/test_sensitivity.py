@@ -71,15 +71,17 @@ def test_degenerate_solution_flagged_not_wellposed():
     assert not vjp(problem, result, np.ones(1)).wellposed
 
 
-def test_licq_failure_returns_in_both_modes_flagged():
+@pytest.mark.parametrize("tol_kkt", [SolverConfig().tol_kkt, 1e-11])
+def test_licq_failure_returns_in_both_modes_flagged(tol_kkt):
     # Project c = (1, 1) onto {z1 <= 0, z2 <= 0, z1 + z2 <= 0}: three rows
     # are active at z = 0 in R^2, so LICQ fails while every multiplier is
-    # positive and strict complementarity holds. The default tolerance is
-    # used: a tighter solve drives d_v, and with it J, to singularity.
+    # positive and strict complementarity holds. At tol_kkt = 1e-11 the
+    # solve drives d_v, and with it J, to numerical singularity; the pull-back
+    # then passes on the ladder's first rung, J + 1e-10 I.
     problem = QpProblem(
         H=np.eye(2), f=[-1.0, -1.0], A=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b=np.zeros(3)
     )
-    result = solve(problem)
+    result = solve(problem, SolverConfig(tol_kkt=tol_kkt))
     assert result.solved
     sens = solution_sensitivity(problem, result)
     assert not sens.wellposed
@@ -93,6 +95,37 @@ def test_licq_failure_returns_in_both_modes_flagged():
     g = np.array([0.3, -1.2])
     grads = vjp(problem, result, g)
     np.testing.assert_allclose(grads.db, g @ sens.dz_db, atol=1e-3)
+
+
+# Test-fleet inputs (the recipe of tests/test_acceptance.py) where J at
+# sigma_min is near-singular at the solution, so the transposed solve passes
+# only on J + eps I.
+NEAR_SINGULAR_FLEET = (24, 28, 44, 64, 129, 269, 277, 282, 308, 358, 369, 473, 494)
+
+
+@pytest.mark.parametrize("i", NEAR_SINGULAR_FLEET)
+def test_near_singular_fleet_inputs_return_flagged(i):
+    rng = np.random.default_rng(3000 + i)
+    n = int(rng.integers(1, 9))
+    p = int(rng.integers(0, min(2, n) + 1))
+    q = int(rng.integers(0, 7))
+    fraction = (0.0, 0.25, 0.5, 0.75, 1.0)[i % 5]
+    problem, _ = random_problem(
+        GeneratorSpec(n=n, p=p, q=q, activity_fraction=fraction, seed=i)
+    )
+    result = solve(problem)
+    assert result.solved
+    sens = solution_sensitivity(problem, result)
+    assert not sens.wellposed
+    for g in (np.ones(n), np.random.default_rng(i).standard_normal(n)):
+        grads = vjp(problem, result, g)
+        assert not grads.wellposed
+        # Forward mode solves for the n unit cotangents and vjp for g alone;
+        # on a near-singular J + eps I their roundoff differs. The worst gap
+        # measured on these inputs is 1.3e-5.
+        for got, want in ((grads.df, g @ sens.dz_df), (grads.db, g @ sens.dz_db)):
+            scale = max(1.0, np.max(np.abs(want), initial=0.0))
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-4 * scale
 
 
 def _finite_difference_columns(problem, perturb, config, base_count=None):

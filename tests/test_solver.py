@@ -17,8 +17,8 @@ from fbqp import (
     random_problem,
     solve,
 )
+from fbqp.jacobian import _PERTURB_ATTEMPTS
 from fbqp.solver import (
-    _PERTURB_ATTEMPTS,
     _line_search,
     _newton_direction,
     assemble_jacobian,
@@ -409,11 +409,33 @@ def test_solve_invalid_problem_short_circuits():
 
 
 def test_solve_reaches_singular_system(monkeypatch):
-    # Every rung of the ladder fails: the first step ends the solve.
-    monkeypatch.setattr("fbqp.solver.checked_solve", lambda *args: None)
+    # Every rung of the ladder fails to factor: the first step ends the solve.
+    shifts = []
+
+    def unfactorable(problem, d_y, d_v, sigma, eps=0.0):
+        shifts.append(eps)
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr("fbqp.jacobian.ReducedJacobian", unfactorable)
     result = solve(ONE_D)
     assert result.status is SolveStatus.SINGULAR_SYSTEM
     assert result.factorizations == 1 + _PERTURB_ATTEMPTS
+    assert shifts == [0.0, 1e-10, 1e-9, 1e-8]
+    assert result.trace == ()
+
+
+def test_solve_reaches_line_search_stalled(monkeypatch):
+    # Every line search fails: each stage takes one direction and stops.
+    monkeypatch.setattr("fbqp.solver._line_search", lambda *args: None)
+    box = QpProblem(
+        H=np.eye(2), f=[-2.0, 1.0],
+        A=[[1, 0], [0, 1], [-1, 0], [0, -1]], b=[1.0, 1.0, 0.0, 0.0],
+    )
+    result = solve(box, SolverConfig(max_outer=3))
+    assert result.status is SolveStatus.LINE_SEARCH_STALLED
+    assert result.certificate is None
+    assert result.outer_iterations == 3
+    assert result.factorizations == 3
     assert result.trace == ()
 
 

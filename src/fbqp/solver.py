@@ -13,7 +13,9 @@ Newton iteration on the merit 0.5 ||R||^2 is well defined. An outer loop
 shrinks sigma geometrically and re-centers the proximal term at the
 iterate each stage starts from, driving the iterates to a solution of the
 unregularized system, certified by its sigma-free KKT residuals, or along a
-ray that certifies that there is none (``_certificate``).
+ray that certifies that there is none (``_certificate``). A stage ends at
+its merit target, after ``_STALL_STEPS`` consecutive backtracked steps, or
+at ``max_inner`` steps; the last two count as a missed target.
 
 Each point is evaluated once. ``residual`` forms R from the products the
 certificate needs (``fbqp.problem.kkt_error``), H z + f + G' lambda + A' v,
@@ -68,6 +70,13 @@ _STAGE_ETA = 0.1
 # remaining error is pure proximal bias; the next stage then drops sigma
 # straight to the floor rather than shedding the bias one decade at a time.
 _ENDGAME_RATIO = 1e-6
+# A stage also ends after this many consecutive backtracked steps (t < 1),
+# as if it had spent its budget; a full step resets the count. The
+# subproblem need not be solved exactly (Rockafellar, SIAM J. Control Optim.
+# 1976), and on degenerate inputs (more active rows than variables) a stage
+# can backtrack through its whole budget at an almost constant residual,
+# which the next stage's recentring and smaller sigma get past in a step.
+_STALL_STEPS = 4
 # Line search: sufficient-decrease constant, step factor, smallest step.
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
@@ -102,7 +111,9 @@ class SolverConfig:
             nonsingular at degenerate solutions.
         tol_kkt: termination tolerance on the unregularized KKT residuals.
         max_outer: number of sigma stages.
-        max_inner: Newton iterations per stage.
+        max_inner: cap on the Newton iterations of one stage. Most stages
+            end well before it, at their merit target or after
+            ``_STALL_STEPS`` consecutive backtracked steps.
 
     Every stage re-centers at the iterate it starts from. The line search
     uses the module constants ``_ARMIJO_C``, ``_BACKTRACK`` and
@@ -402,9 +413,10 @@ def solve(
         residuals, recomputed without any regularization, are all within
         ``config.tol_kkt``. ``PRIMAL_INFEASIBLE`` and ``DUAL_INFEASIBLE``
         come with a certificate, sought only at a stage end that missed its
-        merit target, or took steps that failed to halve its primal or
-        stationarity error since the previous stage end. The trace holds one
-        record per accepted step.
+        merit target (after a run of backtracked steps, a failed line
+        search or ``max_inner`` steps), or took steps that failed to halve
+        its primal or stationarity error since the previous stage end. The
+        trace holds one record per accepted step.
 
     Raises:
         ValueError: when ``warm_start`` has the wrong shapes or is not finite.
@@ -455,6 +467,7 @@ def solve(
         stage_merit_target = max(0.5 * (_STAGE_ETA * sigma * scale) ** 2, _MERIT_FLOOR)
         outer_used = outer + 1
         stalled = False
+        short_steps = 0
         last = kkt
         # Every point is evaluated once, right after the step that reaches
         # it. At the new centre the sigma terms of R vanish.
@@ -468,6 +481,8 @@ def solve(
                 # Subproblem solved to sigma-proportional accuracy; move on.
                 polish = breakdown.merit <= _ENDGAME_RATIO * 0.5 * kkt.max_error() ** 2
                 break
+            if short_steps == _STALL_STEPS:
+                break  # the target is missed, as when the budget is spent
             direction, nfact = _newton_direction(problem, x, sigma, breakdown, config)
             factorizations += nfact
             if direction is None:
@@ -491,9 +506,11 @@ def solve(
                     step_len=step,
                 )
             )
+            short_steps = short_steps + 1 if step < 1.0 else 0
         if solved or singular:
             break
-        # Hopeless: a stall or spent budget (target missed), or steps that left an error unhalved.
+        # Hopeless: the target missed (a run of short steps, a stall or a
+        # spent budget), or steps that left an error unhalved.
         primal = [max(k.eq_infeas_inf, k.ineq_infeas_inf) for k in (last, kkt)]
         stuck = primal[1] > 0.5 * primal[0] or kkt.stationarity_inf > 0.5 * last.stationarity_inf
         if (stuck and x is not center) or breakdown.merit > stage_merit_target:

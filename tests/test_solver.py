@@ -19,6 +19,8 @@ from fbqp import (
 )
 from fbqp.jacobian import _PERTURB_ATTEMPTS
 from fbqp.solver import (
+    _STALL_STEPS,
+    _certificate,
     _line_search,
     _newton_direction,
     assemble_jacobian,
@@ -437,6 +439,58 @@ def test_solve_reaches_line_search_stalled(monkeypatch):
     assert result.outer_iterations == 3
     assert result.factorizations == 3
     assert result.trace == ()
+
+
+def test_stage_ends_after_run_of_backtracked_steps(monkeypatch):
+    # The line search reports scripted step lengths while the iterate moves
+    # by half the direction each time, too little to meet a stage target.
+    # Short, short, ..., full (resets the run), then _STALL_STEPS short steps
+    # end stage 0 and send it to the certificate search; the real line
+    # search takes over from stage 1.
+    script = [0.5] * (_STALL_STEPS - 1) + [1.0] + [0.5] * _STALL_STEPS
+    events = []
+
+    def scripted(problem, iterate, direction, sigma, base, config):
+        if not script:
+            return _line_search(problem, iterate, direction, sigma, base, config)
+        events.append("step")
+        dz, dlam, dv = np.split(0.5 * direction, [problem.n, problem.n + problem.p])
+        x = Iterate(iterate.z + dz, iterate.lam + dlam, iterate.v + dv)
+        # The merit goes only into the trace, which this test reads for stages.
+        return script.pop(0), x, base.merit
+
+    def certificate(problem, x, center):
+        events.append("certificate")
+        return _certificate(problem, x, center)
+
+    monkeypatch.setattr("fbqp.solver._line_search", scripted)
+    monkeypatch.setattr("fbqp.solver._certificate", certificate)
+    problem, planted = random_problem(
+        GeneratorSpec(n=6, p=1, q=5, activity_fraction=0.5, seed=1)
+    )
+    result = solve(problem)
+    stage_0 = 2 * _STALL_STEPS
+    assert events[: stage_0 + 1] == ["step"] * stage_0 + ["certificate"]
+    assert [record.outer for record in result.trace[: stage_0 + 1]] == [0] * stage_0 + [1]
+    assert result.solved
+    np.testing.assert_allclose(result.iterate.z, planted.z, rtol=0.0, atol=1e-6)
+
+
+def test_fully_active_fleet_takes_stall_exit():
+    # More active rows than variables, so the v block is degenerate and
+    # stage 0 backtracks until a run of short steps ends it. Without the
+    # stall exit these six inputs take 108 steps.
+    steps = 0
+    for seed in range(6):
+        problem, planted = random_problem(
+            GeneratorSpec(n=40, p=4, q=40, activity_fraction=1.0, seed=seed)
+        )
+        result = solve(problem)
+        assert result.status is SolveStatus.SOLVED
+        assert kkt_error(problem, result.iterate).within(result.config.tol_kkt)
+        np.testing.assert_allclose(result.iterate.z, planted.z, rtol=0.0, atol=1e-6)
+        steps += result.inner_iterations
+    assert steps <= 80
 
 
 def test_solve_rejects_mismatched_warm_start():

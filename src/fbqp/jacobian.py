@@ -36,7 +36,7 @@ The Newton steps and both sensitivity modes go through it.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .problem import QpProblem
 
@@ -85,32 +85,35 @@ class ReducedJacobian:
         self.dy_elim, self.dv_elim = self.d_y[self.elim], self.d_v[self.elim]
         self.dy_kept = self.d_y[self.kept]
 
-        m = self.a_elim.T @ ((self.dy_elim / self.dv_elim) * self.a_elim)
-        m += problem.H
-        m.ravel()[:: n + 1] += shift
-        # M is symmetric, so its transpose is the same matrix in the
-        # column-major order LAPACK factors in place.
-        self.factor = _cholesky(m.T, "M")
+        # The lower triangle of M = H + s I + A_E' W A_E as one rank-k update
+        # of H, whose transpose is H in the column-major order BLAS and
+        # LAPACK work in. The diagonal is shifted through the row-major
+        # transpose of the result: ``ravel`` of a column-major array copies.
+        scaled = np.sqrt(self.dy_elim / self.dv_elim) * self.a_elim
+        m = blas.dsyrk(1.0, scaled.T, beta=1.0, c=problem.H.T, lower=1)
+        m.T.ravel()[:: n + 1] += shift
+        self.factor = _cholesky(m, "M")
 
         border = np.concatenate((problem.G, problem.A[self.kept]))
         size = border.shape[0]
-        # L^-1 B' and the Cholesky factor of S, when B has rows.
-        self.l_inv_bt = self.s_factor = None
+        # B L^-T and the Cholesky factor of S = C + (B L^-T)(B L^-T)', when
+        # B has rows; C is added to the diagonal as for M.
+        self.b_l_inv_t = self.s_factor = None
         if size:
-            self.l_inv_bt, _ = lapack.dtrtrs(self.factor, border.T, lower=1)
-            s = self.l_inv_bt.T @ self.l_inv_bt
-            diagonal = s.ravel()[:: size + 1]
+            self.b_l_inv_t = blas.dtrsm(1.0, self.factor, border, side=1, lower=1, trans_a=1)
+            s = blas.dsyrk(1.0, self.b_l_inv_t, lower=1)
+            diagonal = s.T.ravel()[:: size + 1]
             diagonal[:p] += shift
             diagonal[p:] += d_v[self.kept] / d_y[self.kept]
-            self.s_factor = _cholesky(s.T, "the Schur complement")
+            self.s_factor = _cholesky(s, "the Schur complement")
 
     def _solve_reduced(self, top: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(x, u) with M x + B'u = top and B x - C u = low."""
         t, _ = lapack.dtrtrs(self.factor, top, lower=1)
         u = low
         if self.s_factor is not None:
-            u, _ = lapack.dpotrs(self.s_factor, self.l_inv_bt.T @ t - low, lower=1)
-            t = t - self.l_inv_bt @ u
+            u, _ = lapack.dpotrs(self.s_factor, self.b_l_inv_t @ t - low, lower=1)
+            t = t - self.b_l_inv_t.T @ u
         x, _ = lapack.dtrtrs(self.factor, t, lower=1, trans=1)
         return x, u
 

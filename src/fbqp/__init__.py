@@ -23,92 +23,18 @@ Quick start:
     'Solved'
 """
 
-from .ncp import NcpConfig, phi_derivative_vec, phi_vec
-from .oracle import (
-    MAX_ORACLE_INEQUALITIES,
-    OracleResult,
-    OracleStatus,
-    active_set_solve,
-    oracle_agrees,
-)
-from .problem import (
-    GeneratorSpec,
-    Iterate,
-    KktError,
-    QpProblem,
-    ValidationReport,
-    Violation,
-    infeasibility_error,
-    kkt_error,
-    random_problem,
-    validate_problem,
-)
-from .sensitivity import (
-    NotSolvedError,
-    SensitivityResult,
-    VjpResult,
-    solution_sensitivity,
-    vjp,
-)
-from .io import (
-    FORMAT_VERSION,
-    ProblemFormatError,
-    load_problem,
-    parse_problem,
-    parse_solution,
-    save_problem,
-    serialize_problem,
-    trace_csv,
-    write_trace,
-)
-from .solver import (
-    SingularSystemError,
-    SolveResult,
-    SolveStatus,
-    SolverConfig,
-    TraceRecord,
-    solve,
-)
+from . import io, ncp, oracle, problem, sensitivity, solver
+from .io import *
+from .ncp import *
+from .oracle import *
+from .problem import *
+from .sensitivity import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FORMAT_VERSION",
-    "GeneratorSpec",
-    "Iterate",
-    "KktError",
-    "MAX_ORACLE_INEQUALITIES",
-    "NcpConfig",
-    "NotSolvedError",
-    "OracleResult",
-    "OracleStatus",
-    "ProblemFormatError",
-    "QpProblem",
-    "SensitivityResult",
-    "SingularSystemError",
-    "SolveResult",
-    "SolveStatus",
-    "SolverConfig",
-    "TraceRecord",
-    "ValidationReport",
-    "Violation",
-    "VjpResult",
-    "active_set_solve",
-    "infeasibility_error",
-    "kkt_error",
-    "load_problem",
-    "oracle_agrees",
-    "parse_problem",
-    "parse_solution",
-    "phi_derivative_vec",
-    "phi_vec",
-    "random_problem",
-    "save_problem",
-    "serialize_problem",
-    "solution_sensitivity",
-    "solve",
-    "trace_csv",
-    "validate_problem",
-    "vjp",
-    "write_trace",
-]
+# The public names are those of the six modules above; ``fbqp.jacobian``,
+# the structured linear algebra, stays internal.
+__all__ = sorted(
+    name for module in (io, ncp, oracle, problem, sensitivity, solver) for name in module.__all__
+)

@@ -30,7 +30,10 @@ so one factorization serves both J x = r and J' x = r. ``norm_inf`` sums
 
 ``checked_solve`` is the one place a solve is checked, and the one
 perturbation ladder: when J fails, it retries J + eps I with a growing eps.
-The Newton steps and both sensitivity modes go through it.
+The Newton steps and both sensitivity modes go through it. It returns x and
+the number of factorizations tried; when J itself passes a solve with J, x
+is a ``CheckedSolution`` that also carries the blocks of J x its check
+formed, which the line search reads instead of forming them again.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from scipy.linalg import blas, lapack
 
 from .problem import QpProblem
 
-__all__ = ["ReducedJacobian", "checked_solve"]
+__all__ = ["CheckedSolution", "ReducedJacobian", "checked_solve"]
 
 # Relative accuracy demanded of every checked solve.
 _SOLVE_TOL = 1e-10
@@ -76,14 +79,18 @@ class ReducedJacobian:
         n, p = problem.n, problem.p
         self.problem = problem
         self.shift = shift = sigma + eps
-        d_v = d_v + eps
-        # Boolean masks over the inequality rows; the d arrays are columns.
+        if eps:
+            d_v = d_v + eps
+        # Boolean masks over the inequality rows, which scatter, and their
+        # indices, which gather (``take``) faster; the d arrays are columns.
         self.elim = d_v >= d_y
         self.kept = ~self.elim
+        self.elim_rows, self.kept_rows = self.elim.nonzero()[0], self.kept.nonzero()[0]
         self.d_y, self.d_v = d_y[:, None], d_v[:, None]
-        self.a_elim = problem.A[self.elim]
-        self.dy_elim, self.dv_elim = self.d_y[self.elim], self.d_v[self.elim]
-        self.dy_kept = self.d_y[self.kept]
+        self.a_elim = problem.A.take(self.elim_rows, 0)
+        self.dy_elim = self.d_y.take(self.elim_rows, 0)
+        self.dv_elim = self.d_v.take(self.elim_rows, 0)
+        self.dy_kept = self.d_y.take(self.kept_rows, 0)
 
         # The lower triangle of M = H + s I + A_E' W A_E as one rank-k update
         # of H, whose transpose is H in the column-major order BLAS and
@@ -94,7 +101,7 @@ class ReducedJacobian:
         m.T.ravel()[:: n + 1] += shift
         self.factor = _cholesky(m, "M")
 
-        border = np.concatenate((problem.G, problem.A[self.kept]))
+        border = np.concatenate((problem.G, problem.A.take(self.kept_rows, 0)))
         size = border.shape[0]
         # B L^-T and the Cholesky factor of S = C + (B L^-T)(B L^-T)', when
         # B has rows; C is added to the diagonal as for M.
@@ -104,7 +111,7 @@ class ReducedJacobian:
             s = blas.dsyrk(1.0, self.b_l_inv_t, lower=1)
             diagonal = s.T.ravel()[:: size + 1]
             diagonal[:p] += shift
-            diagonal[p:] += d_v[self.kept] / d_y[self.kept]
+            diagonal[p:] += d_v.take(self.kept_rows) / d_y.take(self.kept_rows)
             self.s_factor = _cholesky(s, "the Schur complement")
 
     def _solve_reduced(self, top: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +129,7 @@ class ReducedJacobian:
         n, p = self.problem.n, self.problem.p
         r = rhs.reshape(rhs.shape[0], -1)
         r_z, r_lam, r_v = r[:n], r[n : n + p], r[n + p :]
-        r_elim, r_kept = r_v[self.elim], r_v[self.kept]
+        r_elim, r_kept = r_v.take(self.elim_rows, 0), r_v.take(self.kept_rows, 0)
         if transpose:
             # u = (-w_lam, -d_y w_kept).
             top = r_z + self.a_elim.T @ ((self.dy_elim / self.dv_elim) * r_elim)
@@ -148,20 +155,26 @@ class ReducedJacobian:
 
     def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         """``(J + eps I) x``, or its transpose, from the blocks of J."""
+        return self._product(x, transpose)[0]
+
+    def _product(self, x: np.ndarray, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``apply``, and the product A x_z it formed, of x's trailing shape."""
         problem, shift = self.problem, self.shift
         n, p = problem.n, problem.p
         r = x.reshape(x.shape[0], -1)
         x_z, x_lam, x_v = r[:n], r[n : n + p], r[n + p :]
         h_z = problem.H @ x_z + shift * x_z
+        a_z = problem.A @ x_z
         if transpose:
             top = h_z - problem.G.T @ x_lam - problem.A.T @ (self.d_y * x_v)
             mid = problem.G @ x_z + shift * x_lam
-            low = problem.A @ x_z + self.d_v * x_v
+            low = a_z + self.d_v * x_v
         else:
             top = h_z + problem.G.T @ x_lam + problem.A.T @ x_v
             mid = shift * x_lam - problem.G @ x_z
-            low = self.d_v * x_v - self.d_y * (problem.A @ x_z)
-        return np.concatenate((top, mid, low)).reshape(x.shape)
+            low = self.d_v * x_v - self.d_y * a_z
+        product = np.concatenate((top, mid, low)).reshape(x.shape)
+        return product, a_z.reshape(a_z.shape[:1] + x.shape[1:])
 
     def norm_inf(self, transpose: bool = False) -> float:
         """``||J + eps I||_inf``, the largest absolute row sum of J, or of J'."""
@@ -178,6 +191,18 @@ class ReducedJacobian:
             z_rows = z_rows + abs_a.sum(axis=0) + np.abs(h_diag + shift)
             v_rows = d_y * abs_a.sum(axis=1) + d_v
         return float(np.concatenate((z_rows, lam_rows, v_rows)).max())
+
+
+class CheckedSolution(np.ndarray):
+    """x from ``checked_solve`` when J itself passed a solve with J.
+
+    ``products`` holds the blocks of J x that the backward-error check
+    formed: (H + sigma I) x_z + G' x_lam + A' x_v, sigma x_lam - G x_z and
+    A x_z. It is set on x itself only; views, copies and arithmetic on x
+    read None.
+    """
+
+    products: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 def checked_solve(
@@ -202,7 +227,9 @@ def checked_solve(
 
     Returns:
         (x, attempts): x is None when every attempt failed; ``attempts`` is
-        the number of factorizations tried, 1 when J itself passed.
+        the number of factorizations tried, 1 when J itself passed. A solve
+        with J (not J') that J itself passed returns a ``CheckedSolution``,
+        which carries the blocks of J x from its check.
     """
     tol = _SOLVE_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
     for rung in range(1 + _PERTURB_ATTEMPTS):
@@ -215,13 +242,19 @@ def checked_solve(
         for refine in (True, False):
             if not np.isfinite(x).all():
                 break
-            back = system.apply(x, transpose) - rhs
+            product, a_z = system._product(x, transpose)
+            back = product - rhs
             error = float(np.abs(back).max(initial=0.0))
-            if error <= tol:
-                return x, rung + 1
-            # The widened bound, computed only when the plain one fails.
-            norm = system.norm_inf(transpose)
-            if error <= tol + _SOLVE_TOL * norm * float(np.abs(x).max(initial=0.0)):
+            passed = error <= tol
+            if not passed:
+                # The widened bound, computed only when the plain one fails.
+                norm = system.norm_inf(transpose)
+                passed = error <= tol + _SOLVE_TOL * norm * float(np.abs(x).max(initial=0.0))
+            if passed:
+                if not (rung or transpose):
+                    n, p = problem.n, problem.p
+                    x = x.view(CheckedSolution)
+                    x.products = (product[:n], product[n : n + p], a_z)
                 return x, rung + 1
             if refine:
                 x = x - system.solve(back, transpose)

@@ -96,8 +96,13 @@ def phi_derivative_vec(
     alpha = (config or NcpConfig()).alpha
     radius = np.hypot(y, v)
     at_origin = radius == 0.0
-    safe_radius = np.where(at_origin, 1.0, radius)
-    d_y = alpha * (1.0 - y / safe_radius) + (1.0 - alpha) * np.maximum(v, 0.0) * (y > 0.0)
-    d_v = alpha * (1.0 - v / safe_radius) + (1.0 - alpha) * np.maximum(y, 0.0) * (v > 0.0)
-    origin = alpha * (1.0 - _INV_SQRT2)
-    return np.where(at_origin, origin, d_y), np.where(at_origin, origin, d_v)
+    # The substitutions cost three calls, and most calls have no pair at (0, 0).
+    any_origin = np.count_nonzero(at_origin)
+    if any_origin:
+        radius = np.where(at_origin, 1.0, radius)
+    d_y = alpha * (1.0 - y / radius) + (1.0 - alpha) * np.maximum(v, 0.0) * (y > 0.0)
+    d_v = alpha * (1.0 - v / radius) + (1.0 - alpha) * np.maximum(y, 0.0) * (v > 0.0)
+    if any_origin:
+        origin = alpha * (1.0 - _INV_SQRT2)
+        d_y, d_v = np.where(at_origin, origin, d_y), np.where(at_origin, origin, d_v)
+    return d_y, d_v

@@ -18,6 +18,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 __all__ = [
     "QpProblem",
@@ -56,6 +57,11 @@ def _inf_norm(x: np.ndarray) -> float:
         return 0.0
     # The method skips the dispatch of np.max, which dominates at small n.
     return float(np.abs(x).max())
+
+
+def _negative_part(x: np.ndarray) -> float:
+    """Max of max(-x, 0) over a nonempty vector, NaN if x holds one, never -0.0."""
+    return 0.0 - min(float(x.min()), 0.0)
 
 
 @dataclass(frozen=True)
@@ -172,9 +178,18 @@ class Iterate:
             object.__setattr__(self, name, value)
 
     @classmethod
+    def _adopt(cls, z: np.ndarray, lam: np.ndarray, v: np.ndarray) -> "Iterate":
+        """An iterate of fresh float vectors, frozen in place, not copied."""
+        iterate = object.__new__(cls)
+        for name, value in (("z", z), ("lam", lam), ("v", v)):
+            value.setflags(write=False)
+            object.__setattr__(iterate, name, value)
+        return iterate
+
+    @classmethod
     def start(cls, problem: QpProblem) -> "Iterate":
         """Default cold start: z = 0, lambda = 0, v = 1."""
-        return cls(np.zeros(problem.n), np.zeros(problem.p), np.ones(problem.q))
+        return cls._adopt(np.zeros(problem.n), np.zeros(problem.p), np.ones(problem.q))
 
     def matches(self, problem: QpProblem) -> bool:
         return (
@@ -237,9 +252,9 @@ def _kkt_products(
     kkt = KktError(
         stationarity_inf=_inf_norm(grad_lagrangian),
         eq_infeas_inf=_inf_norm(eq_residual),
-        ineq_infeas_inf=_inf_norm(np.maximum(-y, 0.0)) if problem.q else 0.0,
+        ineq_infeas_inf=_negative_part(y) if problem.q else 0.0,
         comp_inf=_inf_norm(np.minimum(y, v)) if problem.q else 0.0,
-        dual_neg_inf=_inf_norm(np.maximum(-v, 0.0)) if problem.q else 0.0,
+        dual_neg_inf=_negative_part(v) if problem.q else 0.0,
     )
     return grad_lagrangian, eq_residual, y, kkt
 
@@ -319,33 +334,28 @@ def validate_problem(problem: QpProblem) -> ValidationReport:
 
     Checks, in order: non-finite entries per field, asymmetry of the cost
     matrix as ingested, and indefiniteness (smallest eigenvalue of H below
-    a small negative slack). An empty report means well-formed.
+    a small negative slack). H passes the last check when H + 1e-10 I has
+    a Cholesky factor; the eigenvalues are computed only when it has none.
+    An empty report means well-formed.
     """
-    violations: list[Violation] = []
-    for name in ("H", "f", "G", "h", "A", "b"):
-        value = getattr(problem, name)
-        if not np.all(np.isfinite(value)):
-            bad = int(np.count_nonzero(~np.isfinite(value)))
-            violations.append(
-                Violation("non_finite", f"{name} has {bad} non-finite entries")
-            )
-    scale = 1.0 + (_inf_norm(problem.H.ravel()) if np.all(np.isfinite(problem.H)) else 0.0)
+    fields = ("H", "f", "G", "h", "A", "b")
+    bad = dict.fromkeys(fields, 0)
+    if not np.isfinite(np.concatenate([getattr(problem, name).ravel() for name in fields])).all():
+        bad = {name: np.count_nonzero(~np.isfinite(getattr(problem, name))) for name in fields}
+    violations = [
+        Violation("non_finite", f"{name} has {count} non-finite entries")
+        for name, count in bad.items() if count
+    ]
+    scale = 1.0 + (0.0 if bad["H"] else _inf_norm(problem.H.ravel()))
     if problem.hessian_asymmetry > _SYMMETRY_TOL * scale:
-        violations.append(
-            Violation(
-                "asymmetry",
-                f"H was ingested with max |H - H'| = {problem.hessian_asymmetry:.3e}",
-            )
-        )
-    if np.all(np.isfinite(problem.H)):
+        message = f"H was ingested with max |H - H'| = {problem.hessian_asymmetry:.3e}"
+        violations.append(Violation("asymmetry", message))
+    shifted = problem.H + _PSD_TOL * np.eye(problem.n)
+    if not bad["H"] and lapack.dpotrf(shifted, lower=1, clean=0, overwrite_a=1)[1]:
         smallest = float(np.linalg.eigvalsh(problem.H)[0])
         if smallest < -_PSD_TOL:
-            violations.append(
-                Violation(
-                    "indefinite",
-                    f"H has a negative eigenvalue {smallest:.3e}; problem is not convex",
-                )
-            )
+            message = f"H has a negative eigenvalue {smallest:.3e}; problem is not convex"
+            violations.append(Violation("indefinite", message))
     return ValidationReport(tuple(violations))
 
 

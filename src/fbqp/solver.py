@@ -29,7 +29,7 @@ after at most one refinement pass, or else on J + eps I with a growing eps
 (the ladder of ``fbqp.jacobian.checked_solve``). The stationarity and
 equality blocks of R are affine along a direction, so the line search
 evaluates phi once for the full step and once for each stack of shorter
-steps.
+steps; their change per unit step comes from the J d that the check formed.
 ``assemble_jacobian`` builds the dense J as a reference.
 
 The package exports ``solve`` with its settings and result types; the loop's
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -156,8 +156,8 @@ class ResidualBreakdown:
     merit: float = field(init=False)
 
     def __post_init__(self):
-        blocks = (self.stationarity_block, self.equality_block, self.complementarity_block)
-        object.__setattr__(self, "merit", float(0.5 * sum(block @ block for block in blocks)))
+        s, e, c = self.stationarity_block, self.equality_block, self.complementarity_block
+        object.__setattr__(self, "merit", float(0.5 * (s @ s + e @ e + c @ c)))
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate(
@@ -290,7 +290,8 @@ def _newton_direction(
 
     Returns:
         (direction, factorization_count); the direction is None when every
-        attempt failed.
+        attempt failed. When J itself passed, the direction is a
+        ``CheckedSolution`` whose products ``_line_search`` reads.
     """
     rhs = -breakdown.as_vector()
     if problem.q:
@@ -338,6 +339,10 @@ def _line_search(
     steps one by one.
 
     Args:
+        direction: d. When it is the ``CheckedSolution`` that
+            ``_newton_direction`` returned at this point and ``sigma``, the
+            changes per unit step are read from the products of its check
+            instead of being formed again; they have the same bits.
         base: ``residual`` at ``iterate`` with the same ``sigma``.
 
     Returns:
@@ -345,11 +350,15 @@ def _line_search(
         at least 1e-12 passes.
     """
     n, p = problem.n, problem.p
+    products = getattr(direction, "products", None)
     direction = np.asarray(direction, dtype=float)
     dz, dlam, dv = direction[:n], direction[n : n + p], direction[n + p :]
-    d_stationarity = problem.H @ dz + sigma * dz + problem.G.T @ dlam + problem.A.T @ dv
-    d_equality = sigma * dlam - problem.G @ dz
-    a_dz = problem.A @ dz
+    if products is None:
+        d_stationarity = problem.H @ dz + sigma * dz + problem.G.T @ dlam + problem.A.T @ dv
+        d_equality = sigma * dlam - problem.G @ dz
+        a_dz = problem.A @ dz
+    else:
+        d_stationarity, d_equality, a_dz = products
 
     def trial(t):
         """Merit and v at x + t d, for a float t or a column of steps."""
@@ -364,14 +373,15 @@ def _line_search(
     merit, v = trial(1.0)
     merit = float(merit)
     if merit <= (1.0 - 2.0 * _ARMIJO_C) * base.merit:
-        return 1.0, Iterate(iterate.z + dz, iterate.lam + dlam, v), merit
+        return 1.0, Iterate._adopt(iterate.z + dz, iterate.lam + dlam, v), merit
     for steps, factors in _STEP_BLOCKS:
         merits, vs = trial(steps)
         passed = np.flatnonzero(merits <= factors * base.merit)
         if passed.size:
             i = passed[0]
             t = float(steps[i, 0])
-            return t, Iterate(iterate.z + t * dz, iterate.lam + t * dlam, vs[i]), float(merits[i])
+            x = Iterate._adopt(iterate.z + t * dz, iterate.lam + t * dlam, vs[i])
+            return t, x, float(merits[i])
     return None
 
 
@@ -424,7 +434,9 @@ def solve(
     config = config or SolverConfig()
     start = warm_start if warm_start is not None else Iterate.start(problem)
     start.require_match(problem)
-    if not all(np.isfinite(part).all() for part in (start.z, start.lam, start.v)):
+    # The cold start is finite by construction.
+    parts = (start.z, start.lam, start.v)
+    if warm_start is not None and not np.isfinite(np.concatenate(parts)).all():
         raise ValueError("warm_start must be finite")
 
     if not validate_problem(problem).ok:
@@ -461,9 +473,7 @@ def solve(
         else:
             sigma = max(config.sigma0 * config.sigma_shrink**outer, config.sigma_min)
         center = x  # fixed for the stage while the inner loop moves x
-        scale = 1.0 + float(
-            np.sqrt(x.z @ x.z + x.lam @ x.lam + x.v @ x.v)
-        )
+        scale = 1.0 + float(np.sqrt(x.z @ x.z + x.lam @ x.lam + x.v @ x.v))
         stage_merit_target = max(0.5 * (_STAGE_ETA * sigma * scale) ** 2, _MERIT_FLOOR)
         outer_used = outer + 1
         stalled = False
@@ -471,8 +481,10 @@ def solve(
         last = kkt
         # Every point is evaluated once, right after the step that reaches
         # it. At the new centre the sigma terms of R vanish.
-        breakdown = replace(breakdown, stationarity_block=breakdown.grad_lagrangian,
-                            equality_block=-breakdown.eq_residual)
+        breakdown = ResidualBreakdown(
+            breakdown.grad_lagrangian, -breakdown.eq_residual, breakdown.complementarity_block,
+            breakdown.slack, breakdown.grad_lagrangian, breakdown.eq_residual, breakdown.kkt,
+        )
         for inner in range(config.max_inner):
             if kkt.within(config.tol_kkt):
                 solved = True
@@ -496,16 +508,7 @@ def solve(
             breakdown = residual(problem, x, sigma, center, config)
             kkt = breakdown.kkt
             inner_total += 1
-            trace.append(
-                TraceRecord(
-                    outer=outer,
-                    inner=inner,
-                    sigma=sigma,
-                    merit=merit,
-                    kkt_max=kkt.max_error(),
-                    step_len=step,
-                )
-            )
+            trace.append(TraceRecord(outer, inner, sigma, merit, kkt.max_error(), step))
             short_steps = short_steps + 1 if step < 1.0 else 0
         if solved or singular:
             break

@@ -5,6 +5,7 @@ import pytest
 
 from fbqp import GeneratorSpec, Iterate, QpProblem, SolverConfig, random_problem
 from fbqp.jacobian import ReducedJacobian, checked_solve
+from fbqp.jacobian import CheckedSolution
 from fbqp.ncp import phi_derivative_vec
 from fbqp.solver import _newton_direction, assemble_jacobian, residual
 
@@ -154,3 +155,28 @@ def test_singular_reduced_block_raises():
         assert attempts == 2
         assert np.max(np.abs(rung.apply(x, transpose) - rhs)) <= 1e-10 * (1.0 + 1.0)
         np.testing.assert_allclose(x, [1e10, 1e10])
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_checked_solve_hands_back_the_products_of_its_check(name):
+    # A solve with J that J itself passes carries (H + s I) x_z + G' x_lam
+    # + A' x_v, s x_lam - G x_z and A x_z, with the bits of those products
+    # formed from the data as the line search forms them.
+    problem, x = _case(name)
+    _, d_y, d_v = _system(problem, x, SIGMA)
+    n, p = problem.n, problem.p
+    rhs = np.random.default_rng(7).standard_normal(n + p + problem.q)
+    solution, attempts = checked_solve(problem, d_y, d_v, SIGMA, rhs)
+    assert attempts == 1 and isinstance(solution, CheckedSolution)
+    x_z, x_lam, x_v = np.split(np.array(solution), [n, n + p])
+    expected = (
+        problem.H @ x_z + SIGMA * x_z + problem.G.T @ x_lam + problem.A.T @ x_v,
+        SIGMA * x_lam - problem.G @ x_z,
+        problem.A @ x_z,
+    )
+    for got, want in zip(solution.products, expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # J' and anything derived from the solution carry none.
+    transposed, _ = checked_solve(problem, d_y, d_v, SIGMA, rhs, transpose=True)
+    assert getattr(transposed, "products", None) is None
+    assert (2.0 * solution).products is None and solution[:n].products is None

@@ -286,3 +286,36 @@ def test_random_problem_without_plant_is_feasible():
     assert planted is None
     report = validate_problem(problem)
     assert report.ok
+
+
+def _hessian_with_smallest_eigenvalue(smallest):
+    # Q diag(smallest, 0.5, 1) Q' with a random orthogonal Q.
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    return (q * np.array([smallest, 0.5, 1.0])) @ q.T
+
+
+@pytest.mark.parametrize("smallest", [-1e-9, -1e-3])
+def test_validate_flags_eigenvalue_below_slack_and_names_it(smallest):
+    report = validate_problem(QpProblem(_hessian_with_smallest_eigenvalue(smallest), np.zeros(3)))
+    assert report.kinds() == {"indefinite"}
+    assert f"{smallest:.3e}" in report.violations[0].message
+
+
+@pytest.mark.parametrize("smallest", [0.0, -1e-11, 1e-3])
+def test_validate_passes_psd_and_slack_hessians_by_cholesky(smallest, monkeypatch):
+    # H + 1e-10 I has a Cholesky factor, so no eigenvalue is computed.
+    def refuse(matrix):
+        raise AssertionError("eigvalsh called on a convex H")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert validate_problem(QpProblem(_hessian_with_smallest_eigenvalue(smallest), np.zeros(3))).ok
+
+
+def test_validate_counts_non_finite_entries_per_field():
+    problem = QpProblem(H=[[np.nan, 0.0], [0.0, 1.0]], f=[np.inf, -np.inf], A=[[1.0, np.nan]], b=[0.0])
+    messages = [violation.message for violation in validate_problem(problem).violations]
+    assert messages == [
+        "H has 1 non-finite entries",
+        "f has 2 non-finite entries",
+        "A has 1 non-finite entries",
+    ]

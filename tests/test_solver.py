@@ -628,3 +628,37 @@ def test_degenerate_fleet_problems_solve(n, p, q, activity, seed):
     assert result.status is SolveStatus.SOLVED
     assert kkt_error(problem, result.iterate).within(1e-8)
     np.testing.assert_allclose(result.iterate.z, planted.z, rtol=0.0, atol=1e-6)
+
+
+def test_line_search_reads_checked_products_bit_for_bit(monkeypatch):
+    # Every step of the test fleet (the recipe of tests/test_acceptance.py):
+    # the line search given the products of checked_solve's check returns
+    # the step, iterate bytes and merit it returns with the products formed
+    # again from the data (a plain copy of the direction carries none).
+    real = _line_search
+    reads = []
+
+    def both(problem, iterate, direction, sigma, base, config):
+        got = real(problem, iterate, direction, sigma, base, config)
+        plain = np.array(direction)
+        assert getattr(plain, "products", None) is None
+        want = real(problem, iterate, plain, sigma, base, config)
+        reads.append(getattr(direction, "products", None) is not None)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0] and got[2] == want[2]
+            for name in ("z", "lam", "v"):
+                assert getattr(got[1], name).tobytes() == getattr(want[1], name).tobytes()
+        return got
+
+    monkeypatch.setattr("fbqp.solver._line_search", both)
+    fractions = [0.0, 0.25, 0.5, 0.75, 1.0]
+    for i in range(500):
+        rng = np.random.default_rng(3000 + i)
+        n = int(rng.integers(1, 9))
+        p = int(rng.integers(0, min(2, n) + 1))
+        q = int(rng.integers(0, 7))
+        spec = GeneratorSpec(n=n, p=p, q=q, activity_fraction=fractions[i % 5], seed=i)
+        solve(random_problem(spec)[0])
+    # Steps after a rung of the ladder form the products again.
+    assert len(reads) > 2000 and 0.95 * len(reads) < sum(reads) <= len(reads)

@@ -10,9 +10,10 @@ method solve a QP without guessing active sets.
 
 import numpy as np
 
-from fbqp import NcpConfig, phi_derivative_vec, phi_vec
+from fbqp import phi_derivative_vec, phi_vec
+from fbqp.ncp import ALPHA
 
-print("values on and off the complementarity set (alpha = 0.95):")
+print(f"values on and off the complementarity set (alpha = {ALPHA}):")
 ys = np.array([1.0, 0.0, 0.0, 1.0, -1.0, -1.0])
 vs = np.array([0.0, 3.0, 0.0, 1.0, 2.0, 0.0])
 for y, v, value in zip(ys, vs, phi_vec(ys, vs)):
@@ -20,9 +21,10 @@ for y, v, value in zip(ys, vs, phi_vec(ys, vs)):
     print(f"  phi({y:5.1f}, {v:5.1f}) = {value:12.8f}   [{tag} the zero set]")
 
 print("\nthe penalty term punishes y > 0 and v > 0 happening together:")
-for alpha in (0.55, 0.95):
-    config = NcpConfig(alpha=alpha)
-    print(f"  alpha = {alpha}: phi(2, 2) = {phi_vec([2.0], [2.0], config)[0]:.6f}")
+fischer = 2.0 + 2.0 - np.hypot(2.0, 2.0)
+print(f"  phi(2, 2) = {phi_vec([2.0], [2.0])[0]:.6f}")
+print(f"            = alpha * {fischer:.6f} (plain Fischer-Burmeister)"
+      f" + {(1.0 - ALPHA) * 4.0:.6f} (penalty (1 - alpha) * 2 * 2)")
 
 # Sample the square [-3, 3]^2 and confirm the zero set is exactly the
 # two nonnegative half-axes.

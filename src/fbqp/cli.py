@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from . import io as qpio
-from .ncp import NcpConfig
 from .oracle import OracleStatus, active_set_solve
 from .problem import GeneratorSpec, infeasibility_error, kkt_error, random_problem
 from .solver import SolveStatus, SolverConfig, solve
@@ -48,12 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("problem", help="problem file (JSON)")
     p_solve.add_argument("--tol", type=float, default=1e-8, help="KKT tolerance")
-    p_solve.add_argument("--alpha", type=float, default=0.95,
-                         help="complementarity function weight in (0, 1)")
-    p_solve.add_argument("--sigma0", type=float, default=1e-3,
-                         help="initial proximal weight")
-    p_solve.add_argument("--sigma-shrink", type=float, default=0.1,
-                         help="per-stage shrink factor for the proximal weight")
     p_solve.add_argument("--max-outer", type=int, default=30)
     p_solve.add_argument("--max-inner", type=int, default=50)
     p_solve.add_argument("--warm-start", metavar="FILE",
@@ -103,14 +96,7 @@ def _format_vector(vec: np.ndarray) -> str:
 
 def _cmd_solve(args) -> int:
     problem, _ = qpio.load_problem(args.problem)
-    config = SolverConfig(
-        ncp=NcpConfig(alpha=args.alpha),
-        sigma0=args.sigma0,
-        sigma_shrink=args.sigma_shrink,
-        tol_kkt=args.tol,
-        max_outer=args.max_outer,
-        max_inner=args.max_inner,
-    )
+    config = SolverConfig(tol_kkt=args.tol, max_outer=args.max_outer, max_inner=args.max_inner)
     warm = None
     if args.warm_start:
         with open(args.warm_start, "r", encoding="utf-8") as handle:

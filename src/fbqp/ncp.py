@@ -2,11 +2,12 @@
 
 phi(y, v) = alpha * (y + v - sqrt(y^2 + v^2)) + (1 - alpha) * max(y, 0) * max(v, 0)
 
-for a fixed alpha in (0, 1). Its zero set is exactly the complementarity
-set {y >= 0, v >= 0, y v = 0}, so stacking phi over the inequality rows
-turns the KKT system into a square root-finding problem. The function is
-smooth away from the origin; at (0, 0) the fixed element of the Clarke
-generalized derivative selected by the direction (1, 1)/sqrt(2) is used.
+for the fixed weight alpha = ``ALPHA`` = 0.95. Its zero set is exactly the
+complementarity set {y >= 0, v >= 0, y v = 0}, so stacking phi over the
+inequality rows turns the KKT system into a square root-finding problem. The
+function is smooth away from the origin; at (0, 0) the fixed element of the
+Clarke generalized derivative selected by the direction (1, 1)/sqrt(2) is
+used.
 
 Both functions sit in the Newton loop, so they check shapes only; the
 solver screens problem data and warm starts for finiteness.
@@ -15,30 +16,16 @@ solver screens problem data and warm starts for finiteness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NcpConfig", "phi_vec", "phi_derivative_vec"]
+__all__ = ["phi_vec", "phi_derivative_vec"]
 
+# Weight on the Fischer-Burmeister part, strictly inside (0, 1); the
+# remaining 1 - ALPHA multiplies the positive-part penalty.
+ALPHA = 0.95
 # Both components of the unit direction that selects the derivative at (0, 0).
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class NcpConfig:
-    """Parameters of the penalized Fischer-Burmeister function.
-
-    Args:
-        alpha: weight on the Fischer-Burmeister part, strictly inside (0, 1).
-            The remaining 1 - alpha multiplies the positive-part penalty.
-    """
-
-    alpha: float = 0.95
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
 
 
 def _as_pair(y, v) -> tuple[np.ndarray, np.ndarray]:
@@ -51,13 +38,12 @@ def _as_pair(y, v) -> tuple[np.ndarray, np.ndarray]:
     return y, v
 
 
-def phi_vec(y, v, config: NcpConfig | None = None) -> np.ndarray:
+def phi_vec(y, v) -> np.ndarray:
     """Elementwise penalized Fischer-Burmeister values.
 
     Args:
         y: slack values, shape (q,), or a stack of k such rows, shape (k, q).
         v: multiplier values, the same shape as ``y``.
-        config: function parameters; defaults to ``NcpConfig()``.
 
     Returns:
         Array of the inputs' shape; empty inputs give an empty array. Each
@@ -68,20 +54,17 @@ def phi_vec(y, v, config: NcpConfig | None = None) -> np.ndarray:
         ValueError: on shape mismatch or an input of more than two axes.
     """
     y, v = _as_pair(y, v)
-    alpha = (config or NcpConfig()).alpha
     fischer = y + v - np.hypot(y, v)
     penalty = np.maximum(y, 0.0) * np.maximum(v, 0.0)
-    return alpha * fischer + (1.0 - alpha) * penalty
+    return ALPHA * fischer + (1.0 - ALPHA) * penalty
 
 
-def phi_derivative_vec(
-    y, v, config: NcpConfig | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def phi_derivative_vec(y, v) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise generalized derivative of phi.
 
     Away from the origin the function is differentiable and the exact
     partials are returned. At an exact (0, 0) pair both partials are
-    alpha * (1 - 1/sqrt(2)), the Clarke element along (1, 1)/sqrt(2).
+    ALPHA * (1 - 1/sqrt(2)), the Clarke element along (1, 1)/sqrt(2).
 
     Args:
         y, v: as for ``phi_vec``, shape (q,) or (k, q).
@@ -93,16 +76,15 @@ def phi_derivative_vec(
         ValueError: on shape mismatch or an input of more than two axes.
     """
     y, v = _as_pair(y, v)
-    alpha = (config or NcpConfig()).alpha
     radius = np.hypot(y, v)
     at_origin = radius == 0.0
     # The substitutions cost three calls, and most calls have no pair at (0, 0).
     any_origin = np.count_nonzero(at_origin)
     if any_origin:
         radius = np.where(at_origin, 1.0, radius)
-    d_y = alpha * (1.0 - y / radius) + (1.0 - alpha) * np.maximum(v, 0.0) * (y > 0.0)
-    d_v = alpha * (1.0 - v / radius) + (1.0 - alpha) * np.maximum(y, 0.0) * (v > 0.0)
+    d_y = ALPHA * (1.0 - y / radius) + (1.0 - ALPHA) * np.maximum(v, 0.0) * (y > 0.0)
+    d_v = ALPHA * (1.0 - v / radius) + (1.0 - ALPHA) * np.maximum(y, 0.0) * (v > 0.0)
     if any_origin:
-        origin = alpha * (1.0 - _INV_SQRT2)
+        origin = ALPHA * (1.0 - _INV_SQRT2)
         d_y, d_v = np.where(at_origin, origin, d_y), np.where(at_origin, origin, d_v)
     return d_y, d_v

@@ -79,9 +79,9 @@ class QpProblem:
         b: inequality right-hand side, shape (q,).
 
     Raises:
-        ValueError: on any shape mismatch. Non-finite entries are allowed
-            here so that ``validate_problem`` can report them; the solver
-            refuses such problems.
+        ValueError: on any shape mismatch or n = 0. Non-finite entries are
+            allowed here so that ``validate_problem`` can report them; the
+            solver refuses such problems.
     """
 
     H: np.ndarray
@@ -95,8 +95,8 @@ class QpProblem:
     def __init__(self, H, f, G=None, h=None, A=None, b=None):
         H = _as_float_array(H, "H")
         f = _as_float_array(f, "f")
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ValueError(f"H must be square, got shape {H.shape}")
+        if H.ndim != 2 or H.shape[0] != H.shape[1] or not H.size:
+            raise ValueError(f"H must be square with n >= 1, got shape {H.shape}")
         n = H.shape[0]
         if f.shape != (n,):
             raise ValueError(f"f must have shape ({n},), got {f.shape}")
@@ -191,16 +191,10 @@ class Iterate:
         """Default cold start: z = 0, lambda = 0, v = 1."""
         return cls._adopt(np.zeros(problem.n), np.zeros(problem.p), np.ones(problem.q))
 
-    def matches(self, problem: QpProblem) -> bool:
-        return (
-            self.z.shape == (problem.n,)
-            and self.lam.shape == (problem.p,)
-            and self.v.shape == (problem.q,)
-        )
-
     def require_match(self, problem: QpProblem) -> None:
-        """Raise ValueError unless ``matches(problem)``."""
-        if not self.matches(problem):
+        """Raise ValueError unless z, lam and v have shapes (n,), (p,) and (q,)."""
+        shapes = (self.z.shape, self.lam.shape, self.v.shape)
+        if shapes != ((problem.n,), (problem.p,), (problem.q,)):
             raise ValueError(
                 f"iterate shapes {self.z.shape}/{self.lam.shape}/{self.v.shape} "
                 f"do not match problem with (n, p, q) = ({problem.n}, {problem.p}, {problem.q})"

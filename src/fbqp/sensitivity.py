@@ -7,9 +7,10 @@ problem datum theta the implicit function theorem gives
 
 with J the generalized Jacobian at x* and E_z the columns of the identity
 that pick out z. Only the z rows of J^{-1} enter, so one transposed solve
-gives them. J is taken with the proximal weight held at its floor
-(sigma_min), which keeps it invertible even at mildly degenerate solutions
-while perturbing the sensitivities only at the level of sigma_min.
+gives them. J is taken with the proximal weight held at the solver's floor
+(sigma_min = ``fbqp.solver._SIGMA_MIN`` = 1e-12), which keeps it invertible
+even at mildly degenerate solutions while perturbing the sensitivities only
+at the level of sigma_min.
 
 Both modes pull cotangents on z back through that one transposed solve,
 made and checked by ``fbqp.jacobian.checked_solve`` with the solver's own
@@ -34,7 +35,7 @@ import numpy as np
 from .jacobian import checked_solve
 from .ncp import phi_derivative_vec
 from .problem import QpProblem
-from .solver import SingularSystemError, SolveResult, SolveStatus
+from .solver import _SIGMA_MIN, SingularSystemError, SolveResult, SolveStatus
 
 __all__ = [
     "NotSolvedError",
@@ -105,10 +106,10 @@ def _pull_back(
         )
     z, v = result.iterate.z, result.iterate.v
     slack = problem.b - problem.A @ z
-    d_y, d_v = phi_derivative_vec(slack, v, result.config.ncp)
+    d_y, d_v = phi_derivative_vec(slack, v)
     rhs = np.zeros((problem.n + problem.p + problem.q,) + cotangents.shape[1:])
     rhs[: problem.n] = -cotangents
-    w, attempts = checked_solve(problem, d_y, d_v, result.config.sigma_min, rhs, transpose=True)
+    w, attempts = checked_solve(problem, d_y, d_v, _SIGMA_MIN, rhs, transpose=True)
     if w is None:
         raise SingularSystemError("final Jacobian is numerically singular, even perturbed")
     active = slack < _DEGENERACY_TOL
@@ -123,8 +124,7 @@ def _pull_back(
 def solution_sensitivity(problem: QpProblem, result: SolveResult) -> SensitivityResult:
     """Forward-mode sensitivities dz/df, dz/dh, dz/db at a solved result.
 
-    The pull-back of the n unit cotangents; ``sigma_min`` and the
-    complementarity parameters are taken from ``result.config``.
+    The pull-back of the n unit cotangents, through J at sigma_min.
 
     Raises:
         NotSolvedError: when the result status is not Solved.

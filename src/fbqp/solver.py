@@ -10,8 +10,9 @@ where phi is the penalized Fischer-Burmeister function and sigma > 0 is a
 proximal regularization weight with center (z_c, lambda_c). For sigma > 0
 the generalized Jacobian of R is nonsingular on convex data, so a damped
 Newton iteration on the merit 0.5 ||R||^2 is well defined. An outer loop
-shrinks sigma geometrically and re-centers the proximal term at the
-iterate each stage starts from, driving the iterates to a solution of the
+shrinks sigma geometrically on a fixed schedule (``_SIGMA0``,
+``_SIGMA_SHRINK``, down to ``_SIGMA_MIN``) and re-centers the proximal term
+at the iterate each stage starts from, driving the iterates to a solution of the
 unregularized system, certified by its sigma-free KKT residuals, or along a
 ray that certifies that there is none (``_certificate``). A stage ends at
 its merit target, after ``_STALL_STEPS`` consecutive backtracked steps, or
@@ -32,20 +33,22 @@ evaluates phi once for the full step and once for each stack of shorter
 steps; their change per unit step comes from the J d that the check formed.
 ``assemble_jacobian`` builds the dense J as a reference.
 
-The package exports ``solve`` with its settings and result types; the loop's
-building blocks are internals of this module.
+The package exports ``solve`` with its three settings (``SolverConfig``:
+accuracy and budgets) and result types; the method's parameters are module
+constants, and the loop's building blocks are internals of this module.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .jacobian import checked_solve
-from .ncp import NcpConfig, phi_derivative_vec, phi_vec
+from .ncp import phi_derivative_vec, phi_vec
 from .problem import Iterate, KktError, QpProblem, _kkt_products, infeasibility_error, kkt_error
 from .problem import validate_problem
 
@@ -58,6 +61,12 @@ __all__ = [
     "solve",
 ]
 
+# The proximal schedule: stage k uses sigma = max(_SIGMA0 * _SIGMA_SHRINK**k,
+# _SIGMA_MIN). The floor keeps J nonsingular at degenerate solutions, and the
+# sensitivities take J at it (``fbqp.sensitivity``).
+_SIGMA0 = 1e-3
+_SIGMA_SHRINK = 0.1
+_SIGMA_MIN = 1e-12
 # Below this merit the regularized subproblem is solved to roundoff and
 # further Newton steps are numerically meaningless.
 _MERIT_FLOOR = 1e-32
@@ -101,43 +110,31 @@ class SingularSystemError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The seven settings of the method, with working defaults.
+    """The three settings of a solve: the accuracy it certifies and its budgets.
 
     Args:
-        ncp: the complementarity function; its one setting is ``alpha``.
-        sigma0: initial proximal weight.
-        sigma_shrink: geometric factor in (0, 1) applied per outer stage.
-        sigma_min: floor for the proximal weight; keeps the Jacobian
-            nonsingular at degenerate solutions.
-        tol_kkt: termination tolerance on the unregularized KKT residuals.
-        max_outer: number of sigma stages.
-        max_inner: cap on the Newton iterations of one stage. Most stages
-            end well before it, at their merit target or after
-            ``_STALL_STEPS`` consecutive backtracked steps.
+        tol_kkt: termination tolerance on the unregularized KKT residuals,
+            finite and positive; ``Solved`` certifies it.
+        max_outer: number of sigma stages, an integer of at least 1.
+        max_inner: cap on the Newton iterations of one stage, an integer of
+            at least 1. Most stages end well before it, at their merit
+            target or after ``_STALL_STEPS`` consecutive backtracked steps.
 
-    Every stage re-centers at the iterate it starts from. The line search
-    uses the module constants ``_ARMIJO_C``, ``_BACKTRACK`` and
-    ``_MIN_STEP``; the perturbation ladder is that of
-    ``fbqp.jacobian.checked_solve``.
+    The method's parameters are module constants: the proximal schedule
+    (``_SIGMA0``, ``_SIGMA_SHRINK``, ``_SIGMA_MIN``), the stage rule, the
+    line search, ``fbqp.ncp.ALPHA`` and the ladder of ``checked_solve``.
     """
 
-    ncp: NcpConfig = field(default_factory=NcpConfig)
-    sigma0: float = 1e-3
-    sigma_shrink: float = 0.1
-    sigma_min: float = 1e-12
     tol_kkt: float = 1e-8
     max_outer: int = 30
     max_inner: int = 50
 
     def __post_init__(self):
-        if self.sigma0 <= 0 or self.sigma_min <= 0:
-            raise ValueError("sigma0 and sigma_min must be positive")
-        if not (0.0 < self.sigma_shrink < 1.0):
-            raise ValueError(f"sigma_shrink must lie in (0, 1), got {self.sigma_shrink}")
-        if self.tol_kkt <= 0:
-            raise ValueError("tol_kkt must be positive")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("max_outer and max_inner must be at least 1")
+        if not 0.0 < self.tol_kkt < math.inf:
+            raise ValueError(f"tol_kkt must be finite and positive, got {self.tol_kkt}")
+        budgets = (self.max_outer, self.max_inner)
+        if not all(isinstance(k, numbers.Integral) and k >= 1 for k in budgets):
+            raise ValueError(f"max_outer and max_inner must be integers >= 1, got {budgets}")
 
 
 @dataclass(frozen=True)
@@ -205,11 +202,7 @@ class SolveResult:
 
 
 def residual(
-    problem: QpProblem,
-    iterate: Iterate,
-    sigma: float,
-    center: Iterate,
-    config: SolverConfig,
+    problem: QpProblem, iterate: Iterate, sigma: float, center: Iterate
 ) -> ResidualBreakdown:
     """Evaluate the regularized residual R and the KKT error at an iterate.
 
@@ -226,18 +219,13 @@ def residual(
     grad_lagrangian, eq_residual, slack, kkt = _kkt_products(problem, iterate)
     stationarity = grad_lagrangian + sigma * (iterate.z - center.z)
     equality = -eq_residual + sigma * (iterate.lam - center.lam)
-    complementarity = phi_vec(slack, iterate.v, config.ncp) if problem.q else np.zeros(0)
+    complementarity = phi_vec(slack, iterate.v) if problem.q else np.zeros(0)
     return ResidualBreakdown(
         stationarity, equality, complementarity, slack, grad_lagrangian, eq_residual, kkt
     )
 
 
-def assemble_jacobian(
-    problem: QpProblem,
-    iterate: Iterate,
-    sigma: float,
-    config: SolverConfig | None = None,
-) -> np.ndarray:
+def assemble_jacobian(problem: QpProblem, iterate: Iterate, sigma: float) -> np.ndarray:
     """Generalized Jacobian of the regularized residual at an iterate.
 
     Block form, with D_y and D_v the diagonal generalized derivatives of
@@ -250,7 +238,6 @@ def assemble_jacobian(
     The solver never forms this matrix (see ``fbqp.jacobian``); it is the
     dense reference that the structured solves are tested against.
     """
-    config = config or SolverConfig()
     iterate.require_match(problem)
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
@@ -264,7 +251,7 @@ def assemble_jacobian(
     jac[n : n + p, n : n + p] = sigma * np.eye(p)
     if q:
         slack = problem.b - problem.A @ iterate.z
-        d_y, d_v = phi_derivative_vec(slack, iterate.v, config.ncp)
+        d_y, d_v = phi_derivative_vec(slack, iterate.v)
         jac[n + p :, :n] = -d_y[:, None] * problem.A
         jac[n + p :, n + p :] = np.diag(d_v)
     return jac
@@ -275,7 +262,6 @@ def _newton_direction(
     iterate: Iterate,
     sigma: float,
     breakdown: ResidualBreakdown,
-    config: SolverConfig,
 ) -> tuple[np.ndarray | None, int]:
     """Direction d with J d = -R at an iterate, and the factorizations it took.
 
@@ -295,7 +281,7 @@ def _newton_direction(
     """
     rhs = -breakdown.as_vector()
     if problem.q:
-        d_y, d_v = phi_derivative_vec(breakdown.slack, iterate.v, config.ncp)
+        d_y, d_v = phi_derivative_vec(breakdown.slack, iterate.v)
     else:
         d_y = d_v = np.zeros(0)
     return checked_solve(problem, d_y, d_v, sigma, rhs)
@@ -325,7 +311,6 @@ def _line_search(
     direction: np.ndarray,
     sigma: float,
     base: ResidualBreakdown,
-    config: SolverConfig,
 ) -> tuple[float, Iterate, float] | None:
     """Backtracking Armijo search on the merit 0.5 ||R||^2.
 
@@ -367,7 +352,7 @@ def _line_search(
         v = iterate.v + t * dv
         merit = _squares(stationarity) + _squares(equality)
         if problem.q:
-            merit += _squares(phi_vec(base.slack - t * a_dz, v, config.ncp))
+            merit += _squares(phi_vec(base.slack - t * a_dz, v))
         return 0.5 * merit, v
 
     merit, v = trial(1.0)
@@ -414,7 +399,7 @@ def solve(
 
     Args:
         problem: the QP instance.
-        config: solver parameters; defaults to ``SolverConfig()``.
+        config: the accuracy and budgets; defaults to ``SolverConfig()``.
         warm_start: starting iterate; default is z = 0, lambda = 0, v = 1.
             It must match the problem's shapes and be finite.
 
@@ -459,7 +444,7 @@ def solve(
     stalled = False
     singular = False
     certificate = None
-    breakdown = residual(problem, x, 0.0, x, config)
+    breakdown = residual(problem, x, 0.0, x)
     kkt = breakdown.kkt
     solved = kkt.within(config.tol_kkt)
 
@@ -468,10 +453,10 @@ def solve(
         if solved:
             break
         if polish:
-            sigma = config.sigma_min
+            sigma = _SIGMA_MIN
             polish = False
         else:
-            sigma = max(config.sigma0 * config.sigma_shrink**outer, config.sigma_min)
+            sigma = max(_SIGMA0 * _SIGMA_SHRINK**outer, _SIGMA_MIN)
         center = x  # fixed for the stage while the inner loop moves x
         scale = 1.0 + float(np.sqrt(x.z @ x.z + x.lam @ x.lam + x.v @ x.v))
         stage_merit_target = max(0.5 * (_STAGE_ETA * sigma * scale) ** 2, _MERIT_FLOOR)
@@ -495,17 +480,17 @@ def solve(
                 break
             if short_steps == _STALL_STEPS:
                 break  # the target is missed, as when the budget is spent
-            direction, nfact = _newton_direction(problem, x, sigma, breakdown, config)
+            direction, nfact = _newton_direction(problem, x, sigma, breakdown)
             factorizations += nfact
             if direction is None:
                 singular = True
                 break
-            searched = _line_search(problem, x, direction, sigma, breakdown, config)
+            searched = _line_search(problem, x, direction, sigma, breakdown)
             if searched is None:
                 stalled = True
                 break
             step, x, merit = searched
-            breakdown = residual(problem, x, sigma, center, config)
+            breakdown = residual(problem, x, sigma, center)
             kkt = breakdown.kkt
             inner_total += 1
             trace.append(TraceRecord(outer, inner, sigma, merit, kkt.max_error(), step))

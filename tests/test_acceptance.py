@@ -120,12 +120,10 @@ def test_criterion_2_derivative_correctness():
             plus = base + offset
             minus = base - offset
             r_plus = residual(
-                problem, Iterate(plus[:n], plus[n:n + p], plus[n + p:]), sigma, center,
-                SolverConfig(),
+                problem, Iterate(plus[:n], plus[n:n + p], plus[n + p:]), sigma, center
             ).as_vector()
             r_minus = residual(
-                problem, Iterate(minus[:n], minus[n:n + p], minus[n + p:]), sigma, center,
-                SolverConfig(),
+                problem, Iterate(minus[:n], minus[n:n + p], minus[n + p:]), sigma, center
             ).as_vector()
             column = (r_plus - r_minus) / (2 * step)
             jac_err = max(

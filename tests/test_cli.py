@@ -120,12 +120,14 @@ def test_check_rejects_wrong_certificate(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
-def test_solve_solver_flags_accepted(planted_file):
+def test_solve_solver_flags_accepted(planted_file, capsys):
     assert cli_main([
-        "solve", str(planted_file), "--tol", "1e-9", "--alpha", "0.9",
-        "--sigma0", "1e-2", "--sigma-shrink", "0.2", "--max-outer", "40",
-        "--max-inner", "60",
+        "solve", str(planted_file), "--tol", "1e-9", "--max-outer", "40", "--max-inner", "60",
     ]) == 0
+    # The method's parameters are constants, not flags; settings are checked.
+    assert cli_main(["solve", str(planted_file), "--alpha", "0.9"]) == 1
+    assert cli_main(["solve", str(planted_file), "--tol", "nan"]) == 1
+    assert "tol_kkt" in capsys.readouterr().err
 
 
 def test_check_fails_on_wrong_solution(planted_file, tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fbqp import GeneratorSpec, Iterate, QpProblem, SolverConfig, random_problem
+from fbqp import GeneratorSpec, Iterate, QpProblem, random_problem
 from fbqp.jacobian import ReducedJacobian, checked_solve
 from fbqp.jacobian import CheckedSolution
 from fbqp.ncp import phi_derivative_vec
@@ -92,9 +92,8 @@ def test_cases_cover_the_structure():
 def test_direction_matches_dense_solve(name):
     problem, x = _case(name)
     center = Iterate(np.zeros(problem.n), np.zeros(problem.p), np.zeros(problem.q))
-    config = SolverConfig()
-    breakdown = residual(problem, x, SIGMA, center, config)
-    direction, count = _newton_direction(problem, x, SIGMA, breakdown, config)
+    breakdown = residual(problem, x, SIGMA, center)
+    direction, count = _newton_direction(problem, x, SIGMA, breakdown)
     expected = np.linalg.solve(assemble_jacobian(problem, x, SIGMA), -breakdown.as_vector())
     assert count == 1
     _close(direction, expected)

@@ -5,19 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from fbqp import NcpConfig, phi_derivative_vec, phi_vec
+from fbqp import phi_derivative_vec, phi_vec
+from fbqp.ncp import ALPHA
 
-# Hand-evaluated at alpha = 0.95.
+# Hand-evaluated at alpha = ALPHA = 0.95.
 PHI_1_1 = 0.6064971157455596     # 0.95 * (2 - sqrt(2)) + 0.05
 PHI_M1_2 = -1.1742645786248003   # 0.95 * (1 - sqrt(5)); penalty term vanishes
 D_ORIGIN = 0.2782485578727799    # 0.95 * (1 - 1/sqrt(2))
 D_1_1 = 0.32824855787277996      # 0.95 * (1 - 1/sqrt(2)) + 0.05
-
-
-@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0])
-def test_config_rejects_alpha_outside_open_interval(alpha):
-    with pytest.raises(ValueError):
-        NcpConfig(alpha=alpha)
 
 
 def test_phi_zero_on_complementary_pairs():
@@ -70,10 +65,6 @@ def test_derivative_frozen_values():
     np.testing.assert_allclose(d_v, [0.34, D_ORIGIN, 0.95, D_1_1], rtol=0, atol=1e-15)
     assert d_y[2] == 0.0
 
-    # The origin element scales with alpha along the same fixed direction.
-    d_y, d_v = phi_derivative_vec([0.0], [0.0], NcpConfig(alpha=0.5))
-    np.testing.assert_allclose((d_y[0], d_v[0]), (0.5 * (1 - 1 / math.sqrt(2)),) * 2)
-
 
 def test_derivative_matches_finite_differences_on_smooth_region():
     rng = np.random.default_rng(7)
@@ -115,11 +106,10 @@ def test_fischer_burmeister_part_is_positively_homogeneous():
     # The positive-part penalty scales quadratically, so extract the plain
     # Fischer-Burmeister term by removing it before checking homogeneity.
     rng = np.random.default_rng(9)
-    config = NcpConfig(alpha=0.25)
 
     def fb_part(y, v):
         penalty = np.maximum(y, 0.0) * np.maximum(v, 0.0)
-        return (phi_vec(y, v, config) - (1.0 - config.alpha) * penalty) / config.alpha
+        return (phi_vec(y, v) - (1.0 - ALPHA) * penalty) / ALPHA
 
     y = rng.uniform(-5.0, 5.0, size=300)
     v = rng.uniform(-5.0, 5.0, size=300)
@@ -138,15 +128,14 @@ def test_stacked_rows_match_row_by_row_bits():
     y[0] = 0.0
     v[0, :3] = 0.0
     y[1, ::2] = 1e-300
-    for config in (None, NcpConfig(alpha=0.3)):
-        stacked = phi_vec(y, v, config)
-        d_y, d_v = phi_derivative_vec(y, v, config)
-        assert stacked.shape == d_y.shape == d_v.shape == y.shape
-        for row in range(y.shape[0]):
-            np.testing.assert_array_equal(stacked[row], phi_vec(y[row], v[row], config))
-            row_d_y, row_d_v = phi_derivative_vec(y[row], v[row], config)
-            np.testing.assert_array_equal(d_y[row], row_d_y)
-            np.testing.assert_array_equal(d_v[row], row_d_v)
+    stacked = phi_vec(y, v)
+    d_y, d_v = phi_derivative_vec(y, v)
+    assert stacked.shape == d_y.shape == d_v.shape == y.shape
+    for row in range(y.shape[0]):
+        np.testing.assert_array_equal(stacked[row], phi_vec(y[row], v[row]))
+        row_d_y, row_d_v = phi_derivative_vec(y[row], v[row])
+        np.testing.assert_array_equal(d_y[row], row_d_y)
+        np.testing.assert_array_equal(d_v[row], row_d_v)
     assert phi_vec(np.zeros((4, 0)), np.zeros((4, 0))).shape == (4, 0)
 
 

@@ -11,7 +11,7 @@ SOURCE = Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC = [
     "FORMAT_VERSION", "GeneratorSpec", "Iterate", "KktError", "MAX_ORACLE_INEQUALITIES",
-    "NcpConfig", "NotSolvedError", "OracleResult", "OracleStatus", "ProblemFormatError",
+    "NotSolvedError", "OracleResult", "OracleStatus", "ProblemFormatError",
     "QpProblem", "SensitivityResult", "SingularSystemError", "SolveResult", "SolveStatus",
     "SolverConfig", "TraceRecord", "ValidationReport", "Violation", "VjpResult",
     "active_set_solve", "infeasibility_error", "kkt_error", "load_problem", "oracle_agrees",
@@ -21,8 +21,8 @@ PUBLIC = [
 ]
 
 
-def test_all_holds_the_38_public_names_and_each_resolves():
-    assert len(PUBLIC) == 38
+def test_all_holds_the_public_names_and_each_resolves():
+    assert len(PUBLIC) == 37
     assert fbqp.__all__ == sorted(PUBLIC)
     for name in fbqp.__all__:
         assert getattr(fbqp, name) is not None

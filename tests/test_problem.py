@@ -46,6 +46,9 @@ def test_problem_arrays_are_copies_and_read_only():
         dict(H=np.eye(2), f=np.zeros(2), G=np.zeros((1, 3)), h=np.zeros(1)),
         dict(H=np.eye(2), f=np.zeros(2), G=np.zeros((1, 2)), h=np.zeros(2)),
         dict(H=np.eye(2), f=np.zeros(2), A=np.zeros((2, 2)), b=np.zeros(1)),
+        # n = 0: there is nothing to solve for, and the solver's BLAS calls
+        # reject empty matrices.
+        dict(H=np.zeros((0, 0)), f=np.zeros(0), A=np.zeros((1, 0)), b=[-1.0]),
     ],
 )
 def test_problem_rejects_shape_mismatch(kwargs):
@@ -92,10 +95,12 @@ def test_iterate_start_shapes():
         A=np.ones((2, 3)), b=np.ones(2),
     )
     x = Iterate.start(problem)
-    assert x.matches(problem)
+    x.require_match(problem)
     np.testing.assert_array_equal(x.z, np.zeros(3))
     np.testing.assert_array_equal(x.lam, np.zeros(1))
     np.testing.assert_array_equal(x.v, np.ones(2))
+    with pytest.raises(ValueError, match="do not match"):
+        Iterate(np.zeros(3), np.zeros(1)).require_match(problem)
 
 
 # min 0.5 z^2 subject to -z <= -1: the unique KKT point is (z, v) = (1, 1).

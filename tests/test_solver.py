@@ -27,8 +27,6 @@ from fbqp.solver import (
     residual,
 )
 
-CONFIG = SolverConfig()
-
 # Hand-evaluated phi derivative at (1, 1), alpha = 0.95.
 D_1_1 = 0.32824855787277996
 
@@ -46,12 +44,14 @@ def _zero_center(problem):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(sigma0=0.0),
-        dict(sigma_min=-1.0),
-        dict(sigma_shrink=1.0),
         dict(tol_kkt=0.0),
+        dict(tol_kkt=-1e-8),
+        dict(tol_kkt=float("nan")),
+        dict(tol_kkt=float("inf")),
         dict(max_outer=0),
         dict(max_inner=0),
+        dict(max_inner=float("nan")),
+        dict(max_outer=2.5),
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
@@ -61,7 +61,7 @@ def test_config_rejects_bad_fields(kwargs):
 
 def test_residual_vanishes_at_solution_with_zero_sigma():
     x = Iterate([1.0], v=[1.0])
-    breakdown = residual(ONE_D, x, 0.0, x, CONFIG)
+    breakdown = residual(ONE_D, x, 0.0, x)
     assert breakdown.merit == 0.0
     np.testing.assert_array_equal(breakdown.as_vector(), np.zeros(2))
 
@@ -70,7 +70,7 @@ def test_residual_shows_pure_proximal_bias_at_solution():
     # At the solution with center 0, the only leftovers are the sigma terms.
     star = Iterate([0.5, 0.5], lam=[-0.5])
     sigma = 0.1
-    breakdown = residual(EQ_2D, star, sigma, _zero_center(EQ_2D), CONFIG)
+    breakdown = residual(EQ_2D, star, sigma, _zero_center(EQ_2D))
     np.testing.assert_allclose(breakdown.stationarity_block, sigma * star.z, atol=1e-15)
     np.testing.assert_allclose(breakdown.equality_block, sigma * star.lam, atol=1e-15)
     assert breakdown.complementarity_block.shape == (0,)
@@ -79,7 +79,7 @@ def test_residual_shows_pure_proximal_bias_at_solution():
 def test_residual_complementarity_block_frozen_value():
     # At (z, v) = (0, 0) the slack is -1 and phi(-1, 0) = -2 * alpha = -1.9.
     x = Iterate([0.0], v=[0.0])
-    breakdown = residual(ONE_D, x, 0.0, x, CONFIG)
+    breakdown = residual(ONE_D, x, 0.0, x)
     np.testing.assert_array_equal(breakdown.stationarity_block, [0.0])
     assert breakdown.equality_block.shape == (0,)
     np.testing.assert_allclose(breakdown.complementarity_block, [-1.9], atol=1e-15)
@@ -112,8 +112,8 @@ def test_jacobian_equality_blocks_placement():
 
 
 def _direction(problem, x, sigma, center):
-    breakdown = residual(problem, x, sigma, center, CONFIG)
-    direction, _ = _newton_direction(problem, x, sigma, breakdown, CONFIG)
+    breakdown = residual(problem, x, sigma, center)
+    direction, _ = _newton_direction(problem, x, sigma, breakdown)
     return direction, breakdown
 
 
@@ -163,8 +163,8 @@ def test_newton_direction_counts_one_factorization_per_attempt():
     # H = 0 at sigma = 0 is singular; the first rung, J + 1e-10 I, solves.
     problem = QpProblem(H=[[0.0]], f=[1.0])
     x = Iterate([0.0])
-    breakdown = residual(problem, x, 0.0, x, CONFIG)
-    direction, count = _newton_direction(problem, x, 0.0, breakdown, CONFIG)
+    breakdown = residual(problem, x, 0.0, x)
+    direction, count = _newton_direction(problem, x, 0.0, breakdown)
     assert count == 2
     np.testing.assert_allclose(direction, [-1e10])
 
@@ -172,8 +172,8 @@ def test_newton_direction_counts_one_factorization_per_attempt():
 def test_newton_direction_singular_after_perturbation():
     problem = QpProblem(H=[[np.nan]], f=[0.0])
     x = Iterate([1.0])
-    breakdown = residual(problem, x, 1e-3, x, CONFIG)
-    direction, count = _newton_direction(problem, x, 1e-3, breakdown, CONFIG)
+    breakdown = residual(problem, x, 1e-3, x)
+    direction, count = _newton_direction(problem, x, 1e-3, breakdown)
     assert direction is None
     assert count == 1 + _PERTURB_ATTEMPTS
 
@@ -184,10 +184,10 @@ def test_line_search_accepts_full_newton_step():
     x = Iterate([0.0])
     center = _zero_center(problem)
     direction, breakdown = _direction(problem, x, 0.0, center)
-    step, new_x, merit = _line_search(problem, x, direction, 0.0, breakdown, CONFIG)
+    step, new_x, merit = _line_search(problem, x, direction, 0.0, breakdown)
     assert step == 1.0
     assert merit <= 1e-20
-    assert residual(problem, new_x, 0.0, center, CONFIG).merit <= 1e-20
+    assert residual(problem, new_x, 0.0, center).merit <= 1e-20
     np.testing.assert_allclose(new_x.z, [3.0])
 
 
@@ -199,15 +199,15 @@ def test_line_search_merit_matches_residual_at_trial():
     x = Iterate(rng.standard_normal(5), rng.standard_normal(1), rng.standard_normal(4))
     center = Iterate(rng.standard_normal(5), rng.standard_normal(1), np.zeros(4))
     direction, breakdown = _direction(problem, x, 0.01, center)
-    _, new_x, merit = _line_search(problem, x, direction, 0.01, breakdown, CONFIG)
-    assert merit == pytest.approx(residual(problem, new_x, 0.01, center, CONFIG).merit, rel=1e-9)
+    _, new_x, merit = _line_search(problem, x, direction, 0.01, breakdown)
+    assert merit == pytest.approx(residual(problem, new_x, 0.01, center).merit, rel=1e-9)
     assert merit < breakdown.merit
 
 
 def test_line_search_zero_direction_at_solution():
     x = Iterate([1.0], v=[1.0])
-    base = residual(ONE_D, x, 0.0, x, CONFIG)
-    step, new_x, _ = _line_search(ONE_D, x, np.zeros(2), 0.0, base, CONFIG)
+    base = residual(ONE_D, x, 0.0, x)
+    step, new_x, _ = _line_search(ONE_D, x, np.zeros(2), 0.0, base)
     assert step == 1.0
     np.testing.assert_array_equal(new_x.z, x.z)
     np.testing.assert_array_equal(new_x.v, x.v)
@@ -216,8 +216,8 @@ def test_line_search_zero_direction_at_solution():
 def test_line_search_stalls_on_ascent_direction():
     problem = QpProblem(H=[[1.0]], f=[-3.0])
     x = Iterate([0.0])
-    base = residual(problem, x, 0.0, _zero_center(problem), CONFIG)
-    assert _line_search(problem, x, np.array([-3.0]), 0.0, base, CONFIG) is None
+    base = residual(problem, x, 0.0, _zero_center(problem))
+    assert _line_search(problem, x, np.array([-3.0]), 0.0, base) is None
 
 
 def _reference_line_search(problem, iterate, direction, sigma, base):
@@ -276,7 +276,7 @@ def test_line_search_matches_reference_loop(spec, exponent):
             break
     else:
         pytest.fail(f"no scaling of the direction gives first step {target}")
-    step, new_x, merit = _line_search(problem, x, scaled, 0.01, base, CONFIG)
+    step, new_x, merit = _line_search(problem, x, scaled, 0.01, base)
     assert step == want[0]
     assert merit == want[2]
     for got, expected in zip((new_x.z, new_x.lam, new_x.v), (want[1].z, want[1].lam, want[1].v)):
@@ -287,7 +287,7 @@ def test_line_search_matches_reference_loop(spec, exponent):
 def test_line_search_stalls_like_reference_loop(spec):
     problem, x, direction, base = _line_search_case(spec)
     assert _reference_line_search(problem, x, -direction, 0.01, base) is None
-    assert _line_search(problem, x, -direction, 0.01, base, CONFIG) is None
+    assert _line_search(problem, x, -direction, 0.01, base) is None
 
 
 def test_solve_one_d_inequality():
@@ -450,9 +450,9 @@ def test_stage_ends_after_run_of_backtracked_steps(monkeypatch):
     script = [0.5] * (_STALL_STEPS - 1) + [1.0] + [0.5] * _STALL_STEPS
     events = []
 
-    def scripted(problem, iterate, direction, sigma, base, config):
+    def scripted(problem, iterate, direction, sigma, base):
         if not script:
-            return _line_search(problem, iterate, direction, sigma, base, config)
+            return _line_search(problem, iterate, direction, sigma, base)
         events.append("step")
         dz, dlam, dv = np.split(0.5 * direction, [problem.n, problem.n + problem.p])
         x = Iterate(iterate.z + dz, iterate.lam + dlam, iterate.v + dv)
@@ -638,11 +638,11 @@ def test_line_search_reads_checked_products_bit_for_bit(monkeypatch):
     real = _line_search
     reads = []
 
-    def both(problem, iterate, direction, sigma, base, config):
-        got = real(problem, iterate, direction, sigma, base, config)
+    def both(problem, iterate, direction, sigma, base):
+        got = real(problem, iterate, direction, sigma, base)
         plain = np.array(direction)
         assert getattr(plain, "products", None) is None
-        want = real(problem, iterate, plain, sigma, base, config)
+        want = real(problem, iterate, plain, sigma, base)
         reads.append(getattr(direction, "products", None) is not None)
         assert (got is None) == (want is None)
         if got is not None:

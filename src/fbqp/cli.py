@@ -138,6 +138,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if not 0.0 < args.tol < np.inf:
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     problem, embedded = qpio.load_problem(args.problem)
     if args.certificate:
         return _check_certificate(problem, args)

@@ -8,10 +8,18 @@ diagonal eps >= 0 on the rungs of the perturbation ladder, the Jacobian of
         [ -G         s I    0   ]      D_v' = D_v + eps,
         [ -D_y A     0      D_v']
 
-with D_y, D_v >= 0 the diagonal derivatives of phi at (b - A z, v). J is
-never formed. Each inequality row i is handled by whichever of d_y, d_v'
-is larger, and since d_y + d_v >= alpha (2 - sqrt 2), that divisor is at
-least half of it:
+with D_y, D_v >= 0 the diagonal derivatives of phi at (b - A z, v).
+
+J is formed only for a small, well-determined system: at most
+``_DENSE_MAX`` rows, and a kept block [G; A_K] (below) of at most n rows.
+``DenseJacobian`` factors it by LU in a few LAPACK calls, where the reduced
+form takes some fifty numpy and LAPACK calls, whose fixed cost dominates a
+step at these sizes. With more kept rows than n, J tends to a singular
+matrix as d_v -> 0; LU can then fail the check where the quasi-definite
+reduction of ``ReducedJacobian`` (Vanderbei, SIAM J. Optim. 1995) still
+solves to roundoff. It handles each inequality row i by whichever of d_y,
+d_v' is larger, and since d_y + d_v >= alpha (2 - sqrt 2), that divisor is
+at least half of it:
 
 - a row with d_v' >= d_y is eliminated, dv_i = (r_i + d_y a_i'dz) / d_v',
   which adds a_i a_i' d_y / d_v' (a weight of at most 1) to the z block;
@@ -25,15 +33,17 @@ What is left is the symmetric quasi-definite matrix
 with M positive definite for s > 0. K is factored as the Cholesky factor L
 of M and the Cholesky factor of the Schur complement S = C + B M^-1 B', of
 size p plus the number of kept rows. J' reduces to the same K up to signs,
-so one factorization serves both J x = r and J' x = r. ``norm_inf`` sums
-``||J + eps I||_inf`` from the same blocks when the solver's bound needs it.
+so one factorization serves both J x = r and J' x = r. Both classes form
+J x from the blocks of J, and ``norm_inf`` sums ``||J + eps I||_inf`` from
+them when the solver's bound needs it.
 
 ``checked_solve`` is the one place a solve is checked, and the one
-perturbation ladder: when J fails, it retries J + eps I with a growing eps.
-The Newton steps and both sensitivity modes go through it. It returns x and
-the number of factorizations tried; when J itself passes a solve with J, x
-is a ``CheckedSolution`` that also carries the blocks of J x its check
-formed, which the line search reads instead of forming them again.
+perturbation ladder: when J fails, it retries J + eps I with a growing eps,
+choosing the factorization for each attempt. The Newton steps and both
+sensitivity modes go through it. It returns x and the number of
+factorizations tried; when J itself passes a solve with J, x is a
+``CheckedSolution`` that also carries the blocks of J x its check formed,
+which the line search reads instead of forming them again.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from scipy.linalg import blas, lapack
 
 from .problem import QpProblem
 
-__all__ = ["CheckedSolution", "ReducedJacobian", "checked_solve"]
+__all__ = ["CheckedSolution", "DenseJacobian", "ReducedJacobian", "checked_solve"]
 
 # Relative accuracy demanded of every checked solve.
 _SOLVE_TOL = 1e-10
@@ -51,10 +61,13 @@ _SOLVE_TOL = 1e-10
 _PERTURB_ATTEMPTS = 3
 # First rung of that ladder; each retry multiplies it by ten.
 _FIRST_PERTURB = 1e-10
+# Largest n + p + q factored as the assembled J (``DenseJacobian``).
+_DENSE_MAX = 64
 
 
-class ReducedJacobian:
-    """``J + eps I`` at one point, factored through its reduced form K.
+class _Jacobian:
+    """``J + eps I`` at one point: the products and the norm that the check
+    of a solve reads, formed from the blocks of J. Subclasses factor it.
 
     Args:
         problem: the QP.
@@ -62,31 +75,97 @@ class ReducedJacobian:
         sigma: proximal weight; ``sigma + eps`` must be positive.
         eps: diagonal shift of the whole of J; set by the ladder of
             ``checked_solve``.
+    """
+
+    def __init__(self, problem: QpProblem, d_y: np.ndarray, d_v: np.ndarray, sigma: float,
+                 eps: float = 0.0):
+        self.problem = problem
+        self.shift = sigma + eps
+        if eps:
+            d_v = d_v + eps
+        # The d arrays are columns.
+        self.d_y, self.d_v = d_y[:, None], d_v[:, None]
+
+    def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``(J + eps I) x``, or its transpose, from the blocks of J."""
+        return self._product(x, transpose)[0]
+
+    def _product(self, x: np.ndarray, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``apply``, and the product A x_z it formed, of x's trailing shape."""
+        problem, shift = self.problem, self.shift
+        n, p = problem.n, problem.p
+        r = x.reshape(x.shape[0], -1)
+        x_z, x_lam, x_v = r[:n], r[n : n + p], r[n + p :]
+        h_z = problem.H @ x_z + shift * x_z
+        a_z = problem.A @ x_z
+        if transpose:
+            top = h_z - problem.G.T @ x_lam - problem.A.T @ (self.d_y * x_v)
+            mid = problem.G @ x_z + shift * x_lam
+            low = a_z + self.d_v * x_v
+        else:
+            top = h_z + problem.G.T @ x_lam + problem.A.T @ x_v
+            mid = shift * x_lam - problem.G @ x_z
+            low = self.d_v * x_v - self.d_y * a_z
+        product = np.concatenate((top, mid, low)).reshape(x.shape)
+        return product, a_z.reshape(a_z.shape[:1] + x.shape[1:])
+
+    def norm_inf(self, transpose: bool = False) -> float:
+        """``||J + eps I||_inf``, the largest absolute row sum of J, or of J'."""
+        problem, shift = self.problem, self.shift
+        abs_g, abs_a = np.abs(problem.G), np.abs(problem.A)
+        d_y, d_v = self.d_y[:, 0], self.d_v[:, 0]
+        h_diag = problem.H.diagonal()
+        z_rows = np.abs(problem.H).sum(axis=1) - np.abs(h_diag) + abs_g.sum(axis=0)
+        lam_rows = abs_g.sum(axis=1) + shift
+        if transpose:
+            z_rows = z_rows + d_y @ abs_a + np.abs(h_diag + shift)
+            v_rows = abs_a.sum(axis=1) + d_v
+        else:
+            z_rows = z_rows + abs_a.sum(axis=0) + np.abs(h_diag + shift)
+            v_rows = d_y * abs_a.sum(axis=1) + d_v
+        return float(np.concatenate((z_rows, lam_rows, v_rows)).max())
+
+
+class DenseJacobian(_Jacobian):
+    """``J + eps I`` at one point, assembled and factored by LU.
+
+    Arguments are those of ``_Jacobian``.
+
+    Raises:
+        np.linalg.LinAlgError: when LU meets an exactly zero pivot.
+    """
+
+    def __init__(self, problem, d_y, d_v, sigma, eps=0.0):
+        super().__init__(problem, d_y, d_v, sigma, eps)
+        jac = _assemble(problem, self.d_y[:, 0], self.d_v[:, 0], self.shift)
+        self.lu, self.pivots, info = lapack.dgetrf(jac)
+        if info:
+            raise np.linalg.LinAlgError(f"J is singular (LAPACK info {info})")
+
+    def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """x with ``(J + eps I) x = rhs``, or its transpose; rhs is (N,) or (N, k)."""
+        return lapack.dgetrs(self.lu, self.pivots, rhs, trans=int(transpose))[0]
+
+
+class ReducedJacobian(_Jacobian):
+    """``J + eps I`` at one point, factored through its reduced form K.
+
+    Arguments are those of ``_Jacobian``.
 
     Raises:
         np.linalg.LinAlgError: when M or S is not numerically positive
             definite (including non-finite data).
     """
 
-    def __init__(
-        self,
-        problem: QpProblem,
-        d_y: np.ndarray,
-        d_v: np.ndarray,
-        sigma: float,
-        eps: float = 0.0,
-    ):
-        n, p = problem.n, problem.p
-        self.problem = problem
-        self.shift = shift = sigma + eps
-        if eps:
-            d_v = d_v + eps
+    def __init__(self, problem, d_y, d_v, sigma, eps=0.0):
+        super().__init__(problem, d_y, d_v, sigma, eps)
+        n, p, shift = problem.n, problem.p, self.shift
+        d_y, d_v = self.d_y[:, 0], self.d_v[:, 0]
         # Boolean masks over the inequality rows, which scatter, and their
-        # indices, which gather (``take``) faster; the d arrays are columns.
+        # indices, which gather (``take``) faster.
         self.elim = d_v >= d_y
         self.kept = ~self.elim
         self.elim_rows, self.kept_rows = self.elim.nonzero()[0], self.kept.nonzero()[0]
-        self.d_y, self.d_v = d_y[:, None], d_v[:, None]
         self.a_elim = problem.A.take(self.elim_rows, 0)
         self.dy_elim = self.d_y.take(self.elim_rows, 0)
         self.dv_elim = self.d_v.take(self.elim_rows, 0)
@@ -153,45 +232,6 @@ class ReducedJacobian:
             out_v[self.elim] = (r_elim + self.dy_elim * a_x) / self.dv_elim
         return out.reshape(rhs.shape)
 
-    def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """``(J + eps I) x``, or its transpose, from the blocks of J."""
-        return self._product(x, transpose)[0]
-
-    def _product(self, x: np.ndarray, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
-        """``apply``, and the product A x_z it formed, of x's trailing shape."""
-        problem, shift = self.problem, self.shift
-        n, p = problem.n, problem.p
-        r = x.reshape(x.shape[0], -1)
-        x_z, x_lam, x_v = r[:n], r[n : n + p], r[n + p :]
-        h_z = problem.H @ x_z + shift * x_z
-        a_z = problem.A @ x_z
-        if transpose:
-            top = h_z - problem.G.T @ x_lam - problem.A.T @ (self.d_y * x_v)
-            mid = problem.G @ x_z + shift * x_lam
-            low = a_z + self.d_v * x_v
-        else:
-            top = h_z + problem.G.T @ x_lam + problem.A.T @ x_v
-            mid = shift * x_lam - problem.G @ x_z
-            low = self.d_v * x_v - self.d_y * a_z
-        product = np.concatenate((top, mid, low)).reshape(x.shape)
-        return product, a_z.reshape(a_z.shape[:1] + x.shape[1:])
-
-    def norm_inf(self, transpose: bool = False) -> float:
-        """``||J + eps I||_inf``, the largest absolute row sum of J, or of J'."""
-        problem, shift = self.problem, self.shift
-        abs_g, abs_a = np.abs(problem.G), np.abs(problem.A)
-        d_y, d_v = self.d_y[:, 0], self.d_v[:, 0]
-        h_diag = problem.H.diagonal()
-        z_rows = np.abs(problem.H).sum(axis=1) - np.abs(h_diag) + abs_g.sum(axis=0)
-        lam_rows = abs_g.sum(axis=1) + shift
-        if transpose:
-            z_rows = z_rows + d_y @ abs_a + np.abs(h_diag + shift)
-            v_rows = abs_a.sum(axis=1) + d_v
-        else:
-            z_rows = z_rows + abs_a.sum(axis=0) + np.abs(h_diag + shift)
-            v_rows = d_y * abs_a.sum(axis=1) + d_v
-        return float(np.concatenate((z_rows, lam_rows, v_rows)).max())
-
 
 class CheckedSolution(np.ndarray):
     """x from ``checked_solve`` when J itself passed a solve with J.
@@ -215,9 +255,12 @@ def checked_solve(
 ) -> tuple[np.ndarray | None, int]:
     """x with ``J x = rhs``, or its transpose, through the perturbation ladder.
 
-    Arguments are those of ``ReducedJacobian``; rhs is (N,) or (N, k). J is
+    Arguments are those of ``_Jacobian``; rhs is (N,) or (N, k). J is
     tried first, then J + eps I with eps = 1e-10 (``_FIRST_PERTURB``), 1e-9
-    and 1e-8 (``_PERTURB_ATTEMPTS`` retries). An attempt is accepted when
+    and 1e-8 (``_PERTURB_ATTEMPTS`` retries). Each attempt factors
+    ``DenseJacobian`` when N <= ``_DENSE_MAX`` and p plus the number of rows
+    with d_v + eps < d_y is at most n, and ``ReducedJacobian`` otherwise
+    (see the module docstring). An attempt is accepted when
     its backward error ``||(J + eps I) x - rhs||_inf`` is within
     1e-10 * (1 + ||rhs||_inf), widened by 1e-10 * ||J + eps I||_inf ||x||_inf
     since no double-precision solve can beat that floor when the solution
@@ -232,10 +275,13 @@ def checked_solve(
         which carries the blocks of J x from its check.
     """
     tol = _SOLVE_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+    n, p = problem.n, problem.p
+    small = n + p + problem.q <= _DENSE_MAX
     for rung in range(1 + _PERTURB_ATTEMPTS):
         eps = _FIRST_PERTURB * 10.0 ** (rung - 1) if rung else 0.0
+        dense = small and p + np.count_nonzero(d_v + eps < d_y) <= n
         try:
-            system = ReducedJacobian(problem, d_y, d_v, sigma, eps)
+            system = (DenseJacobian if dense else ReducedJacobian)(problem, d_y, d_v, sigma, eps)
         except np.linalg.LinAlgError:
             continue
         x = system.solve(rhs, transpose)
@@ -252,13 +298,28 @@ def checked_solve(
                 passed = error <= tol + _SOLVE_TOL * norm * float(np.abs(x).max(initial=0.0))
             if passed:
                 if not (rung or transpose):
-                    n, p = problem.n, problem.p
                     x = x.view(CheckedSolution)
                     x.products = (product[:n], product[n : n + p], a_z)
                 return x, rung + 1
             if refine:
                 x = x - system.solve(back, transpose)
     return None, 1 + _PERTURB_ATTEMPTS
+
+
+def _assemble(problem: QpProblem, d_y: np.ndarray, d_v: np.ndarray, shift: float) -> np.ndarray:
+    """J with sigma = ``shift`` and D_v = diag(d_v), as the module docstring writes it."""
+    n, p = problem.n, problem.p
+    size = n + p + problem.q
+    jac = np.zeros((size, size))
+    jac[:n, :n] = problem.H
+    jac[:n, n : n + p] = problem.G.T
+    jac[:n, n + p :] = problem.A.T
+    jac[n : n + p, :n] = -problem.G
+    jac[n + p :, :n] = -d_y[:, None] * problem.A
+    diagonal = jac.ravel()[:: size + 1]
+    diagonal[: n + p] += shift
+    diagonal[n + p :] = d_v
+    return jac
 
 
 def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:

@@ -23,15 +23,16 @@ certificate needs (``fbqp.problem.kkt_error``), H z + f + G' lambda + A' v,
 G z - h and b - A z, and returns that certificate with R, so the loop reads
 the KKT error of each accepted point from the residual it needs anyway.
 
-Each Newton step solves J d = -R without assembling J: ``fbqp.jacobian``
-reduces it to a symmetric quasi-definite system with two Cholesky factors.
+Each Newton step solves J d = -R through ``fbqp.jacobian``: by one LU of
+the assembled J when the system is small and well determined, and else
+through a symmetric quasi-definite reduction with two Cholesky factors.
 A direction is kept only when its backward error against the full J passes,
 after at most one refinement pass, or else on J + eps I with a growing eps
 (the ladder of ``fbqp.jacobian.checked_solve``). The stationarity and
 equality blocks of R are affine along a direction, so the line search
 evaluates phi once for the full step and once for each stack of shorter
 steps; their change per unit step comes from the J d that the check formed.
-``assemble_jacobian`` builds the dense J as a reference.
+``assemble_jacobian`` builds J at an iterate with the LU path's assembly.
 
 The package exports ``solve`` with its three settings (``SolverConfig``:
 accuracy and budgets) and result types; the method's parameters are module
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jacobian import checked_solve
+from .jacobian import _assemble, checked_solve
 from .ncp import phi_derivative_vec, phi_vec
 from .problem import Iterate, KktError, QpProblem, _kkt_products, infeasibility_error, kkt_error
 from .problem import validate_problem
@@ -182,8 +183,8 @@ class SolveResult:
     ``certificate`` is the ray behind ``PRIMAL_INFEASIBLE`` or ``DUAL_INFEASIBLE``, else None.
     ``factorizations`` counts attempts at the Newton system: one per
     direction that succeeded on the first try, plus one per perturbed
-    retry of the ladder. One attempt factors both Cholesky blocks of the
-    reduced system (see ``fbqp.jacobian``).
+    retry of the ladder. One attempt is one LU of J, or the two Cholesky
+    factorizations of its reduced form (see ``fbqp.jacobian``).
     """
 
     iterate: Iterate
@@ -235,26 +236,14 @@ def assemble_jacobian(problem: QpProblem, iterate: Iterate, sigma: float) -> np.
         [ -G             sigma I    0   ]
         [ -D_y A         0          D_v ]
 
-    The solver never forms this matrix (see ``fbqp.jacobian``); it is the
-    dense reference that the structured solves are tested against.
+    ``fbqp.jacobian`` factors this matrix by LU only for small,
+    well-determined systems; the structured solves are tested against it.
     """
     iterate.require_match(problem)
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    n, p, q = problem.n, problem.p, problem.q
-    size = n + p + q
-    jac = np.zeros((size, size))
-    jac[:n, :n] = problem.H + sigma * np.eye(n)
-    jac[:n, n : n + p] = problem.G.T
-    jac[:n, n + p :] = problem.A.T
-    jac[n : n + p, :n] = -problem.G
-    jac[n : n + p, n : n + p] = sigma * np.eye(p)
-    if q:
-        slack = problem.b - problem.A @ iterate.z
-        d_y, d_v = phi_derivative_vec(slack, iterate.v)
-        jac[n + p :, :n] = -d_y[:, None] * problem.A
-        jac[n + p :, n + p :] = np.diag(d_v)
-    return jac
+    d_y, d_v = phi_derivative_vec(problem.b - problem.A @ iterate.z, iterate.v)
+    return _assemble(problem, d_y, d_v, sigma)
 
 
 def _newton_direction(
@@ -266,10 +255,10 @@ def _newton_direction(
     """Direction d with J d = -R at an iterate, and the factorizations it took.
 
     J is the generalized Jacobian of the residual (``assemble_jacobian``).
-    ``fbqp.jacobian.checked_solve`` solves it through its reduced symmetric
-    form without assembling it: J first, then J + eps I for eps = 1e-10,
-    1e-9 and 1e-8, each attempt checked by its backward error. Each attempt
-    counts as one factorization.
+    ``fbqp.jacobian.checked_solve`` solves it by LU or through its reduced
+    symmetric form: J first, then J + eps I for eps = 1e-10, 1e-9 and
+    1e-8, each attempt checked by its backward error. Each attempt counts
+    as one factorization.
 
     Args:
         breakdown: ``residual`` at ``iterate`` with the same ``sigma``.

@@ -138,6 +138,22 @@ def test_check_fails_on_wrong_solution(planted_file, tmp_path, capsys):
     assert "ok: false" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+def test_check_rejects_tol_that_is_not_finite_and_positive(planted_file, tmp_path, capsys, tol):
+    # Stationarity error 24.6 would pass at --tol inf; like solve --tol,
+    # check refuses the tolerance itself with a usage error, in both modes.
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(json.dumps({"z": [9.0, 9.0, 9.0], "lambda": [9.0], "v": [9.0, 9.0, 9.0]}))
+    assert cli_main(["check", str(planted_file), "--solution", str(wrong), "--tol", tol]) == 1
+    assert "--tol" in capsys.readouterr().err
+    path = tmp_path / "infeasible.json"
+    save_problem(path, INFEASIBLE)
+    ray = tmp_path / "ray.json"
+    ray.write_text(json.dumps({"z": [0.0], "lambda": [1.0, -1.0], "v": []}))
+    assert cli_main(["check", str(path), "--certificate", str(ray), "--tol", tol]) == 1
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_check_without_solution_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bare.json"
     save_problem(path, QpProblem(H=[[2.0]], f=[0.0]))

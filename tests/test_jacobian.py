@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fbqp import GeneratorSpec, Iterate, QpProblem, random_problem
-from fbqp.jacobian import ReducedJacobian, checked_solve
+from fbqp.jacobian import _DENSE_MAX, DenseJacobian, ReducedJacobian, checked_solve
+from fbqp.jacobian import _Jacobian
 from fbqp.jacobian import CheckedSolution
 from fbqp.ncp import phi_derivative_vec
 from fbqp.solver import _newton_direction, assemble_jacobian, residual
@@ -124,6 +125,79 @@ def test_solves_match_perturbed_jacobian_and_transpose(name, eps):
             checked, attempts = checked_solve(problem, d_y, d_v, SIGMA, right, transpose)
             assert attempts == 1
             _close(checked, np.linalg.solve(dense, right))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-10, 1e-8])
+@pytest.mark.parametrize("name", CASES)
+def test_lu_solves_match_perturbed_jacobian_and_transpose(name, eps):
+    problem, x = _case(name)
+    slack = problem.b - problem.A @ x.z
+    d_y, d_v = phi_derivative_vec(slack, x.v)
+    system = DenseJacobian(problem, d_y, d_v, SIGMA, eps)
+    size = problem.n + problem.p + problem.q
+    jac = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(size)
+    rng = np.random.default_rng(size)
+    rhs = rng.standard_normal(size)
+    block = rng.standard_normal((size, 3))
+    for right in (rhs, block):
+        _close(system.solve(right), np.linalg.solve(jac, right))
+        _close(system.solve(right, transpose=True), np.linalg.solve(jac.T, right))
+    # Products and norms are those of the reduced form, bit for bit.
+    reduced = ReducedJacobian(problem, d_y, d_v, SIGMA, eps)
+    for transpose in (False, True):
+        assert system.norm_inf(transpose) == reduced.norm_inf(transpose)
+        got, want = system.apply(block, transpose), reduced.apply(block, transpose)
+        assert got.tobytes() == want.tobytes()
+
+
+def _picks(monkeypatch):
+    """Record the class of each factorization that checked_solve builds."""
+    picked = []
+    for cls in (DenseJacobian, ReducedJacobian):
+        def build(*args, cls=cls):
+            picked.append(cls.__name__)
+            return cls(*args)
+
+        monkeypatch.setattr(f"fbqp.jacobian.{cls.__name__}", build)
+    return picked
+
+
+@pytest.mark.parametrize("kept, expected", [(2, "DenseJacobian"), (3, "ReducedJacobian")])
+def test_checked_solve_factors_by_lu_while_kept_rows_fit(monkeypatch, kept, expected):
+    # n = 3 and p = 1: LU while p plus the kept rows (d_v < d_y) is at most n.
+    problem, _ = random_problem(GeneratorSpec(n=3, p=1, q=4, seed=8))
+    d_y = np.full(4, 0.9)
+    d_v = np.where(np.arange(4) < kept, 0.1, 0.9)
+    picked = _picks(monkeypatch)
+    rhs = np.ones(8)
+    x, attempts = checked_solve(problem, d_y, d_v, SIGMA, rhs)
+    assert attempts == 1 and picked == [expected]
+    assert np.max(np.abs(_Jacobian(problem, d_y, d_v, SIGMA).apply(x) - rhs)) <= 1e-10 * 2.0
+
+
+@pytest.mark.parametrize(
+    "size, expected", [(_DENSE_MAX, "DenseJacobian"), (_DENSE_MAX + 1, "ReducedJacobian")]
+)
+def test_checked_solve_factors_by_lu_up_to_the_size_bound(monkeypatch, size, expected):
+    problem, _ = random_problem(GeneratorSpec(n=size, seed=9))
+    empty = np.zeros(0)
+    picked = _picks(monkeypatch)
+    _, attempts = checked_solve(problem, empty, empty, SIGMA, np.ones(size))
+    assert attempts == 1 and picked == [expected]
+
+
+def test_checked_solve_picks_the_factorization_per_attempt(monkeypatch):
+    # H = 0 and sigma = 0 with both rows kept leave M = 0: J fails in its
+    # reduced form. On the first rung, d_v + eps >= d_y eliminates row 0, the
+    # one kept row fits n = 1, and J + 1e-10 I is factored by LU.
+    problem = QpProblem(H=[[0.0]], f=[0.0], A=[[1.0], [-1.0]], b=[1.0, 1.0])
+    d_y, d_v = np.ones(2), np.array([1.0 - 5e-11, 0.5])
+    picked = _picks(monkeypatch)
+    rhs = np.ones(3)
+    x, attempts = checked_solve(problem, d_y, d_v, 0.0, rhs)
+    assert attempts == 2 and picked == ["ReducedJacobian", "DenseJacobian"]
+    rung = _Jacobian(problem, d_y, d_v, 0.0, 1e-10)
+    assert np.max(np.abs(rung.apply(x) - rhs)) <= 1e-10 * 2.0
 
 
 @pytest.mark.parametrize("name", CASES)

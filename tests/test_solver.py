@@ -411,13 +411,15 @@ def test_solve_invalid_problem_short_circuits():
 
 
 def test_solve_reaches_singular_system(monkeypatch):
-    # Every rung of the ladder fails to factor: the first step ends the solve.
+    # Every rung of the ladder fails to factor, whichever factorization it
+    # picks: the first step ends the solve.
     shifts = []
 
     def unfactorable(problem, d_y, d_v, sigma, eps=0.0):
         shifts.append(eps)
         raise np.linalg.LinAlgError("forced")
 
+    monkeypatch.setattr("fbqp.jacobian.DenseJacobian", unfactorable)
     monkeypatch.setattr("fbqp.jacobian.ReducedJacobian", unfactorable)
     result = solve(ONE_D)
     assert result.status is SolveStatus.SINGULAR_SYSTEM
@@ -604,12 +606,16 @@ def test_solve_handles_empty_blocks_unconstrained():
 
 
 # Degenerate planted problems (more active rows than variables) from the
-# benchmark's acceptance fleet that once ended in LineSearchStalled.
+# benchmark's acceptance fleet that once ended in LineSearchStalled. Each of
+# them fails when checked_solve factors J by LU although the kept block
+# [G; A_K] has more rows than n.
 @pytest.mark.parametrize(
     "n, p, q, activity, seed",
     [
         (2, 1, 6, 0.75, 1000393),
         (1, 0, 6, 0.75, 3000383),
+        (1, 0, 3, 1.0, 3000489),
+        (2, 1, 5, 1.0, 4000319),
         (1, 1, 6, 0.75, 20000323),
         (2, 1, 5, 1.0, 21000089),
         (1, 1, 6, 0.75, 21000238),

@@ -12,16 +12,18 @@ inactive rows. The lowest objective over all accepted subsets is the
 optimum. This is exponential in q by design; it exists to check the Newton
 solver, not to be fast, and refuses q > 16.
 
-The subsets of one size share the shape of their system, so they are
-stacked and solved with one call to ``np.linalg.solve`` (LU with partial
-pivoting), and the checks run over the whole stack. The oracle uses none
-of the solver's linear algebra.
+Each subset's system is gathered from one system with every row of A.
+The subsets of one size are stacked and solved by one ``np.linalg.solve``
+call (LU with partial pivoting); ``slogdet``, the same LU, marks exactly
+singular systems, and the rest of their stack is solved again. The checks
+run once over all solutions, with v = 0 off the subset. The oracle uses
+none of the solver's linear algebra.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,24 +97,18 @@ def _feasible_point_exists(problem: QpProblem) -> bool:
     return result.status != 2
 
 
-def _bordered_systems(problem: QpProblem, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bordered systems (k, dim, dim) and right-hand sides (k, dim) of the
-    subsets of one size, given as rows of indices, shape (k, size)."""
-    n, p = problem.n, problem.p
-    count, size = subsets.shape
-    dim = n + p + size
-    a_s = problem.A[subsets]
-    systems = np.zeros((count, dim, dim))
-    systems[:, :n, :n] = problem.H
-    systems[:, :n, n : n + p] = problem.G.T
-    systems[:, :n, n + p :] = a_s.transpose(0, 2, 1)
-    systems[:, n : n + p, :n] = problem.G
-    systems[:, n + p :, :n] = a_s
-    rhs = np.empty((count, dim))
-    rhs[:, :n] = -problem.f
-    rhs[:, n : n + p] = problem.h
-    rhs[:, n + p :] = problem.b[subsets]
-    return systems, rhs
+@functools.lru_cache(maxsize=MAX_ORACLE_INEQUALITIES + 1)
+def _subset_table(q: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """All subsets of {0, ..., q-1} by size, then in combinations order: (2^q, q)
+    masks, indices (the subset ascending, then the rest) and each size's first
+    row. Within one size, the code with bit q-1-i for row i descends."""
+    codes = np.arange(1 << q)
+    masks = (codes[:, None] >> np.arange(q - 1, -1, -1)) & 1 == 1
+    masks = masks[np.lexsort((-codes, masks.sum(axis=1)))]
+    members = np.argsort(~masks, axis=1, kind="stable").astype(np.int8)
+    masks.setflags(write=False)
+    members.setflags(write=False)
+    return masks, members, (0, *np.bincount(masks.sum(axis=1)).cumsum().tolist())
 
 
 def _solve_stack(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -120,14 +116,20 @@ def _solve_stack(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(systems, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        # Some system is exactly singular: solve them one at a time.
         solutions = np.full(rhs.shape, np.nan)
-        for i, (system, b) in enumerate(zip(systems, rhs)):
-            try:
-                solutions[i] = np.linalg.solve(system, b[:, None])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
-        return solutions
+    # A lone system that raised is singular. slogdet runs the LU of solve (dgetrf
+    # on the same column-major copy): a zero sign marks a system that raised.
+    keep = np.flatnonzero(np.linalg.slogdet(systems)[0]) if len(rhs) > 1 else []
+    if len(keep):
+        try:
+            solutions[keep] = np.linalg.solve(systems[keep], rhs[keep, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            for i in keep:
+                try:
+                    solutions[i] = np.linalg.solve(systems[i], rhs[i, :, None])[:, 0]
+                except np.linalg.LinAlgError:
+                    pass
+    return solutions
 
 
 def active_set_solve(problem: QpProblem) -> OracleResult:
@@ -146,32 +148,47 @@ def active_set_solve(problem: QpProblem) -> OracleResult:
     if q > MAX_ORACLE_INEQUALITIES:
         return OracleResult(OracleStatus.TOO_LARGE, None, None, None, False)
 
-    accepted: list[tuple[float, Iterate, tuple[int, ...]]] = []
-    for size in range(q + 1):
-        combinations = list(itertools.combinations(range(q), size))
-        batch = max(1, _STACK_ENTRIES // (n + p + size) ** 2)
-        for start in range(0, len(combinations), batch):
-            chunk = combinations[start : start + batch]
-            subsets = np.array(chunk, dtype=int).reshape(len(chunk), size)
-            systems, rhs = _bordered_systems(problem, subsets)
-            # Near-singular systems can solve to garbage, even to inf or
-            # NaN; the checks reject those, so their warnings are noise.
-            with np.errstate(all="ignore"):
-                solutions = _solve_stack(systems, rhs)
-                back = np.matmul(systems, solutions[..., None])[..., 0] - rhs
-                ok = np.isfinite(solutions).all(axis=1)
-                ok &= np.abs(back).max(axis=1) <= 1e-7 * (1.0 + np.abs(rhs).max(axis=1))
-                if size:
-                    ok &= solutions[:, n + p :].min(axis=1) >= -_DUAL_TOL
-                if q:
-                    slack = problem.b - solutions[:, :n] @ problem.A.T
-                    ok &= slack.min(axis=1) >= -_FEAS_TOL
-            for i in np.flatnonzero(ok):
-                z = solutions[i, :n]
-                v = np.zeros(q)
-                v[subsets[i]] = solutions[i, n + p :]
-                iterate = Iterate(z, solutions[i, n : n + p], v)
-                accepted.append((problem.objective(z), iterate, chunk[i]))
+    m, width = n + p, n + p + q
+    border = np.vstack((problem.G, problem.A))
+    full = np.zeros((width, width))
+    full[:n, :n] = problem.H
+    full[:n, n:] = border.T
+    full[n:, :n] = border
+    rhs = np.concatenate((-problem.f, problem.h, problem.b))
+    masks, members, offsets = _subset_table(q)
+    rows = max(1, _STACK_ENTRIES // width)
+    accepted: list[tuple[float, Iterate, np.ndarray]] = []
+    for start in range(0, len(masks), rows):
+        chunk = masks[start : start + rows]
+        # The first m + |S| entries of row r index the system of subset r.
+        index = np.empty((len(chunk), width), dtype=np.intp)
+        index[:, :m] = np.arange(m)
+        np.add(members[start : start + rows], m, out=index[:, m:], dtype=np.intp)
+        # Row r holds the solution of subset r, with v = 0 off the subset.
+        padded = np.zeros((len(chunk), width))
+        # Near-singular systems can solve to garbage, even to inf or NaN;
+        # the checks reject those, so their warnings are noise.
+        with np.errstate(all="ignore"):
+            for size in range(q + 1):
+                batch = max(1, _STACK_ENTRIES // (m + size) ** 2)
+                end = min(offsets[size + 1] - start, len(chunk))
+                for lo in range(max(offsets[size] - start, 0), end, batch):
+                    stack = index[lo : min(lo + batch, end), : m + size]
+                    solutions = _solve_stack(full[stack[:, :, None], stack[:, None, :]], rhs[stack])
+                    padded[np.arange(lo, lo + len(stack))[:, None], stack] = solutions
+            back = padded @ full.T - rhs
+            ok = np.isfinite(padded).all(axis=1)
+            # The rows of A read A z - b: primal feasibility on every row.
+            ok &= back[:, m:].max(axis=1, initial=0.0) <= _FEAS_TOL
+            ok &= padded[:, m:].min(axis=1, initial=0.0) >= -_DUAL_TOL
+            # The backward error counts only the subset's rows of A.
+            back[:, m:][~chunk] = 0.0
+            scale = np.where(chunk, np.abs(rhs[m:]), 0.0)
+            scale = scale.max(axis=1, initial=np.abs(rhs[:m]).max())
+            ok &= np.abs(back).max(axis=1) <= 1e-7 * (1.0 + scale)
+        for i in np.flatnonzero(ok):
+            iterate = Iterate(padded[i, :n], padded[i, n:m], padded[i, m:])
+            accepted.append((problem.objective(iterate.z), iterate, chunk[i]))
 
     if not accepted:
         if _feasible_point_exists(problem):
@@ -195,17 +212,16 @@ def active_set_solve(problem: QpProblem) -> OracleResult:
         # Tie enumeration misses dual rays: when the gradients of all rows
         # binding at the optimum (plus equalities) are rank-deficient, the
         # multipliers are not unique even though only one basic candidate
-        # was accepted.
-        slack = problem.b - problem.A @ best_iterate.z
-        binding = np.flatnonzero(slack <= 1e-7)
-        stack = np.vstack((problem.G, problem.A[binding]))
-        if stack.shape[0] and np.linalg.matrix_rank(stack) < stack.shape[0]:
+        # was accepted. More rows than variables are rank-deficient without
+        # an SVD.
+        stack = np.vstack((problem.G, problem.A[problem.b - problem.A @ best_iterate.z <= 1e-7]))
+        if len(stack) > n or (len(stack) and np.linalg.matrix_rank(stack) < len(stack)):
             multiplicity = True
     return OracleResult(
         status=OracleStatus.OPTIMAL,
         solution=best_iterate,
         objective=best_objective,
-        active_set=tuple(int(i) for i in best_subset),
+        active_set=tuple(int(i) for i in np.flatnonzero(best_subset)),
         multiplicity_flag=multiplicity,
     )
 
@@ -233,7 +249,10 @@ def oracle_agrees(
     Args:
         oracle: reuse a precomputed ``active_set_solve`` outcome; computed
             on the fly when omitted.
+        tol: must be finite and positive, or ``ValueError`` is raised.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if oracle is None:
         oracle = active_set_solve(problem)
     if oracle.status is OracleStatus.TOO_LARGE:

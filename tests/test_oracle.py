@@ -8,6 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fbqp.oracle
+
 from fbqp import (
     GeneratorSpec,
     Iterate,
@@ -21,7 +23,7 @@ from fbqp import (
     solve,
 )
 from fbqp.oracle import _DISTINCT_TOL, _DUAL_TOL, _FEAS_TOL, _TIE_TOL
-from fbqp.oracle import _multiplier_gain
+from fbqp.oracle import _multiplier_gain, _subset_table
 
 ONE_D = QpProblem(H=[[1.0]], f=[0.0], A=[[-1.0]], b=[-1.0])
 
@@ -224,6 +226,17 @@ def test_oracle_breaks_objective_ties_by_kkt_error():
     np.testing.assert_allclose(outcome.solution.z, planted.z, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_agreement_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    problem, _ = random_problem(GeneratorSpec(n=5, p=1, q=4, activity_fraction=0.5, seed=2))
+    result = solve(problem)
+    bumped = np.array(result.iterate.z) + 5.0
+    iterate = Iterate(bumped, result.iterate.lam, result.iterate.v)
+    fake = dataclasses.replace(result, iterate=iterate)
+    with pytest.raises(ValueError, match="tol"):
+        oracle_agrees(problem, fake, tol=tol)
+
+
 def test_agreement_raises_when_oracle_too_large():
     rng = np.random.default_rng(5)
     problem = QpProblem(
@@ -320,24 +333,77 @@ def _oracle_fleet():
         yield QpProblem(H, f, G, h, A, b)
 
 
+def _assert_matches_reference(problem):
+    """Compare active_set_solve with _reference_oracle; return the reference verdict."""
+    status, z, objective, subset, flag = _reference_oracle(problem)
+    outcome = active_set_solve(problem)
+    if status == "other":
+        assert outcome.status in (OracleStatus.INFEASIBLE, OracleStatus.UNBOUNDED)
+        return status
+    assert outcome.status is OracleStatus.OPTIMAL
+    assert outcome.multiplicity_flag == flag
+    assert outcome.objective == objective
+    np.testing.assert_allclose(outcome.solution.z, z, rtol=0.0, atol=1e-12)
+    if not flag:
+        assert outcome.active_set == subset
+    return status
+
+
 def test_oracle_matches_one_subset_at_a_time():
     kinds = {"Optimal": 0, "other": 0}
     for problem in _oracle_fleet():
         assert problem.q <= 8
-        status, z, objective, subset, flag = _reference_oracle(problem)
-        outcome = active_set_solve(problem)
-        kinds[status] += 1
-        if status == "other":
-            assert outcome.status in (OracleStatus.INFEASIBLE, OracleStatus.UNBOUNDED)
-            continue
-        assert outcome.status is OracleStatus.OPTIMAL
-        assert outcome.multiplicity_flag == flag
-        assert outcome.objective == objective
-        np.testing.assert_allclose(outcome.solution.z, z, rtol=0.0, atol=1e-12)
-        if not flag:
-            assert outcome.active_set == subset
+        kinds[_assert_matches_reference(problem)] += 1
     # The fleet exercises both verdicts.
     assert kinds["Optimal"] >= 100 and kinds["other"] >= 40
+
+
+def _duplicated_rows(n, p, q, copies, seed):
+    """A planted problem with q rows, then `copies` of its rows appended again."""
+    problem, _ = random_problem(GeneratorSpec(n=n, p=p, q=q, activity_fraction=0.5, seed=seed))
+    rows = np.random.default_rng(seed).choice(q, size=copies, replace=False)
+    A = np.vstack((problem.A, problem.A[rows]))
+    b = np.concatenate((problem.b, problem.b[rows]))
+    return QpProblem(problem.H, problem.f, problem.G, problem.h, A, b)
+
+
+def test_oracle_matches_one_subset_at_a_time_in_small_stacks(monkeypatch):
+    # With at most 200 entries a stack holds a few systems, or one once
+    # n + p + size > 14, so sizes are solved in several stacks, and every
+    # problem with q >= 6 in several chunks. Duplicated rows make many of
+    # those stacks exactly singular.
+    monkeypatch.setattr(fbqp.oracle, "_STACK_ENTRIES", 200)
+    problems = list(_oracle_fleet())
+    problems += [
+        _duplicated_rows(3, 1, 8, 2, seed=11),
+        _duplicated_rows(4, 0, 7, 4, seed=12),
+        _duplicated_rows(2, 1, 9, 3, seed=13),
+    ]
+    kinds = {"Optimal": 0, "other": 0}
+    for problem in problems:
+        kinds[_assert_matches_reference(problem)] += 1
+    assert kinds["Optimal"] >= 100 and kinds["other"] >= 40
+
+
+def test_oracle_solves_one_system_at_a_time_when_the_stack_still_raises(monkeypatch):
+    # If slogdet marked no system singular, the second stack solve would
+    # raise again; the systems are then solved one at a time.
+    def no_zero_sign(systems):
+        return np.ones(len(systems)), np.zeros(len(systems))
+
+    monkeypatch.setattr(np.linalg, "slogdet", no_zero_sign)
+    for seed in range(3):
+        _assert_matches_reference(_duplicated_rows(3, 1, 6, 3, seed=20 + seed))
+
+
+def test_subset_table_follows_combinations_order():
+    for q in range(9):
+        masks, members, offsets = _subset_table(q)
+        expected = [s for size in range(q + 1) for s in itertools.combinations(range(q), size)]
+        assert [tuple(np.flatnonzero(row)) for row in masks] == expected
+        assert [tuple(row[: len(s)]) for row, s in zip(members, expected)] == expected
+        assert all(offsets[len(s)] <= i < offsets[len(s) + 1] for i, s in enumerate(expected))
+        assert not masks.flags.writeable and not members.flags.writeable
 
 
 def test_oracle_memory_stays_flat_on_singular_subsets():

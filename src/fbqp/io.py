@@ -293,8 +293,10 @@ def load_problem(path) -> tuple[QpProblem, Iterate | None]:
 
 
 def save_problem(path, problem, solution=None, metadata=None) -> None:
+    """Write a problem file; a problem that does not serialize leaves the file as it was."""
+    text = serialize_problem(problem, solution, metadata)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_problem(problem, solution, metadata))
+        handle.write(text)
 
 
 def trace_csv(records) -> str:

@@ -1,14 +1,27 @@
 """Structured solves with the generalized Jacobian of the regularized residual.
 
-At a point (z, lambda, v) with proximal weight sigma, and shifted by a
-diagonal eps >= 0 on the rungs of the perturbation ladder, the Jacobian of
-``solver.residual`` is
+A solve works on the stacked point x = (z, lambda, v) of size
+N = n + p + q. ``KktMatrix`` builds, once per solve, the symmetric matrix
+and the offset
+
+    K = [ H   G'  A' ]      c = [  f ]
+        [ G   0   0  ]          [ -h ]
+        [ A   0   0  ]          [ -b ]
+
+so that K x + c = (H z + f + G' lambda + A' v, G z - h, A z - b) is one
+matrix-vector product. At a point with proximal weight sigma, and shifted
+by a diagonal eps >= 0 on the rungs of the perturbation ladder, the
+Jacobian of ``solver.residual`` is
 
     J = [ H + s I    G'     A'  ]      s = sigma + eps,
         [ -G         s I    0   ]      D_v' = D_v + eps,
         [ -D_y A     0      D_v']
 
-with D_y, D_v >= 0 the diagonal derivatives of phi at (b - A z, v).
+with D_y, D_v >= 0 the diagonal derivatives of phi at (b - A z, v). That
+is J = diag(scale) K + diag(s on the first n + p rows, D_v'), with
+scale = (1, -1, -d_y). As K is symmetric, J x = scale * (K x) + diag * x
+and J' x = K (scale * x) + diag * x, so one product with K checks every
+solve, with J or with J', whichever way J was factored.
 
 J is formed only for a small, well-determined system: at most
 ``_DENSE_MAX`` rows, and a kept block [G; A_K] (below) of at most n rows.
@@ -27,33 +40,33 @@ at least half of it:
 
 What is left is the symmetric quasi-definite matrix
 
-    K = [ M   B' ]    M = H + s I + A_E' W A_E,   B = [G; A_K],
-        [ B  -C  ]    C = diag(s on the G rows, d_v'/d_y on the kept rows),
+    [ M   B' ]    M = H + s I + A_E' W A_E,   B = [G; A_K],
+    [ B  -C  ]    C = diag(s on the G rows, d_v'/d_y on the kept rows),
 
-with M positive definite for s > 0. K is factored as the Cholesky factor L
-of M and the Cholesky factor of the Schur complement S = C + B M^-1 B', of
-size p plus the number of kept rows. J' reduces to the same K up to signs,
-so one factorization serves both J x = r and J' x = r. Both classes form
-J x from the blocks of J, and ``norm_inf`` sums ``||J + eps I||_inf`` from
-them when the solver's bound needs it.
+with M positive definite for s > 0. It is factored as the Cholesky factor
+L of M and the Cholesky factor of the Schur complement S = C + B M^-1 B',
+of size p plus the number of kept rows. J' reduces to the same matrix up
+to signs, so one factorization serves both J x = r and J' x = r.
 
 ``checked_solve`` is the one place a solve is checked, and the one
 perturbation ladder: when J fails, it retries J + eps I with a growing eps,
 choosing the factorization for each attempt. The Newton steps and both
-sensitivity modes go through it. It returns x and the number of
-factorizations tried; when J itself passes a solve with J, x is a
-``CheckedSolution`` that also carries the blocks of J x its check formed,
-which the line search reads instead of forming them again.
+sensitivity modes go through it. It returns x, the number of
+factorizations tried, and the products K x and J x its check formed, which
+the line search reads instead of forming them again.
 """
 
 from __future__ import annotations
+
+import math
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
 from .problem import QpProblem
 
-__all__ = ["CheckedSolution", "DenseJacobian", "ReducedJacobian", "checked_solve"]
+__all__ = ["KktMatrix", "DenseJacobian", "ReducedJacobian", "checked_solve"]
 
 # Relative accuracy demanded of every checked solve.
 _SOLVE_TOL = 1e-10
@@ -65,65 +78,86 @@ _FIRST_PERTURB = 1e-10
 _DENSE_MAX = 64
 
 
+class KktMatrix:
+    """K and c of one problem (see the module docstring).
+
+    It holds N^2 floats, so a solve builds it and drops it, rather than
+    caching it on the problem. ``sign`` holds the signs (1 on z, -1 on
+    lambda) of the first n + p rows of J.
+    """
+
+    def __init__(self, problem: QpProblem):
+        n, p = problem.n, problem.p
+        rows = np.concatenate((problem.G, problem.A))
+        matrix = np.zeros((n + len(rows),) * 2)
+        matrix[:n, :n] = problem.H
+        matrix[:n, n:] = rows.T
+        matrix[n:, :n] = rows
+        self.problem, self.matrix = problem, matrix
+        self.offset = np.concatenate((problem.f, -problem.h, -problem.b))
+        self.sign = np.ones(n + p)
+        self.sign[n:] = -1.0
+
+    @cached_property
+    def abs_matrix(self) -> np.ndarray:
+        """|K|, formed the first time a solve needs ``||J||_inf``."""
+        return np.abs(self.matrix)
+
+
 class _Jacobian:
-    """``J + eps I`` at one point: the products and the norm that the check
-    of a solve reads, formed from the blocks of J. Subclasses factor it.
+    """``J + eps I`` at one point: the products with K and J that the check
+    of a solve reads, and the norm of its widened bound. Subclasses factor it.
 
     Args:
-        problem: the QP.
+        kkt: the problem's ``KktMatrix``.
         d_y, d_v: generalized derivatives of phi at (b - A z, v), shape (q,).
         sigma: proximal weight; ``sigma + eps`` must be positive.
         eps: diagonal shift of the whole of J; set by the ladder of
             ``checked_solve``.
     """
 
-    def __init__(self, problem: QpProblem, d_y: np.ndarray, d_v: np.ndarray, sigma: float,
+    def __init__(self, kkt: KktMatrix, d_y: np.ndarray, d_v: np.ndarray, sigma: float,
                  eps: float = 0.0):
-        self.problem = problem
-        self.shift = sigma + eps
-        if eps:
-            d_v = d_v + eps
-        # The d arrays are columns.
-        self.d_y, self.d_v = d_y[:, None], d_v[:, None]
+        self.kkt, self.problem = kkt, kkt.problem
+        self.eps, self.shift = eps, sigma + eps
+        self.scale = np.concatenate((kkt.sign, -d_y))
+        # The diagonal that J adds to scale * K, without eps.
+        self.diagonal = np.concatenate((np.full(kkt.sign.size, sigma), d_v))
+
+    def products(self, x: np.ndarray, transpose: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(K x, J x), or (K (scale * x), J' x), for x of shape (N,) or (N, k).
+
+        J is taken without eps; the check adds eps x.
+        """
+        scale, diagonal = self.scale, self.diagonal
+        if x.ndim == 2:
+            scale, diagonal = scale[:, None], diagonal[:, None]
+        if transpose:
+            kx = self.kkt.matrix @ (scale * x)
+            return kx, kx + diagonal * x
+        kx = self.kkt.matrix @ x
+        return kx, scale * kx + diagonal * x
 
     def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """``(J + eps I) x``, or its transpose, from the blocks of J."""
-        return self._product(x, transpose)[0]
+        """``(J + eps I) x``, or its transpose."""
+        return self.products(x, transpose)[1] + self.eps * x
 
-    def _product(self, x: np.ndarray, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
-        """``apply``, and the product A x_z it formed, of x's trailing shape."""
-        problem, shift = self.problem, self.shift
-        n, p = problem.n, problem.p
-        r = x.reshape(x.shape[0], -1)
-        x_z, x_lam, x_v = r[:n], r[n : n + p], r[n + p :]
-        h_z = problem.H @ x_z + shift * x_z
-        a_z = problem.A @ x_z
-        if transpose:
-            top = h_z - problem.G.T @ x_lam - problem.A.T @ (self.d_y * x_v)
-            mid = problem.G @ x_z + shift * x_lam
-            low = a_z + self.d_v * x_v
-        else:
-            top = h_z + problem.G.T @ x_lam + problem.A.T @ x_v
-            mid = shift * x_lam - problem.G @ x_z
-            low = self.d_v * x_v - self.d_y * a_z
-        product = np.concatenate((top, mid, low)).reshape(x.shape)
-        return product, a_z.reshape(a_z.shape[:1] + x.shape[1:])
+    def assemble(self) -> np.ndarray:
+        """``J + eps I`` as an array: diag(scale) K plus its diagonal."""
+        jac = self.scale[:, None] * self.kkt.matrix
+        jac.ravel()[:: jac.shape[0] + 1] += self.diagonal + self.eps
+        return jac
 
     def norm_inf(self, transpose: bool = False) -> float:
         """``||J + eps I||_inf``, the largest absolute row sum of J, or of J'."""
-        problem, shift = self.problem, self.shift
-        abs_g, abs_a = np.abs(problem.G), np.abs(problem.A)
-        d_y, d_v = self.d_y[:, 0], self.d_v[:, 0]
-        h_diag = problem.H.diagonal()
-        z_rows = np.abs(problem.H).sum(axis=1) - np.abs(h_diag) + abs_g.sum(axis=0)
-        lam_rows = abs_g.sum(axis=1) + shift
-        if transpose:
-            z_rows = z_rows + d_y @ abs_a + np.abs(h_diag + shift)
-            v_rows = abs_a.sum(axis=1) + d_v
-        else:
-            z_rows = z_rows + abs_a.sum(axis=0) + np.abs(h_diag + shift)
-            v_rows = d_y * abs_a.sum(axis=1) + d_v
-        return float(np.concatenate((z_rows, lam_rows, v_rows)).max())
+        abs_k, scale = self.kkt.abs_matrix, np.abs(self.scale)
+        rows = abs_k @ scale if transpose else scale * abs_k.sum(axis=1)
+        # The diagonal of K is that of H, on the rows where scale is 1.
+        h_diag = self.problem.H.diagonal()
+        n = h_diag.size
+        rows[:n] += np.abs(h_diag + self.shift) - np.abs(h_diag)
+        rows[n:] += self.diagonal[n:] + self.eps
+        return float(rows.max())
 
 
 class DenseJacobian(_Jacobian):
@@ -135,10 +169,9 @@ class DenseJacobian(_Jacobian):
         np.linalg.LinAlgError: when LU meets an exactly zero pivot.
     """
 
-    def __init__(self, problem, d_y, d_v, sigma, eps=0.0):
-        super().__init__(problem, d_y, d_v, sigma, eps)
-        jac = _assemble(problem, self.d_y[:, 0], self.d_v[:, 0], self.shift)
-        self.lu, self.pivots, info = lapack.dgetrf(jac)
+    def __init__(self, kkt, d_y, d_v, sigma, eps=0.0):
+        super().__init__(kkt, d_y, d_v, sigma, eps)
+        self.lu, self.pivots, info = lapack.dgetrf(self.assemble())
         if info:
             raise np.linalg.LinAlgError(f"J is singular (LAPACK info {info})")
 
@@ -148,7 +181,7 @@ class DenseJacobian(_Jacobian):
 
 
 class ReducedJacobian(_Jacobian):
-    """``J + eps I`` at one point, factored through its reduced form K.
+    """``J + eps I`` at one point, factored through its reduced form.
 
     Arguments are those of ``_Jacobian``.
 
@@ -157,19 +190,19 @@ class ReducedJacobian(_Jacobian):
             definite (including non-finite data).
     """
 
-    def __init__(self, problem, d_y, d_v, sigma, eps=0.0):
-        super().__init__(problem, d_y, d_v, sigma, eps)
-        n, p, shift = problem.n, problem.p, self.shift
-        d_y, d_v = self.d_y[:, 0], self.d_v[:, 0]
+    def __init__(self, kkt, d_y, d_v, sigma, eps=0.0):
+        super().__init__(kkt, d_y, d_v, sigma, eps)
+        problem, shift = self.problem, self.shift
+        n, p, d_v = problem.n, problem.p, d_v + eps
         # Boolean masks over the inequality rows, which scatter, and their
-        # indices, which gather (``take``) faster.
+        # indices, which gather (``take``) faster. The d arrays are columns.
         self.elim = d_v >= d_y
         self.kept = ~self.elim
         self.elim_rows, self.kept_rows = self.elim.nonzero()[0], self.kept.nonzero()[0]
         self.a_elim = problem.A.take(self.elim_rows, 0)
-        self.dy_elim = self.d_y.take(self.elim_rows, 0)
-        self.dv_elim = self.d_v.take(self.elim_rows, 0)
-        self.dy_kept = self.d_y.take(self.kept_rows, 0)
+        self.dy_elim = d_y[:, None].take(self.elim_rows, 0)
+        self.dv_elim = d_v[:, None].take(self.elim_rows, 0)
+        self.dy_kept = d_y[:, None].take(self.kept_rows, 0)
 
         # The lower triangle of M = H + s I + A_E' W A_E as one rank-k update
         # of H, whose transpose is H in the column-major order BLAS and
@@ -233,26 +266,15 @@ class ReducedJacobian(_Jacobian):
         return out.reshape(rhs.shape)
 
 
-class CheckedSolution(np.ndarray):
-    """x from ``checked_solve`` when J itself passed a solve with J.
-
-    ``products`` holds the blocks of J x that the backward-error check
-    formed: (H + sigma I) x_z + G' x_lam + A' x_v, sigma x_lam - G x_z and
-    A x_z. It is set on x itself only; views, copies and arithmetic on x
-    read None.
-    """
-
-    products: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-
 def checked_solve(
-    problem: QpProblem,
+    kkt: KktMatrix,
     d_y: np.ndarray,
     d_v: np.ndarray,
     sigma: float,
     rhs: np.ndarray,
     transpose: bool = False,
-) -> tuple[np.ndarray | None, int]:
+    first_rung: int = 0,
+) -> tuple[np.ndarray | None, int, np.ndarray | None, np.ndarray | None]:
     """x with ``J x = rhs``, or its transpose, through the perturbation ladder.
 
     Arguments are those of ``_Jacobian``; rhs is (N,) or (N, k). J is
@@ -266,60 +288,45 @@ def checked_solve(
     since no double-precision solve can beat that floor when the solution
     dwarfs the right-hand side. One pass of iterative refinement is tried
     before an attempt fails. An answer from a rung eps > 0 is checked
-    against J + eps I, not J.
+    against J + eps I, not J. ``first_rung`` = 1 starts the ladder at
+    eps = 1e-10, skipping J.
 
     Returns:
-        (x, attempts): x is None when every attempt failed; ``attempts`` is
-        the number of factorizations tried, 1 when J itself passed. A solve
-        with J (not J') that J itself passed returns a ``CheckedSolution``,
-        which carries the blocks of J x from its check.
+        (x, attempts, kx, jx): x is None when every attempt failed;
+        ``attempts`` is the number of factorizations tried, 1 when the first
+        rung passed. kx and jx are the products of the check that passed,
+        ``_Jacobian.products`` of x, with J without eps; they are None
+        with x.
     """
     tol = _SOLVE_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
-    n, p = problem.n, problem.p
-    small = n + p + problem.q <= _DENSE_MAX
-    for rung in range(1 + _PERTURB_ATTEMPTS):
+    n, p = kkt.problem.n, kkt.problem.p
+    small = rhs.shape[0] <= _DENSE_MAX
+    for rung in range(first_rung, 1 + _PERTURB_ATTEMPTS):
         eps = _FIRST_PERTURB * 10.0 ** (rung - 1) if rung else 0.0
         dense = small and p + np.count_nonzero(d_v + eps < d_y) <= n
         try:
-            system = (DenseJacobian if dense else ReducedJacobian)(problem, d_y, d_v, sigma, eps)
+            system = (DenseJacobian if dense else ReducedJacobian)(kkt, d_y, d_v, sigma, eps)
         except np.linalg.LinAlgError:
             continue
         x = system.solve(rhs, transpose)
         for refine in (True, False):
-            if not np.isfinite(x).all():
-                break
-            product, a_z = system._product(x, transpose)
-            back = product - rhs
+            kx, jx = system.products(x, transpose)
+            back = jx - rhs
+            if eps:
+                back += eps * x
             error = float(np.abs(back).max(initial=0.0))
+            if not error < math.inf:
+                break  # x is not finite, as J x holds diag * x
             passed = error <= tol
             if not passed:
                 # The widened bound, computed only when the plain one fails.
                 norm = system.norm_inf(transpose)
                 passed = error <= tol + _SOLVE_TOL * norm * float(np.abs(x).max(initial=0.0))
             if passed:
-                if not (rung or transpose):
-                    x = x.view(CheckedSolution)
-                    x.products = (product[:n], product[n : n + p], a_z)
-                return x, rung + 1
+                return x, rung + 1 - first_rung, kx, jx
             if refine:
                 x = x - system.solve(back, transpose)
-    return None, 1 + _PERTURB_ATTEMPTS
-
-
-def _assemble(problem: QpProblem, d_y: np.ndarray, d_v: np.ndarray, shift: float) -> np.ndarray:
-    """J with sigma = ``shift`` and D_v = diag(d_v), as the module docstring writes it."""
-    n, p = problem.n, problem.p
-    size = n + p + problem.q
-    jac = np.zeros((size, size))
-    jac[:n, :n] = problem.H
-    jac[:n, n : n + p] = problem.G.T
-    jac[:n, n + p :] = problem.A.T
-    jac[n : n + p, :n] = -problem.G
-    jac[n + p :, :n] = -d_y[:, None] * problem.A
-    diagonal = jac.ravel()[:: size + 1]
-    diagonal[: n + p] += shift
-    diagonal[n + p :] = d_v
-    return jac
+    return None, 1 + _PERTURB_ATTEMPTS - first_rung, None, None
 
 
 def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:

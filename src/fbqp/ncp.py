@@ -82,9 +82,9 @@ def phi_derivative_vec(y, v) -> tuple[np.ndarray, np.ndarray]:
     any_origin = np.count_nonzero(at_origin)
     if any_origin:
         radius = np.where(at_origin, 1.0, radius)
-    d_y = ALPHA * (1.0 - y / radius) + (1.0 - ALPHA) * np.maximum(v, 0.0) * (y > 0.0)
-    d_v = ALPHA * (1.0 - v / radius) + (1.0 - ALPHA) * np.maximum(y, 0.0) * (v > 0.0)
+    # Both partials at once: row 0 of the stack is d_y, row 1 is d_v.
+    pair = np.array((y, v))
+    d = ALPHA * (1.0 - pair / radius) + (1.0 - ALPHA) * np.maximum(pair[::-1], 0.0) * (pair > 0.0)
     if any_origin:
-        origin = ALPHA * (1.0 - _INV_SQRT2)
-        d_y, d_v = np.where(at_origin, origin, d_y), np.where(at_origin, origin, d_v)
-    return d_y, d_v
+        d = np.where(at_origin, ALPHA * (1.0 - _INV_SQRT2), d)
+    return d[0], d[1]

@@ -233,24 +233,19 @@ class KktError:
         return dataclasses.asdict(self)
 
 
-def _kkt_products(
-    problem: QpProblem, iterate: Iterate
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, KktError]:
-    """The gradient of the Lagrangian H z + f + G' lam + A' v, the equality
-    residual G z - h and the slack b - A z at an iterate of matching shapes,
-    with the KKT error they give."""
-    z, lam, v = iterate.z, iterate.lam, iterate.v
-    grad_lagrangian = problem.H @ z + problem.f + problem.G.T @ lam + problem.A.T @ v
-    eq_residual = problem.G @ z - problem.h
-    y = problem.b - problem.A @ z
-    kkt = KktError(
+def _kkt_norms(
+    grad_lagrangian: np.ndarray, eq_residual: np.ndarray, slack: np.ndarray, v: np.ndarray
+) -> KktError:
+    """The KKT error from the gradient of the Lagrangian H z + f + G' lam + A' v,
+    the equality residual G z - h, the slack b - A z and v."""
+    q = v.size
+    return KktError(
         stationarity_inf=_inf_norm(grad_lagrangian),
         eq_infeas_inf=_inf_norm(eq_residual),
-        ineq_infeas_inf=_negative_part(y) if problem.q else 0.0,
-        comp_inf=_inf_norm(np.minimum(y, v)) if problem.q else 0.0,
-        dual_neg_inf=_negative_part(v) if problem.q else 0.0,
+        ineq_infeas_inf=_negative_part(slack) if q else 0.0,
+        comp_inf=_inf_norm(np.minimum(slack, v)) if q else 0.0,
+        dual_neg_inf=_negative_part(v) if q else 0.0,
     )
-    return grad_lagrangian, eq_residual, y, kkt
 
 
 def kkt_error(problem: QpProblem, iterate: Iterate) -> KktError:
@@ -265,7 +260,9 @@ def kkt_error(problem: QpProblem, iterate: Iterate) -> KktError:
         ValueError: if the iterate shapes do not match the problem.
     """
     iterate.require_match(problem)
-    return _kkt_products(problem, iterate)[3]
+    z, lam, v = iterate.z, iterate.lam, iterate.v
+    grad_lagrangian = problem.H @ z + problem.f + problem.G.T @ lam + problem.A.T @ v
+    return _kkt_norms(grad_lagrangian, problem.G @ z - problem.h, problem.b - problem.A @ z, v)
 
 
 def infeasibility_error(problem: QpProblem, ray: Iterate) -> float:

@@ -21,7 +21,10 @@ dz/db = (D_y W_v)'.
 
 Where LICQ fails, J at sigma_min can be numerically singular. The solve
 then passes on J + eps I (eps >= 1e-10), is checked against that matrix,
-and the result is flagged not well-posed. The value there is a one-sided
+and the result is flagged not well-posed. J is taken with a zero slack on
+every row active with a positive multiplier: a slack left by roundoff gives
+such a row a d_v near 1e-15, and J can then pass the check at a condition
+near 1e15, with an answer set by that roundoff. The value there is a one-sided
 linearization of the nonsmooth solution map (Bolte, Le, Pauwels &
 Silveti-Falls, NeurIPS 2021, arXiv:2106.04350).
 """
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobian import checked_solve
+from .jacobian import KktMatrix, checked_solve
 from .ncp import phi_derivative_vec
 from .problem import QpProblem
 from .solver import _SIGMA_MIN, SingularSystemError, SolveResult, SolveStatus
@@ -106,13 +109,17 @@ def _pull_back(
         )
     z, v = result.iterate.z, result.iterate.v
     slack = problem.b - problem.A @ z
-    d_y, d_v = phi_derivative_vec(slack, v)
+    active = slack < _DEGENERACY_TOL
+    # See the module docstring on rows active with a positive multiplier.
+    strict = active & (v >= _DEGENERACY_TOL)
+    d_y, d_v = phi_derivative_vec(np.where(strict, 0.0, slack), v)
     rhs = np.zeros((problem.n + problem.p + problem.q,) + cotangents.shape[1:])
     rhs[: problem.n] = -cotangents
-    w, attempts = checked_solve(problem, d_y, d_v, _SIGMA_MIN, rhs, transpose=True)
+    w, attempts, _, _ = checked_solve(
+        KktMatrix(problem), d_y, d_v, _SIGMA_MIN, rhs, transpose=True
+    )
     if w is None:
         raise SingularSystemError("final Jacobian is numerically singular, even perturbed")
-    active = slack < _DEGENERACY_TOL
     wellposed = attempts == 1 and not np.any(active & (v < _DEGENERACY_TOL))
     if wellposed:
         # LICQ, by the rank test the oracle's multiplicity flag uses.

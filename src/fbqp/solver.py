@@ -18,20 +18,26 @@ ray that certifies that there is none (``_certificate``). A stage ends at
 its merit target, after ``_STALL_STEPS`` consecutive backtracked steps, or
 at ``max_inner`` steps; the last two count as a missed target.
 
-Each point is evaluated once. ``residual`` forms R from the products the
-certificate needs (``fbqp.problem.kkt_error``), H z + f + G' lambda + A' v,
-G z - h and b - A z, and returns that certificate with R, so the loop reads
-the KKT error of each accepted point from the residual it needs anyway.
+The loop state is one stacked vector x = (z, lambda, v), and a step is
+x + t d. Each point is evaluated once: ``residual`` forms lin = K x + c,
+one product with the symmetric matrix K of ``fbqp.jacobian.KktMatrix``,
+built once per solve, whose blocks are H z + f + G' lambda + A' v,
+G z - h and A z - b. R and the KKT error of the point are read from lin
+and v, so the loop reads the KKT error of each accepted point from the
+residual it needs anyway; ``Solved`` is decided on ``kkt_error`` of the
+last iterate, recomputed from the problem data.
 
 Each Newton step solves J d = -R through ``fbqp.jacobian``: by one LU of
 the assembled J when the system is small and well determined, and else
 through a symmetric quasi-definite reduction with two Cholesky factors.
 A direction is kept only when its backward error against the full J passes,
 after at most one refinement pass, or else on J + eps I with a growing eps
-(the ladder of ``fbqp.jacobian.checked_solve``). The stationarity and
-equality blocks of R are affine along a direction, so the line search
-evaluates phi once for the full step and once for each stack of shorter
-steps; their change per unit step comes from the J d that the check formed.
+(the ladder of ``fbqp.jacobian.checked_solve``). The check forms K d and
+J d, and returns them. The stationarity and equality blocks of R are
+affine along a direction with slope (J d)[:n+p], and the slack moves by
+-(K d)[n+p:] = -A dz, so the line search evaluates phi once for the full
+step and once for each stack of shorter steps. When no step passes on a
+direction of J itself, the direction of J + 1e-10 I gets one search.
 ``assemble_jacobian`` builds J at an iterate with the LU path's assembly.
 
 The package exports ``solve`` with its three settings (``SolverConfig``:
@@ -44,13 +50,14 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .jacobian import _assemble, checked_solve
+from .jacobian import KktMatrix, _Jacobian, checked_solve
 from .ncp import phi_derivative_vec, phi_vec
-from .problem import Iterate, KktError, QpProblem, _kkt_products, infeasibility_error, kkt_error
+from .problem import Iterate, KktError, QpProblem, _kkt_norms, infeasibility_error, kkt_error
 from .problem import validate_problem
 
 __all__ = [
@@ -138,29 +145,15 @@ class SolverConfig:
             raise ValueError(f"max_outer and max_inner must be integers >= 1, got {budgets}")
 
 
-@dataclass(frozen=True)
-class ResidualBreakdown:
-    """The three residual blocks at one point, the slack b - A z they used,
-    the sigma-free gradient of the Lagrangian, G z - h and KKT error at the
-    point, and the merit 0.5 ||R||^2."""
+class Evaluation(NamedTuple):
+    """R at one stacked point x, lin = K x + c, the slack b - A z = -lin[n+p:],
+    the merit 0.5 ||R||^2 and the KKT error read from lin and v."""
 
-    stationarity_block: np.ndarray
-    equality_block: np.ndarray
-    complementarity_block: np.ndarray
+    r: np.ndarray
+    lin: np.ndarray
     slack: np.ndarray
-    grad_lagrangian: np.ndarray
-    eq_residual: np.ndarray
-    kkt: KktError
-    merit: float = field(init=False)
-
-    def __post_init__(self):
-        s, e, c = self.stationarity_block, self.equality_block, self.complementarity_block
-        object.__setattr__(self, "merit", float(0.5 * (s @ s + e @ e + c @ c)))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(
-            (self.stationarity_block, self.equality_block, self.complementarity_block)
-        )
+    merit: float
+    error: KktError
 
 
 @dataclass(frozen=True)
@@ -202,28 +195,31 @@ class SolveResult:
         return self.status is SolveStatus.SOLVED
 
 
-def residual(
-    problem: QpProblem, iterate: Iterate, sigma: float, center: Iterate
-) -> ResidualBreakdown:
-    """Evaluate the regularized residual R and the KKT error at an iterate.
+def residual(kkt: KktMatrix, x: np.ndarray, sigma: float, center: np.ndarray) -> Evaluation:
+    """Evaluate the regularized residual R and the KKT error at a stacked point.
 
-    This is the one evaluation of a point: R adds the sigma terms to the
-    gradient of the Lagrangian and to G z - h, the products from which
-    ``kkt_error`` is computed, and the breakdown carries that certificate.
-    Shapes are not checked here; ``solve`` checks its start once.
+    This is the one evaluation of a point: one product lin = K x + c gives
+    the gradient of the Lagrangian, G z - h and the slack. R is
+    ``sign * lin + sigma (x - center)`` on its first n + p rows and phi of
+    the slack and v on the rest. Shapes are not checked here; ``solve``
+    checks its start once.
 
     Args:
+        kkt: the problem's ``KktMatrix``.
+        x: the point (z, lambda, v), shape (n + p + q,).
         sigma: proximal weight, nonnegative. Zero gives the plain
             (unregularized) KKT residual in root form.
-        center: proximal center; only its z and lam components enter.
+        center: proximal center, of x's shape; only its z and lam rows enter.
     """
-    grad_lagrangian, eq_residual, slack, kkt = _kkt_products(problem, iterate)
-    stationarity = grad_lagrangian + sigma * (iterate.z - center.z)
-    equality = -eq_residual + sigma * (iterate.lam - center.lam)
-    complementarity = phi_vec(slack, iterate.v) if problem.q else np.zeros(0)
-    return ResidualBreakdown(
-        stationarity, equality, complementarity, slack, grad_lagrangian, eq_residual, kkt
-    )
+    n, n_p = kkt.problem.n, kkt.sign.size
+    lin = kkt.matrix @ x + kkt.offset
+    slack, v = -lin[n_p:], x[n_p:]
+    r = np.empty_like(x)
+    r[:n_p] = kkt.sign * lin[:n_p] + sigma * (x[:n_p] - center[:n_p])
+    if v.size:
+        r[n_p:] = phi_vec(slack, v)
+    error = _kkt_norms(lin[:n], lin[n:n_p], slack, v)
+    return Evaluation(r, lin, slack, 0.5 * float(r @ r), error)
 
 
 def assemble_jacobian(problem: QpProblem, iterate: Iterate, sigma: float) -> np.ndarray:
@@ -243,16 +239,13 @@ def assemble_jacobian(problem: QpProblem, iterate: Iterate, sigma: float) -> np.
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     d_y, d_v = phi_derivative_vec(problem.b - problem.A @ iterate.z, iterate.v)
-    return _assemble(problem, d_y, d_v, sigma)
+    return _Jacobian(KktMatrix(problem), d_y, d_v, sigma).assemble()
 
 
 def _newton_direction(
-    problem: QpProblem,
-    iterate: Iterate,
-    sigma: float,
-    breakdown: ResidualBreakdown,
-) -> tuple[np.ndarray | None, int]:
-    """Direction d with J d = -R at an iterate, and the factorizations it took.
+    kkt: KktMatrix, x: np.ndarray, sigma: float, point: Evaluation, first_rung: int = 0
+) -> tuple[np.ndarray | None, int, np.ndarray | None, np.ndarray | None]:
+    """Direction d with J d = -R at x, the factorizations it took, K d and J d.
 
     J is the generalized Jacobian of the residual (``assemble_jacobian``).
     ``fbqp.jacobian.checked_solve`` solves it by LU or through its reduced
@@ -261,19 +254,19 @@ def _newton_direction(
     as one factorization.
 
     Args:
-        breakdown: ``residual`` at ``iterate`` with the same ``sigma``.
+        point: ``residual`` at ``x`` with the same ``sigma``.
+        first_rung: 1 skips J and starts at J + 1e-10 I.
 
     Returns:
-        (direction, factorization_count); the direction is None when every
-        attempt failed. When J itself passed, the direction is a
-        ``CheckedSolution`` whose products ``_line_search`` reads.
+        (d, factorization_count, K d, J d), as ``checked_solve`` returns
+        them: d and the products are None when every attempt failed. J d
+        is the product with J itself, also after a rung of the ladder.
     """
-    rhs = -breakdown.as_vector()
-    if problem.q:
-        d_y, d_v = phi_derivative_vec(breakdown.slack, iterate.v)
+    if point.slack.size:
+        d_y, d_v = phi_derivative_vec(point.slack, x[kkt.sign.size :])
     else:
-        d_y = d_v = np.zeros(0)
-    return checked_solve(problem, d_y, d_v, sigma, rhs)
+        d_y = d_v = point.slack
+    return checked_solve(kkt, d_y, d_v, sigma, -point.r, first_rung=first_rung)
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
@@ -295,84 +288,72 @@ _STEP_BLOCKS = [(t, 1.0 - 2.0 * _ARMIJO_C * t[:, 0]) for t in (_STEPS[:7], _STEP
 
 
 def _line_search(
-    problem: QpProblem,
-    iterate: Iterate,
-    direction: np.ndarray,
-    sigma: float,
-    base: ResidualBreakdown,
-) -> tuple[float, Iterate, float] | None:
+    kkt: KktMatrix,
+    x: np.ndarray,
+    direction: tuple[np.ndarray, np.ndarray, np.ndarray],
+    base: Evaluation,
+) -> tuple[float, np.ndarray, float] | None:
     """Backtracking Armijo search on the merit 0.5 ||R||^2.
 
     Accepts the first step t in 1, 1/2, 1/4, ... with
-    merit(x + t d) <= (1 - 2 c t) * merit(x), with c = 1e-4. The
-    stationarity and equality blocks of R are affine in t, so their change
-    per unit step is formed once; each evaluation then costs one
+    merit(x + t d) <= (1 - 2 c t) * merit(x), with c = 1e-4. The first
+    n + p rows of R are affine in t with slope (J d)[:n+p], and the slack
+    moves by -t A dz = -t (K d)[n+p:]; each evaluation then costs one
     ``phi_vec``. The full step is tried alone; after it, the steps 1/2 to
     2^-7 and then the rest are each evaluated as one stack of rows. A row
     gets the bits of a lone trial, so the result is that of trying the
     steps one by one.
 
     Args:
-        direction: d. When it is the ``CheckedSolution`` that
-            ``_newton_direction`` returned at this point and ``sigma``, the
-            changes per unit step are read from the products of its check
-            instead of being formed again; they have the same bits.
-        base: ``residual`` at ``iterate`` with the same ``sigma``.
+        direction: (d, K d, J d) as ``_newton_direction`` returned them at
+            x, with J at the sigma of ``base``.
+        base: ``residual`` at x.
 
     Returns:
-        (step, new_iterate, merit at new_iterate), or None when no step of
-        at least 1e-12 passes.
+        (step, x + step d, merit there), or None when no step of at least
+        1e-12 passes.
     """
-    n, p = problem.n, problem.p
-    products = getattr(direction, "products", None)
-    direction = np.asarray(direction, dtype=float)
-    dz, dlam, dv = direction[:n], direction[n : n + p], direction[n + p :]
-    if products is None:
-        d_stationarity = problem.H @ dz + sigma * dz + problem.G.T @ dlam + problem.A.T @ dv
-        d_equality = sigma * dlam - problem.G @ dz
-        a_dz = problem.A @ dz
-    else:
-        d_stationarity, d_equality, a_dz = products
+    d, kd, jd = direction
+    n_p = kkt.sign.size
+    r_top, d_top, a_dz = base.r[:n_p], jd[:n_p], kd[n_p:]
+    v, dv = x[n_p:], d[n_p:]
 
     def trial(t):
-        """Merit and v at x + t d, for a float t or a column of steps."""
-        stationarity = base.stationarity_block + t * d_stationarity
-        equality = base.equality_block + t * d_equality
-        v = iterate.v + t * dv
-        merit = _squares(stationarity) + _squares(equality)
-        if problem.q:
-            merit += _squares(phi_vec(base.slack - t * a_dz, v))
-        return 0.5 * merit, v
+        """The merit at x + t d, for a float t or a column of steps."""
+        merit = _squares(r_top + t * d_top)
+        if v.size:
+            merit += _squares(phi_vec(base.slack - t * a_dz, v + t * dv))
+        return 0.5 * merit
 
-    merit, v = trial(1.0)
-    merit = float(merit)
+    merit = float(trial(1.0))
     if merit <= (1.0 - 2.0 * _ARMIJO_C) * base.merit:
-        return 1.0, Iterate._adopt(iterate.z + dz, iterate.lam + dlam, v), merit
+        return 1.0, x + d, merit
     for steps, factors in _STEP_BLOCKS:
-        merits, vs = trial(steps)
+        merits = trial(steps)
         passed = np.flatnonzero(merits <= factors * base.merit)
         if passed.size:
             i = passed[0]
             t = float(steps[i, 0])
-            x = Iterate._adopt(iterate.z + t * dz, iterate.lam + t * dlam, vs[i])
-            return t, x, float(merits[i])
+            return t, x + t * d, float(merits[i])
     return None
 
 
-def _certificate(problem: QpProblem, x: Iterate, center: Iterate) -> Iterate | None:
+def _certificate(problem: QpProblem, x: np.ndarray, center: np.ndarray) -> Iterate | None:
     """A certificate of infeasibility at a hopeless stage end, or None.
 
     Without a solution, the proximal iterates drift along one (Banjac et al.,
-    JOTA 2019; FBstab, arXiv:1901.04046). Candidates: (0, lam, v) and the step
-    (0, dlam, dv) since the centre, v clipped at 0 and lam moved by one
-    least-squares step toward G' lam = -A' v; then the step (dz, 0, 0)."""
-    lam = np.stack((x.lam, x.lam - center.lam))
-    v = np.maximum(np.stack((x.v, x.v - center.v)), 0.0)
+    JOTA 2019; FBstab, arXiv:1901.04046). Candidates, from the stacked points
+    x and center: (0, lam, v) and the step (0, dlam, dv) since the centre, v
+    clipped at 0 and lam moved by one least-squares step toward
+    G' lam = -A' v; then the step (dz, 0, 0)."""
+    n, n_p = problem.n, problem.n + problem.p
+    pair = np.stack((x, x - center))
+    lam, v = pair[:, n:n_p], np.maximum(pair[:, n_p:], 0.0)
     if problem.p:
         gap = lam @ problem.G + v @ problem.A
         lam = lam - np.linalg.lstsq(problem.G.T, gap.T, rcond=None)[0].T
-    rays = [Iterate(np.zeros(problem.n), lam_k, v_k) for lam_k, v_k in zip(lam, v)]
-    rays.append(Iterate(x.z - center.z, np.zeros(problem.p), np.zeros(problem.q)))
+    rays = [Iterate(np.zeros(n), lam_k, v_k) for lam_k, v_k in zip(lam, v)]
+    rays.append(Iterate(pair[1, :n], np.zeros(problem.p), np.zeros(problem.q)))
     return next((r for r in rays if infeasibility_error(problem, r) <= _CERTIFICATE_TOL), None)
 
 
@@ -409,8 +390,8 @@ def solve(
     start = warm_start if warm_start is not None else Iterate.start(problem)
     start.require_match(problem)
     # The cold start is finite by construction.
-    parts = (start.z, start.lam, start.v)
-    if warm_start is not None and not np.isfinite(np.concatenate(parts)).all():
+    x = np.concatenate((start.z, start.lam, start.v))
+    if warm_start is not None and not np.isfinite(x).all():
         raise ValueError("warm_start must be finite")
 
     if not validate_problem(problem).ok:
@@ -425,7 +406,8 @@ def solve(
             config=config,
         )
 
-    x = start
+    kkt = KktMatrix(problem)
+    n, n_p = problem.n, problem.n + problem.p
     trace: list[TraceRecord] = []
     inner_total = 0
     factorizations = 0
@@ -433,9 +415,9 @@ def solve(
     stalled = False
     singular = False
     certificate = None
-    breakdown = residual(problem, x, 0.0, x)
-    kkt = breakdown.kkt
-    solved = kkt.within(config.tol_kkt)
+    point = residual(kkt, x, 0.0, x)
+    error = point.error
+    solved = error.within(config.tol_kkt)
 
     polish = False
     for outer in range(config.max_outer):
@@ -447,59 +429,71 @@ def solve(
         else:
             sigma = max(_SIGMA0 * _SIGMA_SHRINK**outer, _SIGMA_MIN)
         center = x  # fixed for the stage while the inner loop moves x
-        scale = 1.0 + float(np.sqrt(x.z @ x.z + x.lam @ x.lam + x.v @ x.v))
+        scale = 1.0 + math.sqrt(float(x @ x))
         stage_merit_target = max(0.5 * (_STAGE_ETA * sigma * scale) ** 2, _MERIT_FLOOR)
         outer_used = outer + 1
         stalled = False
         short_steps = 0
-        last = kkt
+        last = error
         # Every point is evaluated once, right after the step that reaches
         # it. At the new centre the sigma terms of R vanish.
-        breakdown = ResidualBreakdown(
-            breakdown.grad_lagrangian, -breakdown.eq_residual, breakdown.complementarity_block,
-            breakdown.slack, breakdown.grad_lagrangian, breakdown.eq_residual, breakdown.kkt,
-        )
+        r = np.concatenate((kkt.sign * point.lin[:n_p], point.r[n_p:]))
+        point = point._replace(r=r, merit=0.5 * float(r @ r))
         for inner in range(config.max_inner):
-            if kkt.within(config.tol_kkt):
+            if error.within(config.tol_kkt):
                 solved = True
                 break
-            if breakdown.merit <= stage_merit_target:
+            if point.merit <= stage_merit_target:
                 # Subproblem solved to sigma-proportional accuracy; move on.
-                polish = breakdown.merit <= _ENDGAME_RATIO * 0.5 * kkt.max_error() ** 2
+                polish = point.merit <= _ENDGAME_RATIO * 0.5 * error.max_error() ** 2
                 break
             if short_steps == _STALL_STEPS:
                 break  # the target is missed, as when the budget is spent
-            direction, nfact = _newton_direction(problem, x, sigma, breakdown)
+            d, nfact, kd, jd = _newton_direction(kkt, x, sigma, point)
             factorizations += nfact
-            if direction is None:
+            if d is None:
                 singular = True
                 break
-            searched = _line_search(problem, x, direction, sigma, breakdown)
+            searched = _line_search(kkt, x, (d, kd, jd), point)
+            if searched is None and nfact == 1:
+                # Near a degenerate solution J can pass its check at a
+                # condition near 1e16, and its direction then moves the
+                # multipliers far along near-null directions. J + 1e-10 I
+                # damps those; its direction gets one search.
+                retry = _newton_direction(kkt, x, sigma, point, first_rung=1)
+                factorizations += retry[1]
+                if retry[0] is not None:
+                    d, _, kd, jd = retry
+                    searched = _line_search(kkt, x, (d, kd, jd), point)
             if searched is None:
                 stalled = True
                 break
             step, x, merit = searched
-            breakdown = residual(problem, x, sigma, center)
-            kkt = breakdown.kkt
+            point = residual(kkt, x, sigma, center)
+            error = point.error
             inner_total += 1
-            trace.append(TraceRecord(outer, inner, sigma, merit, kkt.max_error(), step))
+            trace.append(TraceRecord(outer, inner, sigma, merit, error.max_error(), step))
             short_steps = short_steps + 1 if step < 1.0 else 0
         if solved or singular:
             break
         # Hopeless: the target missed (a run of short steps, a stall or a
         # spent budget), or steps that left an error unhalved.
-        primal = [max(k.eq_infeas_inf, k.ineq_infeas_inf) for k in (last, kkt)]
-        stuck = primal[1] > 0.5 * primal[0] or kkt.stationarity_inf > 0.5 * last.stationarity_inf
-        if (stuck and x is not center) or breakdown.merit > stage_merit_target:
+        primal = [max(k.eq_infeas_inf, k.ineq_infeas_inf) for k in (last, error)]
+        stuck = primal[1] > 0.5 * primal[0] or error.stationarity_inf > 0.5 * last.stationarity_inf
+        if (stuck and x is not center) or point.merit > stage_merit_target:
             certificate = _certificate(problem, x, center)
+            if certificate is None and stalled:
+                # A search that failed at its first step leaves x at the
+                # centre; the direction's ray does not depend on a step.
+                certificate = _certificate(problem, x + d, x)
             if certificate is not None:
                 break
 
-    if not solved:
-        # The inner budget can end right on the achieving step.
-        solved = kkt.within(config.tol_kkt)
-
-    if solved:
+    # The certificate of the answer is recomputed from the data, not read
+    # from lin; the inner budget can also end right on the achieving step.
+    iterate = Iterate._adopt(x[:n], x[n:n_p], x[n_p:])
+    error = kkt_error(problem, iterate)
+    if error.within(config.tol_kkt):
         status = SolveStatus.SOLVED
     elif singular:
         status = SolveStatus.SINGULAR_SYSTEM
@@ -510,9 +504,9 @@ def solve(
     else:
         status = SolveStatus.MAX_ITERATIONS
     return SolveResult(
-        iterate=x,
+        iterate=iterate,
         status=status,
-        kkt=kkt,
+        kkt=error,
         trace=tuple(trace),
         inner_iterations=inner_total,
         factorizations=factorizations,

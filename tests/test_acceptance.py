@@ -31,6 +31,7 @@ from fbqp import (
     solve,
     vjp,
 )
+from fbqp.jacobian import KktMatrix
 from fbqp.solver import assemble_jacobian, residual
 
 
@@ -109,22 +110,16 @@ def test_criterion_2_derivative_correctness():
             slack = problem.b - problem.A @ x.z
             if np.all(np.abs(slack) > 1e-2) and np.all(np.abs(x.v) > 1e-2):
                 break
-        center = Iterate(np.zeros(n), np.zeros(p), np.zeros(q))
         sigma = 1e-3
         jac = assemble_jacobian(problem, x, sigma)
         base = np.concatenate((x.z, x.lam, x.v))
         size = n + p + q
+        kkt, center = KktMatrix(problem), np.zeros(size)
         for j in range(size):
             offset = np.zeros(size)
             offset[j] = step
-            plus = base + offset
-            minus = base - offset
-            r_plus = residual(
-                problem, Iterate(plus[:n], plus[n:n + p], plus[n + p:]), sigma, center
-            ).as_vector()
-            r_minus = residual(
-                problem, Iterate(minus[:n], minus[n:n + p], minus[n + p:]), sigma, center
-            ).as_vector()
+            r_plus = residual(kkt, base + offset, sigma, center).r
+            r_minus = residual(kkt, base - offset, sigma, center).r
             column = (r_plus - r_minus) / (2 * step)
             jac_err = max(
                 jac_err,

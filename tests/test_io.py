@@ -279,6 +279,16 @@ def test_save_and_load_file(tmp_path):
     np.testing.assert_array_equal(planted.z, solution.z)
 
 
+def test_save_refusing_a_problem_keeps_the_file(tmp_path):
+    path = tmp_path / "problem.json"
+    save_problem(path, QpProblem(H=[[2.0]], f=[1.0]))
+    before = path.read_bytes()
+    assert before
+    with pytest.raises(ProblemFormatError):
+        save_problem(path, QpProblem(H=[[np.inf]], f=[1.0]))
+    assert path.read_bytes() == before
+
+
 def test_parse_solution_variants():
     iterate = parse_solution({"z": [1.0], "v": [2.0]})
     np.testing.assert_array_equal(iterate.z, [1.0])

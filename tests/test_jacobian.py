@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from fbqp import GeneratorSpec, Iterate, QpProblem, random_problem
-from fbqp.jacobian import _DENSE_MAX, DenseJacobian, ReducedJacobian, checked_solve
+from fbqp.jacobian import _DENSE_MAX, DenseJacobian, KktMatrix, ReducedJacobian, checked_solve
 from fbqp.jacobian import _Jacobian
-from fbqp.jacobian import CheckedSolution
 from fbqp.ncp import phi_derivative_vec
 from fbqp.solver import _newton_direction, assemble_jacobian, residual
 
@@ -71,7 +70,7 @@ CASES = (
 def _system(problem, x, sigma, eps=0.0):
     slack = problem.b - problem.A @ x.z
     d_y, d_v = phi_derivative_vec(slack, x.v)
-    return ReducedJacobian(problem, d_y, d_v, sigma, eps), d_y, d_v
+    return ReducedJacobian(KktMatrix(problem), d_y, d_v, sigma, eps), d_y, d_v
 
 
 def _close(actual, expected, rtol=1e-8):
@@ -92,10 +91,10 @@ def test_cases_cover_the_structure():
 @pytest.mark.parametrize("name", CASES)
 def test_direction_matches_dense_solve(name):
     problem, x = _case(name)
-    center = Iterate(np.zeros(problem.n), np.zeros(problem.p), np.zeros(problem.q))
-    breakdown = residual(problem, x, SIGMA, center)
-    direction, count = _newton_direction(problem, x, SIGMA, breakdown)
-    expected = np.linalg.solve(assemble_jacobian(problem, x, SIGMA), -breakdown.as_vector())
+    kkt, stacked = KktMatrix(problem), np.concatenate((x.z, x.lam, x.v))
+    point = residual(kkt, stacked, SIGMA, np.zeros_like(stacked))
+    direction, count, _, _ = _newton_direction(kkt, stacked, SIGMA, point)
+    expected = np.linalg.solve(assemble_jacobian(problem, x, SIGMA), -point.r)
     assert count == 1
     _close(direction, expected)
 
@@ -122,7 +121,9 @@ def test_solves_match_perturbed_jacobian_and_transpose(name, eps):
     unperturbed = assemble_jacobian(problem, x, SIGMA)
     for transpose, dense in ((False, unperturbed), (True, unperturbed.T)):
         for right in (rhs, block):
-            checked, attempts = checked_solve(problem, d_y, d_v, SIGMA, right, transpose)
+            checked, attempts, _, _ = checked_solve(
+                system.kkt, d_y, d_v, SIGMA, right, transpose
+            )
             assert attempts == 1
             _close(checked, np.linalg.solve(dense, right))
 
@@ -133,7 +134,7 @@ def test_lu_solves_match_perturbed_jacobian_and_transpose(name, eps):
     problem, x = _case(name)
     slack = problem.b - problem.A @ x.z
     d_y, d_v = phi_derivative_vec(slack, x.v)
-    system = DenseJacobian(problem, d_y, d_v, SIGMA, eps)
+    system = DenseJacobian(KktMatrix(problem), d_y, d_v, SIGMA, eps)
     size = problem.n + problem.p + problem.q
     jac = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(size)
     rng = np.random.default_rng(size)
@@ -143,7 +144,7 @@ def test_lu_solves_match_perturbed_jacobian_and_transpose(name, eps):
         _close(system.solve(right), np.linalg.solve(jac, right))
         _close(system.solve(right, transpose=True), np.linalg.solve(jac.T, right))
     # Products and norms are those of the reduced form, bit for bit.
-    reduced = ReducedJacobian(problem, d_y, d_v, SIGMA, eps)
+    reduced = ReducedJacobian(system.kkt, d_y, d_v, SIGMA, eps)
     for transpose in (False, True):
         assert system.norm_inf(transpose) == reduced.norm_inf(transpose)
         got, want = system.apply(block, transpose), reduced.apply(block, transpose)
@@ -170,9 +171,10 @@ def test_checked_solve_factors_by_lu_while_kept_rows_fit(monkeypatch, kept, expe
     d_v = np.where(np.arange(4) < kept, 0.1, 0.9)
     picked = _picks(monkeypatch)
     rhs = np.ones(8)
-    x, attempts = checked_solve(problem, d_y, d_v, SIGMA, rhs)
+    kkt = KktMatrix(problem)
+    x, attempts, _, _ = checked_solve(kkt, d_y, d_v, SIGMA, rhs)
     assert attempts == 1 and picked == [expected]
-    assert np.max(np.abs(_Jacobian(problem, d_y, d_v, SIGMA).apply(x) - rhs)) <= 1e-10 * 2.0
+    assert np.max(np.abs(_Jacobian(kkt, d_y, d_v, SIGMA).apply(x) - rhs)) <= 1e-10 * 2.0
 
 
 @pytest.mark.parametrize(
@@ -182,7 +184,7 @@ def test_checked_solve_factors_by_lu_up_to_the_size_bound(monkeypatch, size, exp
     problem, _ = random_problem(GeneratorSpec(n=size, seed=9))
     empty = np.zeros(0)
     picked = _picks(monkeypatch)
-    _, attempts = checked_solve(problem, empty, empty, SIGMA, np.ones(size))
+    _, attempts, _, _ = checked_solve(KktMatrix(problem), empty, empty, SIGMA, np.ones(size))
     assert attempts == 1 and picked == [expected]
 
 
@@ -194,9 +196,10 @@ def test_checked_solve_picks_the_factorization_per_attempt(monkeypatch):
     d_y, d_v = np.ones(2), np.array([1.0 - 5e-11, 0.5])
     picked = _picks(monkeypatch)
     rhs = np.ones(3)
-    x, attempts = checked_solve(problem, d_y, d_v, 0.0, rhs)
+    kkt = KktMatrix(problem)
+    x, attempts, _, _ = checked_solve(kkt, d_y, d_v, 0.0, rhs)
     assert attempts == 2 and picked == ["ReducedJacobian", "DenseJacobian"]
-    rung = _Jacobian(problem, d_y, d_v, 0.0, 1e-10)
+    rung = _Jacobian(kkt, d_y, d_v, 0.0, 1e-10)
     assert np.max(np.abs(rung.apply(x) - rhs)) <= 1e-10 * 2.0
 
 
@@ -206,7 +209,7 @@ def test_row_norm_matches_dense(name):
     slack = problem.b - problem.A @ x.z
     d_y, d_v = phi_derivative_vec(slack, x.v)
     eps = 1e-8
-    system = ReducedJacobian(problem, d_y, d_v, SIGMA, eps)
+    system = ReducedJacobian(KktMatrix(problem), d_y, d_v, SIGMA, eps)
     jac = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(problem.n + problem.p + problem.q)
     expected = np.max(np.abs(jac).sum(axis=1))
     assert system.norm_inf() == pytest.approx(expected, rel=1e-14)
@@ -218,38 +221,127 @@ def test_singular_reduced_block_raises():
     # H = 0 and sigma = 0 leave M = 0 when no row is eliminated, so J
     # fails and the ladder's first rung, J + 1e-10 I, passes.
     problem = QpProblem(H=np.zeros((2, 2)), f=np.zeros(2))
-    empty = np.zeros(0)
+    kkt, empty = KktMatrix(problem), np.zeros(0)
     with pytest.raises(np.linalg.LinAlgError):
-        ReducedJacobian(problem, empty, empty, 0.0)
-    rung = ReducedJacobian(problem, empty, empty, 0.0, 1e-10)
+        ReducedJacobian(kkt, empty, empty, 0.0)
+    rung = ReducedJacobian(kkt, empty, empty, 0.0, 1e-10)
     rhs = np.ones(2)
     for transpose in (False, True):
-        x, attempts = checked_solve(problem, empty, empty, 0.0, rhs, transpose)
+        x, attempts, _, _ = checked_solve(kkt, empty, empty, 0.0, rhs, transpose)
         assert attempts == 2
         assert np.max(np.abs(rung.apply(x, transpose) - rhs)) <= 1e-10 * (1.0 + 1.0)
         np.testing.assert_allclose(x, [1e10, 1e10])
 
 
+def _kkt_blocks(problem):
+    """K built block by block from the data."""
+    n, p = problem.n, problem.p
+    size = n + p + problem.q
+    k = np.zeros((size, size))
+    k[:n, :n] = problem.H
+    k[:n, n : n + p] = problem.G.T
+    k[:n, n + p :] = problem.A.T
+    k[n : n + p, :n] = problem.G
+    k[n + p :, :n] = problem.A
+    return k
+
+
+@pytest.mark.parametrize("sigma", [0.0, SIGMA, 0.25])
+@pytest.mark.parametrize("name", CASES)
+def test_assemble_jacobian_has_the_bits_of_its_blocks(name, sigma):
+    # J from diag(scale) K plus its diagonal, against J placed block by block.
+    problem, x = _case(name)
+    n, p = problem.n, problem.p
+    size = n + p + problem.q
+    d_y, d_v = phi_derivative_vec(problem.b - problem.A @ x.z, x.v)
+    want = np.zeros((size, size))
+    want[:n, :n] = problem.H
+    want[:n, n : n + p] = problem.G.T
+    want[:n, n + p :] = problem.A.T
+    want[n : n + p, :n] = -problem.G
+    want[n + p :, :n] = -d_y[:, None] * problem.A
+    diagonal = want.ravel()[:: size + 1]
+    diagonal[: n + p] += sigma
+    diagonal[n + p :] = d_v
+    # Adding 0.0 turns -0.0 into 0.0 and keeps the bits of every other entry:
+    # scale times a zero of K may be -0.0.
+    got = assemble_jacobian(problem, x, sigma)
+    assert got.shape == want.shape and (got + 0.0).tobytes() == (want + 0.0).tobytes()
+    kkt = KktMatrix(problem)
+    assert kkt.matrix.tobytes() == _kkt_blocks(problem).tobytes()
+    offset = np.concatenate((problem.f, -problem.h, -problem.b))
+    assert kkt.offset.tobytes() == offset.tobytes()
+
+
+def _product_close(got, jac, x):
+    """got is jac @ x to 1e-13, relative to |jac| |x|."""
+    scale = np.max(np.abs(jac) @ np.abs(x), initial=0.0)
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - jac @ x), initial=0.0) <= 1e-13 * scale
+
+
+def _forced(monkeypatch, cls, eps):
+    """Make checked_solve factor ``cls`` only, and fail every rung below eps."""
+    def build(kkt, d_y, d_v, sigma, rung_eps=0.0):
+        if rung_eps < eps:
+            raise np.linalg.LinAlgError("forced")
+        return cls(kkt, d_y, d_v, sigma, rung_eps)
+
+    for name in ("DenseJacobian", "ReducedJacobian"):
+        monkeypatch.setattr(f"fbqp.jacobian.{name}", build)
+
+
+@pytest.mark.parametrize("cls", [DenseJacobian, ReducedJacobian])
+@pytest.mark.parametrize("eps", [0.0, 1e-10, 1e-8])
+@pytest.mark.parametrize("name", CASES)
+def test_products_are_those_of_the_assembled_jacobian(monkeypatch, name, eps, cls):
+    # One product with K serves J and J', whichever way J + eps I is
+    # factored. The products checked_solve returns are those of J itself;
+    # its check adds eps x.
+    problem, x = _case(name)
+    _, d_y, d_v = _system(problem, x, SIGMA)
+    kkt = KktMatrix(problem)
+    k, jac = _kkt_blocks(problem), assemble_jacobian(problem, x, SIGMA)
+    size = jac.shape[0]
+    shifted = jac + eps * np.eye(size)
+    system = cls(kkt, d_y, d_v, SIGMA, eps)
+    rng = np.random.default_rng(size)
+    _forced(monkeypatch, cls, eps)
+    for right in (rng.standard_normal(size), rng.standard_normal((size, 3))):
+        kx, jx = system.products(right)
+        _product_close(kx, k, right)
+        _product_close(jx, jac, right)
+        _product_close(system.products(right, transpose=True)[1], jac.T, right)
+        _product_close(system.apply(right), shifted, right)
+        _product_close(system.apply(right, transpose=True), shifted.T, right)
+        for transpose in (False, True):
+            solution, attempts, kx, jx = checked_solve(kkt, d_y, d_v, SIGMA, right, transpose)
+            assert attempts == 1 + [0.0, 1e-10, 1e-9, 1e-8].index(eps)
+            _product_close(jx, jac.T if transpose else jac, solution)
+            _product_close(jx + eps * solution, shifted.T if transpose else shifted, solution)
+            if not transpose:
+                _product_close(kx, k, solution)
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_checked_solve_hands_back_the_products_of_its_check(name):
-    # A solve with J that J itself passes carries (H + s I) x_z + G' x_lam
-    # + A' x_v, s x_lam - G x_z and A x_z, with the bits of those products
-    # formed from the data as the line search forms them.
+    # A solve with J returns K x and J x = scale * (K x) + diag * x, a solve
+    # with J' returns K (scale * x) and J' x = K (scale * x) + diag * x, with
+    # the bits of those products formed from the data.
     problem, x = _case(name)
     _, d_y, d_v = _system(problem, x, SIGMA)
     n, p = problem.n, problem.p
+    kkt, k = KktMatrix(problem), _kkt_blocks(problem)
+    scale = np.concatenate((np.ones(n), -np.ones(p), -d_y))
+    diagonal = np.concatenate((np.full(n + p, SIGMA), d_v))
     rhs = np.random.default_rng(7).standard_normal(n + p + problem.q)
-    solution, attempts = checked_solve(problem, d_y, d_v, SIGMA, rhs)
-    assert attempts == 1 and isinstance(solution, CheckedSolution)
-    x_z, x_lam, x_v = np.split(np.array(solution), [n, n + p])
-    expected = (
-        problem.H @ x_z + SIGMA * x_z + problem.G.T @ x_lam + problem.A.T @ x_v,
-        SIGMA * x_lam - problem.G @ x_z,
-        problem.A @ x_z,
-    )
-    for got, want in zip(solution.products, expected):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    # J' and anything derived from the solution carry none.
-    transposed, _ = checked_solve(problem, d_y, d_v, SIGMA, rhs, transpose=True)
-    assert getattr(transposed, "products", None) is None
-    assert (2.0 * solution).products is None and solution[:n].products is None
+    solution, attempts, kx, jx = checked_solve(kkt, d_y, d_v, SIGMA, rhs)
+    assert attempts == 1
+    want = k @ solution
+    assert kx.tobytes() == want.tobytes()
+    assert jx.tobytes() == (scale * want + diagonal * solution).tobytes()
+    solution, attempts, kx, jx = checked_solve(kkt, d_y, d_v, SIGMA, rhs, transpose=True)
+    assert attempts == 1
+    want = k @ (scale * solution)
+    assert kx.tobytes() == want.tobytes()
+    assert jx.tobytes() == (want + diagonal * solution).tobytes()

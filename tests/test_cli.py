@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fbqp import QpProblem, save_problem
+from fbqp import QpProblem, load_problem, save_problem
 from fbqp.cli import cli_main
 
 INFEASIBLE = QpProblem(H=np.eye(1), f=[0.0], G=[[1.0], [1.0]], h=[0.0, 1.0])
@@ -74,6 +74,25 @@ def test_solve_warm_start_flag(planted_file, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "Solved"
     assert report["inner_iterations"] == 0
+
+
+def test_solve_warm_start_from_a_nearby_problem_takes_no_newton_step(
+    planted_file, tmp_path, capsys
+):
+    problem, _ = load_problem(planted_file)
+    nearby = QpProblem(problem.H, problem.f + 1e-3, problem.G, problem.h, problem.A, problem.b)
+    nearby_path = tmp_path / "nearby.json"
+    save_problem(nearby_path, nearby)
+    assert cli_main(["solve", str(planted_file), "--json"]) == 0
+    warm_path = tmp_path / "warm.json"
+    warm_path.write_text(capsys.readouterr().out)
+    assert cli_main(
+        ["solve", str(nearby_path), "--warm-start", str(warm_path), "--json"]
+    ) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "Solved"
+    assert report["inner_iterations"] == 0
+    assert report["factorizations"] >= 1
 
 
 def test_solve_infeasible_exits_two(tmp_path, capsys):

@@ -21,6 +21,7 @@ from fbqp.jacobian import _PERTURB_ATTEMPTS, KktMatrix, _Jacobian
 from fbqp.ncp import phi_derivative_vec
 from fbqp.solver import (
     _STALL_STEPS,
+    _active_set_rounds,
     _certificate,
     _line_search,
     _newton_direction,
@@ -36,6 +37,8 @@ ONE_D = QpProblem(H=[[1.0]], f=[0.0], A=[[-1.0]], b=[-1.0])
 # min 0.5 (z1^2 + z2^2) subject to z1 + z2 = 1; solution z = (0.5, 0.5),
 # lambda = -0.5 under the stationarity convention Hz + f + G'lam + A'v.
 EQ_2D = QpProblem(H=np.eye(2), f=np.zeros(2), G=[[1.0, 1.0]], h=[1.0])
+# z = 0 and z = 1 at once: primal infeasible.
+INFEASIBLE = QpProblem(H=np.eye(1), f=[0.0], G=[[1.0], [1.0]], h=[0.0, 1.0])
 
 
 def _zero_center(problem):
@@ -682,6 +685,88 @@ def test_warm_start_from_planted_solution_dominates():
         result = solve(problem, warm_start=planted)
         assert result.solved
         assert result.inner_iterations <= 2 * max(result.outer_iterations, 1)
+
+
+def _planted_path(seed, steps=64, hold=4, n=8, p=2, q=6):
+    """A path of problems that share H, G and A, as in the benchmark's
+    diff_pipeline: f, h and b move with a planted point whose active set is
+    held for ``hold`` steps, with multipliers and slacks in [0.5, 1.5].
+    p + q <= n keeps the bordered system of every active set nonsingular.
+    Returns (problem, planted point, whether the previous step's active set
+    still holds) per step."""
+    base, _ = random_problem(GeneratorSpec(n=n, p=p, q=q, activity_fraction=0.5, seed=seed))
+    H, G, A = base.H, base.G, base.A
+    rng = np.random.default_rng(seed)
+    z0, z_cos, z_sin = rng.standard_normal((3, n))
+    lam0, lam_sin = rng.standard_normal((2, p))
+    row_phase, size_phase = rng.uniform(0.0, 2.0 * np.pi, (2, q))
+    path = []
+    for t in range(steps):
+        angle = 2.0 * np.pi * t / steps
+        active = np.sin(2.0 * np.pi * (t - t % hold) / steps + row_phase) > 0.0
+        z = z0 + 0.5 * (np.cos(angle) * z_cos + np.sin(angle) * z_sin)
+        lam = lam0 + 0.5 * np.sin(angle) * lam_sin
+        size = 1.0 + 0.5 * np.sin(angle + size_phase)
+        v = np.where(active, size, 0.0)
+        problem = QpProblem(
+            H, -(H @ z + G.T @ lam + A.T @ v), G, G @ z, A, A @ z + np.where(active, 0.0, size)
+        )
+        path.append((problem, Iterate(z, lam, v), t % hold != 0))
+    return path
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_warm_started_path_ends_in_active_set_rounds(seed):
+    previous = None
+    for problem, planted, held in _planted_path(seed):
+        result = solve(problem, warm_start=previous)
+        assert result.solved
+        gap = float(np.abs(result.iterate.z - planted.z).max())
+        assert gap <= 1e-6
+        if previous is not None and held:
+            assert result.inner_iterations == 0
+            assert result.factorizations >= 1
+            assert gap <= 1e-9
+        previous = result.iterate
+
+
+def test_singular_first_round_falls_through_to_newton():
+    # PSD-only H. At the warm start v = 0 lies below the slack 1, so the
+    # first guess is S empty, and K_S = H is singular.
+    problem = QpProblem(H=np.diag([1.0, 0.0]), f=[0.0, -1.0], A=[[0.0, 1.0]], b=[1.0])
+    warm = Iterate([0.0, 0.0], [], [0.0])
+    kkt, x = KktMatrix(problem), _stacked(warm)
+    assert _active_set_rounds(kkt, x, residual(kkt, x, 0.0, x), SolverConfig()) == (None, 1)
+    result = solve(problem, warm_start=warm)
+    assert result.solved
+    assert result.inner_iterations > 0
+    np.testing.assert_allclose(result.iterate.z, [0.0, 1.0], atol=1e-8)
+
+
+def test_warm_started_infeasible_problems_keep_their_certificates():
+    rng = np.random.default_rng(0)
+    for problem in (INFEASIBLE, *_contradictory_problems()):
+        warm = Iterate(*(rng.standard_normal(k) for k in (problem.n, problem.p, problem.q)))
+        result = solve(problem, warm_start=warm)
+        assert result.status is SolveStatus.PRIMAL_INFEASIBLE
+        assert infeasibility_error(problem, result.certificate) <= 1e-8
+
+
+@pytest.mark.parametrize("strictly_convex", [True, False])
+def test_random_warm_start_keeps_the_cold_status(strictly_convex):
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        p, q = int(rng.integers(0, min(2, n) + 1)), int(rng.integers(0, 9))
+        problem, planted = random_problem(GeneratorSpec(
+            n=n, p=p, q=q, activity_fraction=float(rng.uniform()),
+            strictly_convex=strictly_convex, seed=seed,
+        ))
+        warm = Iterate(rng.standard_normal(n), rng.standard_normal(p), rng.standard_normal(q))
+        result = solve(problem, warm_start=warm)
+        assert result.status is solve(problem).status
+        if strictly_convex and result.solved:
+            assert float(np.abs(result.iterate.z - planted.z).max()) <= 1e-6
 
 
 def test_solve_deterministic_trace():

@@ -1,11 +1,11 @@
 """Differentiate a QP solution with respect to its data.
 
-At a solved instance the residual of the optimality system is zero, so the
-implicit function theorem turns the final Newton matrix into a linear map
+At a solved instance the KKT conditions on the active set are a linear
+system, so the implicit function theorem turns its matrix into a linear map
 from data perturbations to solution perturbations. Forward mode gives the
 dense Jacobians dz/df, dz/dh, dz/db; reverse mode (vjp) pulls a gradient
-on z back to every datum, including the matrices, with a single transposed
-solve. That is the piece a learning pipeline needs to train through the
+on z back to every datum, including the matrices, with a single solve with
+that symmetric matrix. That is the piece a learning pipeline needs to train through the
 solver.
 """
 

@@ -19,9 +19,8 @@ Jacobian of ``solver.residual`` is
 
 with D_y, D_v >= 0 the diagonal derivatives of phi at (b - A z, v). That
 is J = diag(scale) K + diag(s on the first n + p rows, D_v'), with
-scale = (1, -1, -d_y). As K is symmetric, J x = scale * (K x) + diag * x
-and J' x = K (scale * x) + diag * x, so one product with K checks every
-solve, with J or with J', whichever way J was factored.
+scale = (1, -1, -d_y). So J x = scale * (K x) + diag * x, and one product
+with K checks every solve with J, whichever way J was factored.
 
 J is formed only for a small, well-determined system: at most
 ``_DENSE_MAX`` rows, and a kept block [G; A_K] (below) of at most n rows.
@@ -45,20 +44,23 @@ What is left is the symmetric quasi-definite matrix
 
 with M positive definite for s > 0. It is factored as the Cholesky factor
 L of M and the Cholesky factor of the Schur complement S = C + B M^-1 B',
-of size p plus the number of kept rows. J' reduces to the same matrix up
-to signs, so one factorization serves both J x = r and J' x = r.
+of size p plus the number of kept rows.
 
-``checked_solve`` is the one place a solve is checked, and the one
-perturbation ladder: when J fails, it retries J + eps I with a growing eps,
-choosing the factorization for each attempt. The Newton steps and both
-sensitivity modes go through it. It returns x, the number of
+``checked_solve`` is the one perturbation ladder of the Newton steps: when
+J fails, it retries J + eps I with a growing eps, choosing the
+factorization for each attempt. It returns x, the number of
 factorizations tried, and the products K x and J x its check formed, which
-the line search reads instead of forming them again.
+the line search reads instead of forming them again. ``refined_solve``
+holds its backward-error test, which the sensitivities' solve passes too.
+``active_set_matrix`` gathers K_S, the principal submatrix of K over
+(z, lambda, v_S) for a set S of inequality rows, which the active-set
+rounds of a warm start and, shifted, the sensitivities factor.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import cached_property
 
 import numpy as np
@@ -66,7 +68,10 @@ from scipy.linalg import blas, lapack
 
 from .problem import QpProblem
 
-__all__ = ["KktMatrix", "DenseJacobian", "ReducedJacobian", "checked_solve"]
+__all__ = [
+    "KktMatrix", "DenseJacobian", "ReducedJacobian", "active_set_matrix", "checked_solve",
+    "refined_solve",
+]
 
 # Relative accuracy demanded of every checked solve.
 _SOLVE_TOL = 1e-10
@@ -124,23 +129,18 @@ class _Jacobian:
         # The diagonal that J adds to scale * K, without eps.
         self.diagonal = np.concatenate((np.full(kkt.sign.size, sigma), d_v))
 
-    def products(self, x: np.ndarray, transpose: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(K x, J x), or (K (scale * x), J' x), for x of shape (N,) or (N, k).
-
-        J is taken without eps; the check adds eps x.
-        """
-        scale, diagonal = self.scale, self.diagonal
-        if x.ndim == 2:
-            scale, diagonal = scale[:, None], diagonal[:, None]
-        if transpose:
-            kx = self.kkt.matrix @ (scale * x)
-            return kx, kx + diagonal * x
+    def products(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(K x, J x) for x of shape (N,), with J taken without eps."""
         kx = self.kkt.matrix @ x
-        return kx, scale * kx + diagonal * x
+        return kx, self.scale * kx + self.diagonal * x
 
-    def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """``(J + eps I) x``, or its transpose."""
-        return self.products(x, transpose)[1] + self.eps * x
+    def backward(self, x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """``(J + eps I) x - rhs`` and ``products(x)``."""
+        kx, jx = self.products(x)
+        back = jx - rhs
+        if self.eps:
+            back += self.eps * x
+        return back, (kx, jx)
 
     def assemble(self) -> np.ndarray:
         """``J + eps I`` as an array: diag(scale) K plus its diagonal."""
@@ -148,10 +148,9 @@ class _Jacobian:
         jac.ravel()[:: jac.shape[0] + 1] += self.diagonal + self.eps
         return jac
 
-    def norm_inf(self, transpose: bool = False) -> float:
-        """``||J + eps I||_inf``, the largest absolute row sum of J, or of J'."""
-        abs_k, scale = self.kkt.abs_matrix, np.abs(self.scale)
-        rows = abs_k @ scale if transpose else scale * abs_k.sum(axis=1)
+    def norm_inf(self) -> float:
+        """``||J + eps I||_inf``, the largest absolute row sum of J."""
+        rows = np.abs(self.scale) * self.kkt.abs_matrix.sum(axis=1)
         # The diagonal of K is that of H, on the rows where scale is 1.
         h_diag = self.problem.H.diagonal()
         n = h_diag.size
@@ -175,9 +174,9 @@ class DenseJacobian(_Jacobian):
         if info:
             raise np.linalg.LinAlgError(f"J is singular (LAPACK info {info})")
 
-    def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """x with ``(J + eps I) x = rhs``, or its transpose; rhs is (N,) or (N, k)."""
-        return lapack.dgetrs(self.lu, self.pivots, rhs, trans=int(transpose))[0]
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with ``(J + eps I) x = rhs``, for rhs of shape (N,)."""
+        return lapack.dgetrs(self.lu, self.pivots, rhs)[0]
 
 
 class ReducedJacobian(_Jacobian):
@@ -195,20 +194,20 @@ class ReducedJacobian(_Jacobian):
         problem, shift = self.problem, self.shift
         n, p, d_v = problem.n, problem.p, d_v + eps
         # Boolean masks over the inequality rows, which scatter, and their
-        # indices, which gather (``take``) faster. The d arrays are columns.
+        # indices, which gather (``take``) faster.
         self.elim = d_v >= d_y
         self.kept = ~self.elim
         self.elim_rows, self.kept_rows = self.elim.nonzero()[0], self.kept.nonzero()[0]
         self.a_elim = problem.A.take(self.elim_rows, 0)
-        self.dy_elim = d_y[:, None].take(self.elim_rows, 0)
-        self.dv_elim = d_v[:, None].take(self.elim_rows, 0)
-        self.dy_kept = d_y[:, None].take(self.kept_rows, 0)
+        self.dy_elim = d_y.take(self.elim_rows)
+        self.dv_elim = d_v.take(self.elim_rows)
+        self.dy_kept = d_y.take(self.kept_rows)
 
         # The lower triangle of M = H + s I + A_E' W A_E as one rank-k update
         # of H, whose transpose is H in the column-major order BLAS and
         # LAPACK work in. The diagonal is shifted through the row-major
         # transpose of the result: ``ravel`` of a column-major array copies.
-        scaled = np.sqrt(self.dy_elim / self.dv_elim) * self.a_elim
+        scaled = np.sqrt(self.dy_elim / self.dv_elim)[:, None] * self.a_elim
         m = blas.dsyrk(1.0, scaled.T, beta=1.0, c=problem.H.T, lower=1)
         m.T.ravel()[:: n + 1] += shift
         self.factor = _cholesky(m, "M")
@@ -223,7 +222,7 @@ class ReducedJacobian(_Jacobian):
             s = blas.dsyrk(1.0, self.b_l_inv_t, lower=1)
             diagonal = s.T.ravel()[:: size + 1]
             diagonal[:p] += shift
-            diagonal[p:] += d_v.take(self.kept_rows) / d_y.take(self.kept_rows)
+            diagonal[p:] += d_v.take(self.kept_rows) / self.dy_kept
             self.s_factor = _cholesky(s, "the Schur complement")
 
     def _solve_reduced(self, top: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,34 +235,58 @@ class ReducedJacobian(_Jacobian):
         x, _ = lapack.dtrtrs(self.factor, t, lower=1, trans=1)
         return x, u
 
-    def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """x with ``(J + eps I) x = rhs``, or its transpose; rhs is (N,) or (N, k)."""
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with ``(J + eps I) x = rhs``, for rhs of shape (N,)."""
         n, p = self.problem.n, self.problem.p
-        r = rhs.reshape(rhs.shape[0], -1)
-        r_z, r_lam, r_v = r[:n], r[n : n + p], r[n + p :]
-        r_elim, r_kept = r_v.take(self.elim_rows, 0), r_v.take(self.kept_rows, 0)
-        if transpose:
-            # u = (-w_lam, -d_y w_kept).
-            top = r_z + self.a_elim.T @ ((self.dy_elim / self.dv_elim) * r_elim)
-            low = np.concatenate((r_lam, r_kept))
-        else:
-            # u = (d_lam, d_v on the kept rows).
-            top = r_z - self.a_elim.T @ (r_elim / self.dv_elim)
-            low = -np.concatenate((r_lam, r_kept / self.dy_kept))
+        r_z, r_lam, r_v = rhs[:n], rhs[n : n + p], rhs[n + p :]
+        r_elim, r_kept = r_v.take(self.elim_rows), r_v.take(self.kept_rows)
+        # u = (d_lam, d_v on the kept rows).
+        top = r_z - self.a_elim.T @ (r_elim / self.dv_elim)
+        low = -np.concatenate((r_lam, r_kept / self.dy_kept))
         x_z, u = self._solve_reduced(top, low)
-        a_x = self.a_elim @ x_z
-        out = np.empty_like(r)
+        out = np.empty_like(rhs)
         out[:n] = x_z
+        out[n : n + p] = u[:p]
         out_v = out[n + p :]
-        if transpose:
-            out[n : n + p] = -u[:p]
-            out_v[self.kept] = -u[p:] / self.dy_kept
-            out_v[self.elim] = (r_elim - a_x) / self.dv_elim
-        else:
-            out[n : n + p] = u[:p]
-            out_v[self.kept] = u[p:]
-            out_v[self.elim] = (r_elim + self.dy_elim * a_x) / self.dv_elim
-        return out.reshape(rhs.shape)
+        out_v[self.kept] = u[p:]
+        out_v[self.elim] = (r_elim + self.dy_elim * (self.a_elim @ x_z)) / self.dv_elim
+        return out
+
+
+def active_set_matrix(kkt: KktMatrix, keep: np.ndarray) -> np.ndarray:
+    """K_S, the principal submatrix of K over the stacked indices ``keep``.
+
+    K_S is symmetric, so the Fortran-ordered transpose returned is K_S
+    itself, which LAPACK factors in place.
+    """
+    return kkt.matrix.take(keep, 0).take(keep, 1).T
+
+
+def refined_solve(
+    solve: Callable, backward: Callable, norm_inf: Callable, rhs: np.ndarray
+) -> tuple[np.ndarray | None, tuple]:
+    """x = ``solve(rhs)`` for a matrix M, kept when its backward error passes.
+
+    ``backward(x, rhs)`` returns (M x - rhs, products), and ``norm_inf()``
+    returns ||M||_inf. x passes when ||M x - rhs||_inf is within
+    1e-10 * (1 + ||rhs||_inf), widened by 1e-10 * ||M||_inf ||x||_inf since
+    no double-precision solve can beat that floor when the solution dwarfs
+    the right-hand side. One pass of iterative refinement is tried before x
+    fails. Returns (x, products), or (None, ()) when x fails.
+    """
+    tol = _SOLVE_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+    x = solve(rhs)
+    for refine in (True, False):
+        back, products = backward(x, rhs)
+        error = float(np.abs(back).max(initial=0.0))
+        if not error < math.inf:
+            break  # x is not finite
+        # The widened bound is computed only when the plain one fails.
+        if error <= tol or error <= tol + _SOLVE_TOL * norm_inf() * float(np.abs(x).max()):
+            return x, products
+        if refine:
+            x = x - solve(back)
+    return None, ()
 
 
 def checked_solve(
@@ -272,24 +295,17 @@ def checked_solve(
     d_v: np.ndarray,
     sigma: float,
     rhs: np.ndarray,
-    transpose: bool = False,
     first_rung: int = 0,
 ) -> tuple[np.ndarray | None, int, np.ndarray | None, np.ndarray | None]:
-    """x with ``J x = rhs``, or its transpose, through the perturbation ladder.
+    """x with ``J x = rhs``, rhs of shape (N,), through the perturbation ladder.
 
-    Arguments are those of ``_Jacobian``; rhs is (N,) or (N, k). J is
-    tried first, then J + eps I with eps = 1e-10 (``_FIRST_PERTURB``), 1e-9
-    and 1e-8 (``_PERTURB_ATTEMPTS`` retries). Each attempt factors
-    ``DenseJacobian`` when N <= ``_DENSE_MAX`` and p plus the number of rows
-    with d_v + eps < d_y is at most n, and ``ReducedJacobian`` otherwise
-    (see the module docstring). An attempt is accepted when
-    its backward error ``||(J + eps I) x - rhs||_inf`` is within
-    1e-10 * (1 + ||rhs||_inf), widened by 1e-10 * ||J + eps I||_inf ||x||_inf
-    since no double-precision solve can beat that floor when the solution
-    dwarfs the right-hand side. One pass of iterative refinement is tried
-    before an attempt fails. An answer from a rung eps > 0 is checked
-    against J + eps I, not J. ``first_rung`` = 1 starts the ladder at
-    eps = 1e-10, skipping J.
+    Arguments are those of ``_Jacobian``. J is tried first, then J + eps I
+    with eps = 1e-10 (``_FIRST_PERTURB``), 1e-9 and 1e-8
+    (``_PERTURB_ATTEMPTS`` retries). Each attempt factors ``DenseJacobian``
+    when N <= ``_DENSE_MAX`` and p plus the number of rows with
+    d_v + eps < d_y is at most n, and ``ReducedJacobian`` otherwise, and is
+    checked by ``refined_solve`` against its own J + eps I.
+    ``first_rung`` = 1 starts the ladder at eps = 1e-10, skipping J.
 
     Returns:
         (x, attempts, kx, jx): x is None when every attempt failed;
@@ -298,7 +314,6 @@ def checked_solve(
         ``_Jacobian.products`` of x, with J without eps; they are None
         with x.
     """
-    tol = _SOLVE_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
     n, p = kkt.problem.n, kkt.problem.p
     small = rhs.shape[0] <= _DENSE_MAX
     for rung in range(first_rung, 1 + _PERTURB_ATTEMPTS):
@@ -308,24 +323,9 @@ def checked_solve(
             system = (DenseJacobian if dense else ReducedJacobian)(kkt, d_y, d_v, sigma, eps)
         except np.linalg.LinAlgError:
             continue
-        x = system.solve(rhs, transpose)
-        for refine in (True, False):
-            kx, jx = system.products(x, transpose)
-            back = jx - rhs
-            if eps:
-                back += eps * x
-            error = float(np.abs(back).max(initial=0.0))
-            if not error < math.inf:
-                break  # x is not finite, as J x holds diag * x
-            passed = error <= tol
-            if not passed:
-                # The widened bound, computed only when the plain one fails.
-                norm = system.norm_inf(transpose)
-                passed = error <= tol + _SOLVE_TOL * norm * float(np.abs(x).max(initial=0.0))
-            if passed:
-                return x, rung + 1 - first_rung, kx, jx
-            if refine:
-                x = x - system.solve(back, transpose)
+        x, products = refined_solve(system.solve, system.backward, system.norm_inf, rhs)
+        if x is not None:
+            return x, rung + 1 - first_rung, *products
     return None, 1 + _PERTURB_ATTEMPTS - first_rung, None, None
 
 

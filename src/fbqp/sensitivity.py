@@ -1,32 +1,24 @@
-"""Solution sensitivities by implicit differentiation of the residual.
+"""Solution sensitivities by implicit differentiation of the active-set KKT system.
 
-At a solved iterate x* the residual satisfies R(x*, theta) = 0, so for any
-problem datum theta the implicit function theorem gives
+At a solved result, let S be the inequality rows active with a multiplier
+v_i >= 1e-7 (``_DEGENERACY_TOL``). The solution then solves
 
-    dz*/dtheta = -E_z' J^{-1} dR/dtheta = W' dR/dtheta,    J' W = -E_z,
+    K_S (z, lambda, v_S) = (-f, h, b_S),   K_S = [H G' A_S'; G 0 0; A_S 0 0],
 
-with J the generalized Jacobian at x* and E_z the columns of the identity
-that pick out z. Only the z rows of J^{-1} enter, so one transposed solve
-gives them. J is taken with the proximal weight held at the solver's floor
-(sigma_min = ``fbqp.solver._SIGMA_MIN`` = 1e-12), which keeps it invertible
-even at mildly degenerate solutions while perturbing the sensitivities only
-at the level of sigma_min.
+the principal submatrix of K over (z, lambda, v_S) (``fbqp.jacobian``), so
+dz/df = -(K_S^-1)_zz, dz/dh = (K_S^-1)_z,lambda and dz/db_S = (K_S^-1)_z,v_S,
+with dz/db = 0 off S. K_S is symmetric, so one LU serves both modes, as in
+OptNet's backward pass (Amos & Kolter, arXiv:1703.00443): the solve
+K_S x = (-cotangents, 0, 0) gives df = x_z, dh = -x_lambda and db_S = -x_v,
+for one cotangent (``vjp``) or the n unit cotangents (``solution_sensitivity``).
 
-Both modes pull cotangents on z back through that one transposed solve,
-made and checked by ``fbqp.jacobian.checked_solve`` with the solver's own
-perturbation ladder. Reverse mode (vjp) pulls back one cotangent to
-gradients with respect to every datum, including the matrices. Forward
-mode pulls back the n unit cotangents: dz/df = W_z', dz/dh = W_lam' and
-dz/db = (D_y W_v)'.
-
-Where LICQ fails, J at sigma_min can be numerically singular. The solve
-then passes on J + eps I (eps >= 1e-10), is checked against that matrix,
-and the result is flagged not well-posed. J is taken with a zero slack on
-every row active with a positive multiplier: a slack left by roundoff gives
-such a row a d_v near 1e-15, and J can then pass the check at a condition
-near 1e15, with an answer set by that roundoff. The value there is a one-sided
-linearization of the nonsmooth solution map (Bolte, Le, Pauwels &
-Silveti-Falls, NeurIPS 2021, arXiv:2106.04350).
+K_S is taken with its diagonal shifted by +sigma_min on the z block and
+-sigma_min on the multipliers (sigma_min = ``fbqp.solver._SIGMA_MIN`` =
+1e-12), which keeps it invertible where LICQ or second-order sufficiency
+fails, and the solve is checked by ``fbqp.jacobian.refined_solve``. A weakly
+active row (v_i below the threshold) counts as inactive: one branch of a
+one-sided linearization of the nonsmooth solution map (Bolte, Le, Pauwels &
+Silveti-Falls, NeurIPS 2021, arXiv:2106.04350), flagged not well-posed.
 """
 
 from __future__ import annotations
@@ -34,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .jacobian import KktMatrix, checked_solve
-from .ncp import phi_derivative_vec
+from .jacobian import KktMatrix, active_set_matrix, refined_solve
 from .problem import QpProblem
 from .solver import _SIGMA_MIN, SingularSystemError, SolveResult, SolveStatus
 
@@ -63,11 +55,11 @@ class SensitivityResult:
 
     ``dz_df[i, j]`` is the derivative of z_i with respect to f_j, and
     likewise for the right-hand sides h and b. ``wellposed`` is True when
-    strict complementarity and LICQ (the equality rows and active
-    inequality rows are linearly independent) hold at the solution and J
-    solved without perturbation. When it is False, z* need not be
-    differentiable there: the values are a one-sided linearization, and
-    finite differencing may disagree.
+    strict complementarity, LICQ (the equality rows and active inequality
+    rows are linearly independent) and second-order sufficiency (H positive
+    definite on the null space of those rows) hold at the solution. When it
+    is False, z* need not be differentiable there: the values are a
+    one-sided linearization, and finite differencing may disagree.
     """
 
     dz_df: np.ndarray
@@ -96,62 +88,66 @@ class VjpResult:
 
 def _pull_back(
     problem: QpProblem, result: SolveResult, cotangents: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(W, d_y, wellposed) with J' W = [-cotangents; 0; 0] at the solution.
-
-    ``cotangents`` is (n,) or (n, k), and W is (N,) or (N, k) to match.
-    When J passes only on a rung J + eps I of the ladder, W solves that
-    system and ``wellposed`` is False.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """(df, dh, db, wellposed): the cotangents on z, of shape (n,) or (n, k),
+    pulled back to f, h and b through the shifted K_S (module docstring)."""
     if result.status is not SolveStatus.SOLVED:
         raise NotSolvedError(
             f"sensitivities need a Solved result, got status {result.status.value}"
         )
+    n, n_p = problem.n, problem.n + problem.p
     z, v = result.iterate.z, result.iterate.v
-    slack = problem.b - problem.A @ z
-    active = slack < _DEGENERACY_TOL
-    # See the module docstring on rows active with a positive multiplier.
+    active = problem.b - problem.A @ z < _DEGENERACY_TOL
     strict = active & (v >= _DEGENERACY_TOL)
-    d_y, d_v = phi_derivative_vec(np.where(strict, 0.0, slack), v)
-    rhs = np.zeros((problem.n + problem.p + problem.q,) + cotangents.shape[1:])
-    rhs[: problem.n] = -cotangents
-    w, attempts, _, _ = checked_solve(
-        KktMatrix(problem), d_y, d_v, _SIGMA_MIN, rhs, transpose=True
-    )
-    if w is None:
-        raise SingularSystemError("final Jacobian is numerically singular, even perturbed")
-    wellposed = attempts == 1 and not np.any(active & (v < _DEGENERACY_TOL))
+    keep = np.concatenate((np.arange(n_p), n_p + np.flatnonzero(strict)))
+    k_s = active_set_matrix(KktMatrix(problem), keep)
+    shifted = k_s + np.diag(np.where(keep < n, _SIGMA_MIN, -_SIGMA_MIN))
+    lu, pivots, info = lapack.dgetrf(shifted)
+    rhs = np.zeros(keep.shape + cotangents.shape[1:])
+    rhs[:n] = -cotangents
+    x = None
+    if not info:
+        x, _ = refined_solve(
+            lambda r: lapack.dgetrs(lu, pivots, r)[0],
+            lambda y, r: (shifted @ y - r, ()),
+            lambda: float(np.abs(shifted).sum(axis=1).max()),
+            rhs,
+        )
+    if x is None:
+        raise SingularSystemError("the shifted active-set system failed its backward-error check")
+    db = np.zeros((problem.q,) + cotangents.shape[1:])
+    db[strict] = -x[n_p:]
+    wellposed = not np.any(active & ~strict)
     if wellposed:
         # LICQ, by the rank test the oracle's multiplicity flag uses.
-        rows = np.vstack((problem.G, problem.A[active]))
+        rows = np.vstack((problem.G, problem.A[strict]))
         wellposed = not rows.shape[0] or np.linalg.matrix_rank(rows) == rows.shape[0]
-    return w, d_y, bool(wellposed)
+    if wellposed and lapack.dpotrf(problem.H, lower=1)[1]:
+        # H is singular: K_S is nonsingular when it is positive definite on
+        # the null space of [G; A_S].
+        wellposed = np.linalg.matrix_rank(k_s) == keep.size
+    return x[:n], -x[n:n_p], db, bool(wellposed)
 
 
 def solution_sensitivity(problem: QpProblem, result: SolveResult) -> SensitivityResult:
     """Forward-mode sensitivities dz/df, dz/dh, dz/db at a solved result.
 
-    The pull-back of the n unit cotangents, through J at sigma_min.
+    The pull-back of the n unit cotangents, through one LU of the shifted K_S.
 
     Raises:
         NotSolvedError: when the result status is not Solved.
-        SingularSystemError: when every rung of the ladder fails.
+        SingularSystemError: when the solve with the shifted K_S fails its
+            backward-error check.
     """
-    n, p = problem.n, problem.p
-    w, d_y, wellposed = _pull_back(problem, result, np.eye(n))
-    return SensitivityResult(
-        dz_df=w[:n].T,
-        dz_dh=w[n : n + p].T,
-        dz_db=(d_y[:, None] * w[n + p :]).T,
-        wellposed=wellposed,
-    )
+    df, dh, db, wellposed = _pull_back(problem, result, np.eye(problem.n))
+    return SensitivityResult(dz_df=df.T, dz_dh=dh.T, dz_db=db.T, wellposed=wellposed)
 
 
 def vjp(problem: QpProblem, result: SolveResult, z_cotangent: np.ndarray) -> VjpResult:
     """Reverse-mode pull-back of a cotangent on z* to all problem data.
 
     For the scalar L = z_cotangent' z*, returns dL/df, dL/dh, dL/db and the
-    matrix gradients dL/dH, dL/dG, dL/dA via one transposed solve.
+    matrix gradients dL/dH, dL/dG, dL/dA via one solve with the shifted K_S.
 
     Raises:
         NotSolvedError, SingularSystemError: as in ``solution_sensitivity``.
@@ -162,17 +158,15 @@ def vjp(problem: QpProblem, result: SolveResult, z_cotangent: np.ndarray) -> Vjp
         raise ValueError(
             f"z_cotangent must have shape ({problem.n},), got {z_cotangent.shape}"
         )
-    w, d_y, wellposed = _pull_back(problem, result, z_cotangent)
-    n, p = problem.n, problem.p
-    w_z, w_lam, w_v = w[:n], w[n : n + p], w[n + p :]
+    df, dh, db, wellposed = _pull_back(problem, result, z_cotangent)
     z, lam, v = result.iterate.z, result.iterate.lam, result.iterate.v
-    raw_dH = np.outer(w_z, z)
+    raw_dH = np.outer(df, z)
     return VjpResult(
-        df=w_z.copy(),
-        dh=w_lam.copy(),
-        db=d_y * w_v,
+        df=df,
+        dh=dh,
+        db=db,
         dH=0.5 * (raw_dH + raw_dH.T),
-        dG=np.outer(lam, w_z) - np.outer(w_lam, z),
-        dA=np.outer(v, w_z) - np.outer(d_y * w_v, z),
+        dG=np.outer(lam, df) - np.outer(dh, z),
+        dA=np.outer(v, df) - np.outer(db, z),
         wellposed=wellposed,
     )

@@ -43,17 +43,18 @@ direction of J itself, the direction of J + 1e-10 I gets one search.
 A warm start that misses ``tol_kkt`` first gets primal-dual active-set
 rounds (``_active_set_rounds``; Hintermueller, Ito & Kunisch, SIAM J.
 Optim. 2002, repeating OSQP's polish, arXiv:1711.08013 §5.2). A round
-guesses S = {i : v_i > slack_i} and solves the principal submatrix of K
-over (z, lambda, v_S) against -c by one LU, with v = 0 off S. The rounds
-end at a point within ``tol_kkt`` (the solve then ends there without a
-Newton step, ``Solved`` on ``kkt_error`` as every solve is), at a
-singular submatrix, at a round whose KKT error is not strictly below the
-previous round's, which also ends any cycle of guesses, or after
-``max_inner`` rounds. Otherwise the Newton loop runs from the warm start
-itself. On a parametric path whose active set changes only now and then,
-most solves end in a round or two. Cold starts go straight to the Newton
-loop: the default start says nothing about the active set, and the trace of
-a cold solve is the record of its convergence that the tests read.
+guesses S = {i : v_i > slack_i} and solves K_S, the principal submatrix of
+K over (z, lambda, v_S) (``fbqp.jacobian.active_set_matrix``), against -c
+by one LU, with v = 0 off S. The rounds end at a point within ``tol_kkt``
+(the solve then ends there without a Newton step, ``Solved`` on
+``kkt_error`` as every solve is), at a singular K_S, at a guess of S that
+an earlier round tried, which ends any cycle of guesses, or after
+``max_inner`` rounds; the KKT error may rise on the way. Otherwise the
+Newton loop runs from the warm start itself. On a parametric path whose
+active set changes only now and then, most solves end in a round or two.
+Cold starts go straight to the Newton loop: the default start says nothing
+about the active set, and the trace of a cold solve is the record of its
+convergence that the tests read.
 
 The package exports ``solve`` with its three settings (``SolverConfig``:
 accuracy and budgets) and result types; the method's parameters are module
@@ -71,7 +72,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .jacobian import KktMatrix, _Jacobian, checked_solve
+from .jacobian import KktMatrix, _Jacobian, active_set_matrix, checked_solve
 from .ncp import phi_derivative_vec, phi_vec
 from .problem import Iterate, KktError, QpProblem, _kkt_norms, infeasibility_error, kkt_error
 from .problem import validate_problem
@@ -87,7 +88,7 @@ __all__ = [
 
 # The proximal schedule: stage k uses sigma = max(_SIGMA0 * _SIGMA_SHRINK**k,
 # _SIGMA_MIN). The floor keeps J nonsingular at degenerate solutions, and the
-# sensitivities take J at it (``fbqp.sensitivity``).
+# sensitivities shift their active-set matrix by it (``fbqp.sensitivity``).
 _SIGMA0 = 1e-3
 _SIGMA_SHRINK = 0.1
 _SIGMA_MIN = 1e-12
@@ -129,7 +130,9 @@ class SolveStatus(enum.Enum):
 
 
 class SingularSystemError(RuntimeError):
-    """The Newton system could not be solved to tolerance, even perturbed."""
+    """The sensitivities' solve with the shifted active-set matrix failed its
+    backward-error check (``fbqp.sensitivity``). A solve whose Newton system
+    fails ends with status ``SINGULAR_SYSTEM`` instead."""
 
 
 @dataclass(frozen=True)
@@ -384,28 +387,27 @@ def _active_set_rounds(
 
     Returns:
         (the point of the round whose KKT error, read from K x + c, is
-        within ``config.tol_kkt``, or None when no round's is; rounds run).
+        within ``config.tol_kkt``, or None when no round's is; rounds run,
+        one LU each).
     """
     n_p = kkt.sign.size
-    previous = math.inf
-    for rounds in range(1, config.max_inner + 1):
-        keep = np.concatenate((np.arange(n_p), n_p + np.flatnonzero(x[n_p:] > point.slack)))
-        # K_S is symmetric, so its Fortran-ordered transpose is K_S itself,
-        # which LAPACK factors in place.
-        k_s = kkt.matrix.take(keep, 0).take(keep, 1).T
+    tried = set()
+    while len(tried) < config.max_inner:
+        guess = x[n_p:] > point.slack
+        if guess.tobytes() in tried:
+            break  # the rounds cycle
+        tried.add(guess.tobytes())
+        keep = np.concatenate((np.arange(n_p), n_p + np.flatnonzero(guess)))
+        k_s = active_set_matrix(kkt, keep)
         _, _, solution, info = lapack.dgesv(k_s, -kkt.offset[keep], overwrite_a=1, overwrite_b=1)
         if info:
             break  # an exactly singular K_S, such as a singular H with S empty
         x = np.zeros_like(x)
         x[keep] = solution
         point = residual(kkt, x, 0.0, x)
-        error = point.error.max_error()
-        if error <= config.tol_kkt:
-            return x, rounds
-        if not error < previous:
-            break
-        previous = error
-    return None, rounds
+        if point.error.within(config.tol_kkt):
+            return x, len(tried)
+    return None, len(tried)
 
 
 def solve(

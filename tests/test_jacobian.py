@@ -5,7 +5,7 @@ import pytest
 
 from fbqp import GeneratorSpec, Iterate, QpProblem, random_problem
 from fbqp.jacobian import _DENSE_MAX, DenseJacobian, KktMatrix, ReducedJacobian, checked_solve
-from fbqp.jacobian import _Jacobian
+from fbqp.jacobian import _Jacobian, active_set_matrix, refined_solve
 from fbqp.ncp import phi_derivative_vec
 from fbqp.solver import _newton_direction, assemble_jacobian, residual
 
@@ -73,6 +73,11 @@ def _system(problem, x, sigma, eps=0.0):
     return ReducedJacobian(KktMatrix(problem), d_y, d_v, sigma, eps), d_y, d_v
 
 
+def _apply(system, x):
+    """``(J + eps I) x``, the backward error of x against a zero right-hand side."""
+    return system.backward(x, np.zeros_like(x))[0]
+
+
 def _close(actual, expected, rtol=1e-8):
     scale = 1.0 + np.max(np.abs(expected), initial=0.0)
     assert np.max(np.abs(actual - expected), initial=0.0) <= rtol * scale
@@ -106,26 +111,15 @@ def test_solves_match_perturbed_jacobian_and_transpose(name, eps):
     system, d_y, d_v = _system(problem, x, SIGMA, eps)
     size = problem.n + problem.p + problem.q
     jac = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(size)
-    rng = np.random.default_rng(size)
-    rhs = rng.standard_normal(size)
-    _close(system.solve(rhs), np.linalg.solve(jac, rhs))
-    _close(system.solve(rhs, transpose=True), np.linalg.solve(jac.T, rhs))
-    block = rng.standard_normal((size, 3))
-    _close(system.solve(block), np.linalg.solve(jac, block))
-    _close(system.solve(block, transpose=True), np.linalg.solve(jac.T, block))
-    np.testing.assert_allclose(system.apply(rhs), jac @ rhs, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(
-        system.apply(block, transpose=True), jac.T @ block, rtol=1e-12, atol=1e-12
-    )
-    # checked_solve passes on J itself, the first rung of its ladder.
     unperturbed = assemble_jacobian(problem, x, SIGMA)
-    for transpose, dense in ((False, unperturbed), (True, unperturbed.T)):
-        for right in (rhs, block):
-            checked, attempts, _, _ = checked_solve(
-                system.kkt, d_y, d_v, SIGMA, right, transpose
-            )
-            assert attempts == 1
-            _close(checked, np.linalg.solve(dense, right))
+    rng = np.random.default_rng(size)
+    for rhs in rng.standard_normal((3, size)):
+        _close(system.solve(rhs), np.linalg.solve(jac, rhs))
+        np.testing.assert_allclose(_apply(system, rhs), jac @ rhs, rtol=1e-12, atol=1e-12)
+        # checked_solve passes on J itself, the first rung of its ladder.
+        checked, attempts, _, _ = checked_solve(system.kkt, d_y, d_v, SIGMA, rhs)
+        assert attempts == 1
+        _close(checked, np.linalg.solve(unperturbed, rhs))
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-10, 1e-8])
@@ -138,17 +132,12 @@ def test_lu_solves_match_perturbed_jacobian_and_transpose(name, eps):
     size = problem.n + problem.p + problem.q
     jac = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(size)
     rng = np.random.default_rng(size)
-    rhs = rng.standard_normal(size)
-    block = rng.standard_normal((size, 3))
-    for right in (rhs, block):
-        _close(system.solve(right), np.linalg.solve(jac, right))
-        _close(system.solve(right, transpose=True), np.linalg.solve(jac.T, right))
     # Products and norms are those of the reduced form, bit for bit.
     reduced = ReducedJacobian(system.kkt, d_y, d_v, SIGMA, eps)
-    for transpose in (False, True):
-        assert system.norm_inf(transpose) == reduced.norm_inf(transpose)
-        got, want = system.apply(block, transpose), reduced.apply(block, transpose)
-        assert got.tobytes() == want.tobytes()
+    assert system.norm_inf() == reduced.norm_inf()
+    for rhs in rng.standard_normal((3, size)):
+        _close(system.solve(rhs), np.linalg.solve(jac, rhs))
+        assert _apply(system, rhs).tobytes() == _apply(reduced, rhs).tobytes()
 
 
 def _picks(monkeypatch):
@@ -174,7 +163,7 @@ def test_checked_solve_factors_by_lu_while_kept_rows_fit(monkeypatch, kept, expe
     kkt = KktMatrix(problem)
     x, attempts, _, _ = checked_solve(kkt, d_y, d_v, SIGMA, rhs)
     assert attempts == 1 and picked == [expected]
-    assert np.max(np.abs(_Jacobian(kkt, d_y, d_v, SIGMA).apply(x) - rhs)) <= 1e-10 * 2.0
+    assert np.max(np.abs(_apply(_Jacobian(kkt, d_y, d_v, SIGMA), x) - rhs)) <= 1e-10 * 2.0
 
 
 @pytest.mark.parametrize(
@@ -200,7 +189,7 @@ def test_checked_solve_picks_the_factorization_per_attempt(monkeypatch):
     x, attempts, _, _ = checked_solve(kkt, d_y, d_v, 0.0, rhs)
     assert attempts == 2 and picked == ["ReducedJacobian", "DenseJacobian"]
     rung = _Jacobian(kkt, d_y, d_v, 0.0, 1e-10)
-    assert np.max(np.abs(rung.apply(x) - rhs)) <= 1e-10 * 2.0
+    assert np.max(np.abs(_apply(rung, x) - rhs)) <= 1e-10 * 2.0
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -213,8 +202,6 @@ def test_row_norm_matches_dense(name):
     jac = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(problem.n + problem.p + problem.q)
     expected = np.max(np.abs(jac).sum(axis=1))
     assert system.norm_inf() == pytest.approx(expected, rel=1e-14)
-    expected = np.max(np.abs(jac).sum(axis=0))
-    assert system.norm_inf(transpose=True) == pytest.approx(expected, rel=1e-14)
 
 
 def test_singular_reduced_block_raises():
@@ -226,11 +213,10 @@ def test_singular_reduced_block_raises():
         ReducedJacobian(kkt, empty, empty, 0.0)
     rung = ReducedJacobian(kkt, empty, empty, 0.0, 1e-10)
     rhs = np.ones(2)
-    for transpose in (False, True):
-        x, attempts, _, _ = checked_solve(kkt, empty, empty, 0.0, rhs, transpose)
-        assert attempts == 2
-        assert np.max(np.abs(rung.apply(x, transpose) - rhs)) <= 1e-10 * (1.0 + 1.0)
-        np.testing.assert_allclose(x, [1e10, 1e10])
+    x, attempts, _, _ = checked_solve(kkt, empty, empty, 0.0, rhs)
+    assert attempts == 2
+    assert np.max(np.abs(_apply(rung, x) - rhs)) <= 1e-10 * (1.0 + 1.0)
+    np.testing.assert_allclose(x, [1e10, 1e10])
 
 
 def _kkt_blocks(problem):
@@ -295,9 +281,9 @@ def _forced(monkeypatch, cls, eps):
 @pytest.mark.parametrize("eps", [0.0, 1e-10, 1e-8])
 @pytest.mark.parametrize("name", CASES)
 def test_products_are_those_of_the_assembled_jacobian(monkeypatch, name, eps, cls):
-    # One product with K serves J and J', whichever way J + eps I is
-    # factored. The products checked_solve returns are those of J itself;
-    # its check adds eps x.
+    # One product with K serves J, whichever way J + eps I is factored. The
+    # products checked_solve returns are those of J itself; its check adds
+    # eps x.
     problem, x = _case(name)
     _, d_y, d_v = _system(problem, x, SIGMA)
     kkt = KktMatrix(problem)
@@ -307,26 +293,21 @@ def test_products_are_those_of_the_assembled_jacobian(monkeypatch, name, eps, cl
     system = cls(kkt, d_y, d_v, SIGMA, eps)
     rng = np.random.default_rng(size)
     _forced(monkeypatch, cls, eps)
-    for right in (rng.standard_normal(size), rng.standard_normal((size, 3))):
+    for right in rng.standard_normal((3, size)):
         kx, jx = system.products(right)
         _product_close(kx, k, right)
         _product_close(jx, jac, right)
-        _product_close(system.products(right, transpose=True)[1], jac.T, right)
-        _product_close(system.apply(right), shifted, right)
-        _product_close(system.apply(right, transpose=True), shifted.T, right)
-        for transpose in (False, True):
-            solution, attempts, kx, jx = checked_solve(kkt, d_y, d_v, SIGMA, right, transpose)
-            assert attempts == 1 + [0.0, 1e-10, 1e-9, 1e-8].index(eps)
-            _product_close(jx, jac.T if transpose else jac, solution)
-            _product_close(jx + eps * solution, shifted.T if transpose else shifted, solution)
-            if not transpose:
-                _product_close(kx, k, solution)
+        _product_close(_apply(system, right), shifted, right)
+        solution, attempts, kx, jx = checked_solve(kkt, d_y, d_v, SIGMA, right)
+        assert attempts == 1 + [0.0, 1e-10, 1e-9, 1e-8].index(eps)
+        _product_close(jx, jac, solution)
+        _product_close(jx + eps * solution, shifted, solution)
+        _product_close(kx, k, solution)
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_checked_solve_hands_back_the_products_of_its_check(name):
-    # A solve with J returns K x and J x = scale * (K x) + diag * x, a solve
-    # with J' returns K (scale * x) and J' x = K (scale * x) + diag * x, with
+    # A solve with J returns K x and J x = scale * (K x) + diag * x, with
     # the bits of those products formed from the data.
     problem, x = _case(name)
     _, d_y, d_v = _system(problem, x, SIGMA)
@@ -340,8 +321,30 @@ def test_checked_solve_hands_back_the_products_of_its_check(name):
     want = k @ solution
     assert kx.tobytes() == want.tobytes()
     assert jx.tobytes() == (scale * want + diagonal * solution).tobytes()
-    solution, attempts, kx, jx = checked_solve(kkt, d_y, d_v, SIGMA, rhs, transpose=True)
-    assert attempts == 1
-    want = k @ (scale * solution)
-    assert kx.tobytes() == want.tobytes()
-    assert jx.tobytes() == (want + diagonal * solution).tobytes()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_active_set_matrix_is_the_principal_submatrix_of_k(name):
+    problem, _ = _case(name)
+    n_p = problem.n + problem.p
+    keep = np.concatenate((np.arange(n_p), n_p + np.arange(0, problem.q, 2)))
+    got = active_set_matrix(KktMatrix(problem), keep)
+    assert got.tobytes(order="F") == _kkt_blocks(problem)[np.ix_(keep, keep)].tobytes()
+
+
+def test_refined_solve_refines_once_and_then_fails():
+    # A solve off by 1e-6 relative passes after one refinement pass; one off
+    # by a constant factor fails after it.
+    matrix = np.array([[4.0, 1.0], [1.0, 3.0]])
+    rhs = np.array([1.0, 2.0])
+    exact = np.linalg.solve(matrix, rhs)
+
+    def backward(x, r):
+        return matrix @ x - r, (x.sum(),)
+
+    x, products = refined_solve(
+        lambda r: np.linalg.solve(matrix, r) * (1.0 + 1e-6), backward, lambda: 5.0, rhs
+    )
+    _close(x, exact, rtol=1e-11)
+    assert products == (x.sum(),)
+    assert refined_solve(lambda r: 2.0 * r, backward, lambda: 5.0, rhs) == (None, ())

@@ -7,6 +7,7 @@ from fbqp import (
     GeneratorSpec,
     NotSolvedError,
     QpProblem,
+    SingularSystemError,
     SolverConfig,
     random_problem,
     solution_sensitivity,
@@ -60,6 +61,16 @@ def test_requires_solved_status():
         vjp(problem, stunted, np.zeros(4))
 
 
+def test_failed_check_raises_singular_system_error(monkeypatch):
+    problem = QpProblem(H=[[2.0]], f=[1.0])
+    result = solve(problem, TIGHT)
+    monkeypatch.setattr("fbqp.sensitivity.refined_solve", lambda *args: (None, ()))
+    with pytest.raises(SingularSystemError):
+        solution_sensitivity(problem, result)
+    with pytest.raises(SingularSystemError):
+        vjp(problem, result, np.ones(1))
+
+
 def test_degenerate_solution_flagged_not_wellposed():
     # min 0.5 z^2 subject to -z <= 0: active constraint with zero
     # multiplier, so strict complementarity fails at z = 0.
@@ -75,9 +86,8 @@ def test_degenerate_solution_flagged_not_wellposed():
 def test_licq_failure_returns_in_both_modes_flagged(tol_kkt):
     # Project c = (1, 1) onto {z1 <= 0, z2 <= 0, z1 + z2 <= 0}: three rows
     # are active at z = 0 in R^2, so LICQ fails while every multiplier is
-    # positive and strict complementarity holds. At tol_kkt = 1e-11 the
-    # solve drives d_v, and with it J, to numerical singularity; the pull-back
-    # then passes on the ladder's first rung, J + 1e-10 I.
+    # positive and strict complementarity holds. K_S is then singular, and
+    # only its shift by sigma_min keeps it invertible.
     problem = QpProblem(
         H=np.eye(2), f=[-1.0, -1.0], A=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b=np.zeros(3)
     )
@@ -90,29 +100,34 @@ def test_licq_failure_returns_in_both_modes_flagged(tol_kkt):
     assert not grads.wellposed
     np.testing.assert_allclose(grads.df, g @ sens.dz_df, atol=1e-10)
     np.testing.assert_allclose(grads.db, g @ sens.dz_db, atol=1e-10)
-    # J at sigma_min has a condition number near 1e12 here, so for a general
-    # cotangent the two modes agree only to about that times roundoff.
+    # The shifted K_S has a condition number near 1e12 here, so for a
+    # general cotangent the two modes agree only to about that times
+    # roundoff (7.4e-6 measured).
     g = np.array([0.3, -1.2])
     grads = vjp(problem, result, g)
     np.testing.assert_allclose(grads.db, g @ sens.dz_db, atol=1e-3)
 
 
-# Test-fleet inputs (the recipe of tests/test_acceptance.py) where J at
-# sigma_min is near-singular at the solution, so the transposed solve passes
-# only on J + eps I.
-NEAR_SINGULAR_FLEET = (24, 28, 44, 64, 129, 269, 277, 282, 308, 358, 369, 473, 494)
-
-
-@pytest.mark.parametrize("i", NEAR_SINGULAR_FLEET)
-def test_near_singular_fleet_inputs_return_flagged(i):
+def _fleet_problem(i):
+    """Problem i of the 500 of the test fleet (the recipe of tests/test_acceptance.py)."""
     rng = np.random.default_rng(3000 + i)
     n = int(rng.integers(1, 9))
     p = int(rng.integers(0, min(2, n) + 1))
     q = int(rng.integers(0, 7))
     fraction = (0.0, 0.25, 0.5, 0.75, 1.0)[i % 5]
-    problem, _ = random_problem(
-        GeneratorSpec(n=n, p=p, q=q, activity_fraction=fraction, seed=i)
-    )
+    return random_problem(GeneratorSpec(n=n, p=p, q=q, activity_fraction=fraction, seed=i))[0]
+
+
+# Test-fleet inputs (the recipe of tests/test_acceptance.py) where LICQ or
+# strict complementarity fails at the solution, so the shifted K_S is
+# near-singular.
+NEAR_SINGULAR_FLEET = (24, 28, 44, 64, 129, 269, 277, 282, 308, 358, 369, 473, 494)
+
+
+@pytest.mark.parametrize("i", NEAR_SINGULAR_FLEET)
+def test_near_singular_fleet_inputs_return_flagged(i):
+    problem = _fleet_problem(i)
+    n = problem.n
     result = solve(problem)
     assert result.solved
     sens = solution_sensitivity(problem, result)
@@ -121,11 +136,57 @@ def test_near_singular_fleet_inputs_return_flagged(i):
         grads = vjp(problem, result, g)
         assert not grads.wellposed
         # Forward mode solves for the n unit cotangents and vjp for g alone;
-        # on a near-singular J + eps I their roundoff differs. The worst gap
-        # measured on these inputs is 1.3e-5.
+        # on a near-singular K_S their roundoff differs. The worst gap
+        # measured on these inputs is 3.3e-5.
         for got, want in ((grads.df, g @ sens.dz_df), (grads.db, g @ sens.dz_db)):
             scale = max(1.0, np.max(np.abs(want), initial=0.0))
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-4 * scale
+
+
+def test_both_modes_agree_on_the_test_fleet():
+    # One factorization of the shifted K_S serves both modes, so vjp is g
+    # contracted with the forward sensitivities up to the roundoff of two
+    # solves with it, also where the result is not well-posed. The worst
+    # relative gap measured is 6.1e-5.
+    checked = 0
+    for i in range(500):
+        problem = _fleet_problem(i)
+        result = solve(problem)
+        if not result.solved:
+            continue
+        checked += 1
+        sens = solution_sensitivity(problem, result)
+        for g in (np.ones(problem.n), np.random.default_rng(i).standard_normal(problem.n)):
+            grads = vjp(problem, result, g)
+            assert grads.wellposed == sens.wellposed
+            for got, want in (
+                (grads.df, g @ sens.dz_df),
+                (grads.dh, g @ sens.dz_dh),
+                (grads.db, g @ sens.dz_db),
+            ):
+                scale = 1.0 + np.max(np.abs(want), initial=0.0)
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-3 * scale, i
+    assert checked >= 495
+
+
+def test_singular_hessian_is_wellposed_only_with_a_nonsingular_k_s():
+    # H = 0 and no constraints: every z solves the problem, K_S = H is
+    # singular, and the shift alone gives dz/df = -1 / sigma_min.
+    problem = QpProblem(H=[[0.0]], f=[0.0])
+    result = solve(problem, TIGHT)
+    assert result.solved
+    sens = solution_sensitivity(problem, result)
+    assert not sens.wellposed and not vjp(problem, result, np.ones(1)).wellposed
+    # min -z1 + z2^2 / 2 subject to z1 <= 1: H is singular, but positive
+    # definite on the null space of the active row, so z* = (1, 0) is
+    # differentiable.
+    problem = QpProblem(H=np.diag([0.0, 1.0]), f=[-1.0, 0.0], A=[[1.0, 0.0]], b=[1.0])
+    result = solve(problem, TIGHT)
+    assert result.solved
+    sens = solution_sensitivity(problem, result)
+    assert sens.wellposed and vjp(problem, result, np.ones(2)).wellposed
+    np.testing.assert_allclose(sens.dz_df, [[0.0, 0.0], [0.0, -1.0]], atol=1e-9)
+    np.testing.assert_allclose(sens.dz_db, [[1.0], [0.0]], atol=1e-9)
 
 
 def _finite_difference_columns(problem, perturb, config, base_count=None):

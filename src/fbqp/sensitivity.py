@@ -30,11 +30,12 @@ from scipy.linalg import lapack
 
 from .jacobian import KktMatrix, active_set_matrix, refined_solve
 from .problem import QpProblem
-from .solver import _SIGMA_MIN, SingularSystemError, SolveResult, SolveStatus
+from .solver import _SIGMA_MIN, SolveResult, SolveStatus
 
 __all__ = [
     "NotSolvedError",
     "SensitivityResult",
+    "SingularSystemError",
     "VjpResult",
     "solution_sensitivity",
     "vjp",
@@ -47,6 +48,10 @@ _DEGENERACY_TOL = 1e-7
 
 class NotSolvedError(ValueError):
     """Sensitivities are only defined at a result with status Solved."""
+
+
+class SingularSystemError(RuntimeError):
+    """The solve with the shifted K_S failed its backward-error check."""
 
 
 @dataclass(frozen=True)
@@ -118,14 +123,17 @@ def _pull_back(
     db = np.zeros((problem.q,) + cotangents.shape[1:])
     db[strict] = -x[n_p:]
     wellposed = not np.any(active & ~strict)
-    if wellposed:
+    # H counts as positive definite when H - 1e-10 max|H_ij| I has a
+    # Cholesky factor; a singular H can pass on a roundoff pivot.
+    margin = 1e-10 * np.abs(problem.H).max(initial=0.0)
+    if wellposed and lapack.dpotrf(problem.H - margin * np.eye(n), lower=1)[1]:
+        # K_S has full rank exactly when LICQ holds and H is positive
+        # definite on the null space of [G; A_S].
+        wellposed = np.linalg.matrix_rank(k_s) == keep.size
+    elif wellposed:
         # LICQ, by the rank test the oracle's multiplicity flag uses.
         rows = np.vstack((problem.G, problem.A[strict]))
         wellposed = not rows.shape[0] or np.linalg.matrix_rank(rows) == rows.shape[0]
-    if wellposed and lapack.dpotrf(problem.H, lower=1)[1]:
-        # H is singular: K_S is nonsingular when it is positive definite on
-        # the null space of [G; A_S].
-        wellposed = np.linalg.matrix_rank(k_s) == keep.size
     return x[:n], -x[n:n_p], db, bool(wellposed)
 
 

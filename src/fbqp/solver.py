@@ -47,14 +47,14 @@ guesses S = {i : v_i > slack_i} and solves K_S, the principal submatrix of
 K over (z, lambda, v_S) (``fbqp.jacobian.active_set_matrix``), against -c
 by one LU, with v = 0 off S. The rounds end at a point within ``tol_kkt``
 (the solve then ends there without a Newton step, ``Solved`` on
-``kkt_error`` as every solve is), at a singular K_S, at a guess of S that
-an earlier round tried, which ends any cycle of guesses, or after
-``max_inner`` rounds; the KKT error may rise on the way. Otherwise the
-Newton loop runs from the warm start itself. On a parametric path whose
-active set changes only now and then, most solves end in a round or two.
-Cold starts go straight to the Newton loop: the default start says nothing
-about the active set, and the trace of a cold solve is the record of its
-convergence that the tests read.
+``kkt_error`` as every solve is), at a singular K_S, at a round whose KKT
+error is not strictly below the previous round's, which also ends any cycle
+of guesses, or after ``max_inner`` rounds. Otherwise the Newton loop runs
+from the warm start itself. On a parametric path whose active set changes
+only now and then, most solves end in a round or two. Cold starts go
+straight to the Newton loop: the default start says nothing about the
+active set, and the trace of a cold solve is the record of its convergence
+that the tests read.
 
 The package exports ``solve`` with its three settings (``SolverConfig``:
 accuracy and budgets) and result types; the method's parameters are module
@@ -82,7 +82,6 @@ __all__ = [
     "SolverConfig",
     "TraceRecord",
     "SolveResult",
-    "SingularSystemError",
     "solve",
 ]
 
@@ -127,12 +126,6 @@ class SolveStatus(enum.Enum):
     INVALID_PROBLEM = "InvalidProblem"
     PRIMAL_INFEASIBLE = "PrimalInfeasible"
     DUAL_INFEASIBLE = "DualInfeasible"
-
-
-class SingularSystemError(RuntimeError):
-    """The sensitivities' solve with the shifted active-set matrix failed its
-    backward-error check (``fbqp.sensitivity``). A solve whose Newton system
-    fails ends with status ``SINGULAR_SYSTEM`` instead."""
 
 
 @dataclass(frozen=True)
@@ -391,13 +384,9 @@ def _active_set_rounds(
         one LU each).
     """
     n_p = kkt.sign.size
-    tried = set()
-    while len(tried) < config.max_inner:
-        guess = x[n_p:] > point.slack
-        if guess.tobytes() in tried:
-            break  # the rounds cycle
-        tried.add(guess.tobytes())
-        keep = np.concatenate((np.arange(n_p), n_p + np.flatnonzero(guess)))
+    previous = math.inf
+    for rounds in range(1, config.max_inner + 1):
+        keep = np.concatenate((np.arange(n_p), n_p + np.flatnonzero(x[n_p:] > point.slack)))
         k_s = active_set_matrix(kkt, keep)
         _, _, solution, info = lapack.dgesv(k_s, -kkt.offset[keep], overwrite_a=1, overwrite_b=1)
         if info:
@@ -405,9 +394,13 @@ def _active_set_rounds(
         x = np.zeros_like(x)
         x[keep] = solution
         point = residual(kkt, x, 0.0, x)
-        if point.error.within(config.tol_kkt):
-            return x, len(tried)
-    return None, len(tried)
+        error = point.error.max_error()
+        if error <= config.tol_kkt:
+            return x, rounds
+        if not error < previous:
+            break
+        previous = error
+    return None, rounds
 
 
 def solve(

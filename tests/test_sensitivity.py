@@ -189,6 +189,32 @@ def test_singular_hessian_is_wellposed_only_with_a_nonsingular_k_s():
     np.testing.assert_allclose(sens.dz_db, [[1.0], [0.0]], atol=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_rank_deficient_hessian_is_wellposed_only_where_rows_cover_its_null_space(seed):
+    # H = M'M with M of shape (2, 3) has rank 2, yet its Cholesky
+    # factorization succeeds on a roundoff pivot for about half of these
+    # seeds. With no constraint the minimizers form a line, so z* is not
+    # differentiable, whatever that factorization says.
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((2, 3))
+    h = m.T @ m
+    problem = QpProblem(H=h, f=m.T @ rng.standard_normal(2))
+    result = solve(problem, TIGHT)
+    assert result.solved
+    assert not solution_sensitivity(problem, result).wellposed
+    assert not vjp(problem, result, np.ones(3)).wellposed
+    # An active row along the null direction u of H, with multiplier 1,
+    # pins z* = (1, 1, 1) down: H is positive definite on the null space of u'.
+    u = np.linalg.svd(m)[2][-1]
+    z = np.ones(3)
+    problem = QpProblem(H=h, f=-(h @ z + u), A=[u], b=[u @ z])
+    result = solve(problem, TIGHT)
+    assert result.solved
+    sens = solution_sensitivity(problem, result)
+    assert sens.wellposed and vjp(problem, result, np.ones(3)).wellposed
+    np.testing.assert_allclose(result.iterate.z, z, atol=1e-8)
+
+
 def _finite_difference_columns(problem, perturb, config, base_count=None):
     """Central differences of the solved primal over a data perturbation."""
     step = 1e-5

@@ -743,28 +743,6 @@ def test_singular_first_round_falls_through_to_newton():
     np.testing.assert_allclose(result.iterate.z, [0.0, 1.0], atol=1e-8)
 
 
-@pytest.mark.parametrize("seed", [24, 37])
-def test_rounds_continue_past_a_rise_in_kkt_error(seed):
-    # Warm-started from the solution of a neighbouring problem, the second
-    # round's KKT error is above the first's, and a later round certifies:
-    # the rounds stop only on a guess of S that they already tried.
-    spec = GeneratorSpec(n=5, p=1, q=4, activity_fraction=0.5, seed=seed)
-    problem, planted = random_problem(spec)
-    rng = np.random.default_rng(seed)
-    neighbour = QpProblem(
-        problem.H,
-        problem.f + rng.standard_normal(5),
-        problem.G,
-        problem.h,
-        problem.A,
-        problem.b + 0.5 * rng.standard_normal(4),
-    )
-    warm = solve(neighbour).iterate
-    result = solve(problem, warm_start=warm)
-    assert result.solved and result.inner_iterations == 0 and result.factorizations >= 2
-    np.testing.assert_allclose(result.iterate.z, planted.z, atol=1e-8)
-
-
 def test_warm_started_infeasible_problems_keep_their_certificates():
     rng = np.random.default_rng(0)
     for problem in (INFEASIBLE, *_contradictory_problems()):

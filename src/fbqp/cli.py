@@ -170,7 +170,10 @@ def _cmd_check(args) -> int:
 def _check_certificate(problem, args) -> int:
     with open(args.certificate, "r", encoding="utf-8") as handle:
         document = json.load(handle)
-    document = document.get("certificate", document) if isinstance(document, dict) else document
+    if isinstance(document, dict) and "z" not in document:
+        if "certificate" not in document:
+            raise qpio.ProblemFormatError(f"no certificate in {args.certificate}")
+        document = document["certificate"]
     ray = qpio.parse_solution(document, n=problem.n, p=problem.p, q=problem.q)
     error = infeasibility_error(problem, ray)
     ok = error <= args.tol

@@ -46,12 +46,12 @@ with M positive definite for s > 0. It is factored as the Cholesky factor
 L of M and the Cholesky factor of the Schur complement S = C + B M^-1 B',
 of size p plus the number of kept rows.
 
-``checked_solve`` is the one perturbation ladder of the Newton steps: when
-J fails, it retries J + eps I with a growing eps, choosing the
-factorization for each attempt. It returns x, the number of
-factorizations tried, and the products K x and J x its check formed, which
-the line search reads instead of forming them again. ``refined_solve``
-holds its backward-error test, which the sensitivities' solve passes too.
+``checked_solve`` makes one checked attempt at J + eps I: it picks the
+factorization, solves, and returns x with the products K x and J x its
+check formed, which the line search reads instead of forming them again.
+The Newton loop climbs the perturbation ladder over eps
+(``solver._LADDER``). ``refined_solve`` holds the backward-error test,
+which the sensitivities' solve passes too.
 ``active_set_matrix`` gathers K_S, the principal submatrix of K over
 (z, lambda, v_S) for a set S of inequality rows, which the active-set
 rounds of a warm start and, shifted, the sensitivities factor.
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -75,10 +74,6 @@ __all__ = [
 
 # Relative accuracy demanded of every checked solve.
 _SOLVE_TOL = 1e-10
-# Number of escalating diagonal perturbations tried after J itself fails.
-_PERTURB_ATTEMPTS = 3
-# First rung of that ladder; each retry multiplies it by ten.
-_FIRST_PERTURB = 1e-10
 # Largest n + p + q factored as the assembled J (``DenseJacobian``).
 _DENSE_MAX = 64
 
@@ -103,11 +98,6 @@ class KktMatrix:
         self.sign = np.ones(n + p)
         self.sign[n:] = -1.0
 
-    @cached_property
-    def abs_matrix(self) -> np.ndarray:
-        """|K|, formed the first time a solve needs ``||J||_inf``."""
-        return np.abs(self.matrix)
-
 
 class _Jacobian:
     """``J + eps I`` at one point: the products with K and J that the check
@@ -117,8 +107,8 @@ class _Jacobian:
         kkt: the problem's ``KktMatrix``.
         d_y, d_v: generalized derivatives of phi at (b - A z, v), shape (q,).
         sigma: proximal weight; ``sigma + eps`` must be positive.
-        eps: diagonal shift of the whole of J; set by the ladder of
-            ``checked_solve``.
+        eps: diagonal shift of the whole of J, a rung of the Newton loop's
+            perturbation ladder (``solver._LADDER``).
     """
 
     def __init__(self, kkt: KktMatrix, d_y: np.ndarray, d_v: np.ndarray, sigma: float,
@@ -150,13 +140,7 @@ class _Jacobian:
 
     def norm_inf(self) -> float:
         """``||J + eps I||_inf``, the largest absolute row sum of J."""
-        rows = np.abs(self.scale) * self.kkt.abs_matrix.sum(axis=1)
-        # The diagonal of K is that of H, on the rows where scale is 1.
-        h_diag = self.problem.H.diagonal()
-        n = h_diag.size
-        rows[:n] += np.abs(h_diag + self.shift) - np.abs(h_diag)
-        rows[n:] += self.diagonal[n:] + self.eps
-        return float(rows.max())
+        return float(np.abs(self.assemble()).sum(axis=1).max())
 
 
 class DenseJacobian(_Jacobian):
@@ -290,43 +274,29 @@ def refined_solve(
 
 
 def checked_solve(
-    kkt: KktMatrix,
-    d_y: np.ndarray,
-    d_v: np.ndarray,
-    sigma: float,
-    rhs: np.ndarray,
-    first_rung: int = 0,
-) -> tuple[np.ndarray | None, int, np.ndarray | None, np.ndarray | None]:
-    """x with ``J x = rhs``, rhs of shape (N,), through the perturbation ladder.
+    kkt: KktMatrix, d_y: np.ndarray, d_v: np.ndarray, sigma: float, rhs: np.ndarray,
+    eps: float = 0.0,
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """x with ``(J + eps I) x = rhs``, rhs of shape (N,), checked; one attempt.
 
-    Arguments are those of ``_Jacobian``. J is tried first, then J + eps I
-    with eps = 1e-10 (``_FIRST_PERTURB``), 1e-9 and 1e-8
-    (``_PERTURB_ATTEMPTS`` retries). Each attempt factors ``DenseJacobian``
-    when N <= ``_DENSE_MAX`` and p plus the number of rows with
-    d_v + eps < d_y is at most n, and ``ReducedJacobian`` otherwise, and is
-    checked by ``refined_solve`` against its own J + eps I.
-    ``first_rung`` = 1 starts the ladder at eps = 1e-10, skipping J.
+    Arguments are those of ``_Jacobian``. J + eps I is factored by
+    ``DenseJacobian`` when N <= ``_DENSE_MAX`` and p plus the number of rows
+    with d_v + eps < d_y is at most n, and by ``ReducedJacobian`` otherwise,
+    and x is checked by ``refined_solve`` against that J + eps I.
 
     Returns:
-        (x, attempts, kx, jx): x is None when every attempt failed;
-        ``attempts`` is the number of factorizations tried, 1 when the first
-        rung passed. kx and jx are the products of the check that passed,
-        ``_Jacobian.products`` of x, with J without eps; they are None
-        with x.
+        (x, kx, jx): kx and jx are the products of the check that passed,
+        ``_Jacobian.products`` of x, with J without eps. All three are None
+        when J + eps I cannot be factored or x fails its check.
     """
     n, p = kkt.problem.n, kkt.problem.p
-    small = rhs.shape[0] <= _DENSE_MAX
-    for rung in range(first_rung, 1 + _PERTURB_ATTEMPTS):
-        eps = _FIRST_PERTURB * 10.0 ** (rung - 1) if rung else 0.0
-        dense = small and p + np.count_nonzero(d_v + eps < d_y) <= n
-        try:
-            system = (DenseJacobian if dense else ReducedJacobian)(kkt, d_y, d_v, sigma, eps)
-        except np.linalg.LinAlgError:
-            continue
-        x, products = refined_solve(system.solve, system.backward, system.norm_inf, rhs)
-        if x is not None:
-            return x, rung + 1 - first_rung, *products
-    return None, 1 + _PERTURB_ATTEMPTS - first_rung, None, None
+    dense = rhs.shape[0] <= _DENSE_MAX and p + np.count_nonzero(d_v + eps < d_y) <= n
+    try:
+        system = (DenseJacobian if dense else ReducedJacobian)(kkt, d_y, d_v, sigma, eps)
+    except np.linalg.LinAlgError:
+        return None, None, None
+    x, products = refined_solve(system.solve, system.backward, system.norm_inf, rhs)
+    return (x, *products) if x is not None else (None, None, None)
 
 
 def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:

@@ -30,14 +30,15 @@ last iterate, recomputed from the problem data.
 Each Newton step solves J d = -R through ``fbqp.jacobian``: by one LU of
 the assembled J when the system is small and well determined, and else
 through a symmetric quasi-definite reduction with two Cholesky factors.
-A direction is kept only when its backward error against the full J passes,
-after at most one refinement pass, or else on J + eps I with a growing eps
-(the ladder of ``fbqp.jacobian.checked_solve``). The check forms K d and
-J d, and returns them. The stationarity and equality blocks of R are
-affine along a direction with slope (J d)[:n+p], and the slack moves by
--(K d)[n+p:] = -A dz, so the line search evaluates phi once for the full
-step and once for each stack of shorter steps. When no step passes on a
-direction of J itself, the direction of J + 1e-10 I gets one search.
+A step climbs one perturbation ladder, J + eps I for eps in ``_LADDER``.
+A rung's direction is kept when its backward error passes, after at most
+one refinement pass (``fbqp.jacobian.checked_solve``), and gets a line
+search; a failed check, or a failed search on J itself, moves on to the
+next rung, and the search of a perturbed rung ends the climb. The check
+forms K d and J d, and returns them. The stationarity and equality blocks
+of R are affine along a direction with slope (J d)[:n+p], and the slack
+moves by -(K d)[n+p:] = -A dz, so the line search evaluates phi once for
+the full step and once for each stack of shorter steps.
 ``assemble_jacobian`` builds J at an iterate with the LU path's assembly.
 
 A warm start that misses ``tol_kkt`` first gets primal-dual active-set
@@ -116,6 +117,9 @@ _BACKTRACK = 0.5
 _MIN_STEP = 1e-12
 # Largest ``infeasibility_error`` of a certificate that ends a solve.
 _CERTIFICATE_TOL = 1e-8
+# The perturbation ladder of a Newton step: the shifts eps of J + eps I,
+# tried in turn, one factorization each.
+_LADDER = (0.0, 1e-10, 1e-9, 1e-8)
 
 
 class SolveStatus(enum.Enum):
@@ -143,7 +147,7 @@ class SolverConfig:
 
     The method's parameters are module constants: the proximal schedule
     (``_SIGMA0``, ``_SIGMA_SHRINK``, ``_SIGMA_MIN``), the stage rule, the
-    line search, ``fbqp.ncp.ALPHA`` and the ladder of ``checked_solve``.
+    line search, ``fbqp.ncp.ALPHA`` and the perturbation ladder (``_LADDER``).
     """
 
     tol_kkt: float = 1e-8
@@ -187,12 +191,11 @@ class SolveResult:
     """Outcome of ``solve``.
 
     ``certificate`` is the ray behind ``PRIMAL_INFEASIBLE`` or ``DUAL_INFEASIBLE``, else None.
-    ``factorizations`` counts attempts at the Newton system: one per
-    direction that succeeded on the first try, plus one per perturbed
-    retry of the ladder. One attempt is one LU of J, or the two Cholesky
-    factorizations of its reduced form (see ``fbqp.jacobian``). It also
-    counts the active-set rounds of a warm start, one LU each, which
-    ``trace`` and ``inner_iterations`` do not: those count Newton steps.
+    ``factorizations`` counts the rungs of the perturbation ladder tried,
+    each one LU of J + eps I or the two Cholesky factorizations of its
+    reduced form (see ``fbqp.jacobian``), and the active-set rounds of a
+    warm start, one LU each, which ``trace`` and ``inner_iterations`` do
+    not count: those count Newton steps.
     """
 
     iterate: Iterate
@@ -258,30 +261,20 @@ def assemble_jacobian(problem: QpProblem, iterate: Iterate, sigma: float) -> np.
 
 
 def _newton_direction(
-    kkt: KktMatrix, x: np.ndarray, sigma: float, point: Evaluation, first_rung: int = 0
-) -> tuple[np.ndarray | None, int, np.ndarray | None, np.ndarray | None]:
-    """Direction d with J d = -R at x, the factorizations it took, K d and J d.
+    kkt: KktMatrix, x: np.ndarray, sigma: float, point: Evaluation, eps: float = 0.0
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """(d, K d, J d) with (J + eps I) d = -R at x, from one checked attempt
+    (``fbqp.jacobian.checked_solve``), or three Nones when it failed.
 
-    J is the generalized Jacobian of the residual (``assemble_jacobian``).
-    ``fbqp.jacobian.checked_solve`` solves it by LU or through its reduced
-    symmetric form: J first, then J + eps I for eps = 1e-10, 1e-9 and
-    1e-8, each attempt checked by its backward error. Each attempt counts
-    as one factorization.
-
-    Args:
-        point: ``residual`` at ``x`` with the same ``sigma``.
-        first_rung: 1 skips J and starts at J + 1e-10 I.
-
-    Returns:
-        (d, factorization_count, K d, J d), as ``checked_solve`` returns
-        them: d and the products are None when every attempt failed. J d
-        is the product with J itself, also after a rung of the ladder.
+    J is the generalized Jacobian of the residual (``assemble_jacobian``) at
+    the sigma of ``point``, the ``residual`` at x; J d is the product with J
+    itself, also on a perturbed rung of ``_LADDER``.
     """
     if point.slack.size:
         d_y, d_v = phi_derivative_vec(point.slack, x[kkt.sign.size :])
     else:
         d_y = d_v = point.slack
-    return checked_solve(kkt, d_y, d_v, sigma, -point.r, first_rung=first_rung)
+    return checked_solve(kkt, d_y, d_v, sigma, -point.r, eps)
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
@@ -502,22 +495,23 @@ def solve(
                 break
             if short_steps == _STALL_STEPS:
                 break  # the target is missed, as when the budget is spent
-            d, nfact, kd, jd = _newton_direction(kkt, x, sigma, point)
-            factorizations += nfact
+            d = None
+            for eps in _LADDER:
+                direction = _newton_direction(kkt, x, sigma, point, eps)
+                factorizations += 1
+                if direction[0] is None:
+                    continue
+                d = direction[0]
+                searched = _line_search(kkt, x, direction, point)
+                # Near a degenerate solution J can pass its check at a
+                # condition near 1e16, and its direction then moves the
+                # multipliers far along near-null directions, which a
+                # perturbed rung damps; its search is the last.
+                if searched is not None or eps:
+                    break
             if d is None:
                 singular = True
                 break
-            searched = _line_search(kkt, x, (d, kd, jd), point)
-            if searched is None and nfact == 1:
-                # Near a degenerate solution J can pass its check at a
-                # condition near 1e16, and its direction then moves the
-                # multipliers far along near-null directions. J + 1e-10 I
-                # damps those; its direction gets one search.
-                retry = _newton_direction(kkt, x, sigma, point, first_rung=1)
-                factorizations += retry[1]
-                if retry[0] is not None:
-                    d, _, kd, jd = retry
-                    searched = _line_search(kkt, x, (d, kd, jd), point)
             if searched is None:
                 stalled = True
                 break

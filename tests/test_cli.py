@@ -123,6 +123,17 @@ def test_solve_json_certificate_feeds_check(tmp_path, capsys):
     assert "ok: true" in capsys.readouterr().out
 
 
+def test_check_certificate_without_one_is_usage_error(planted_file, tmp_path, capsys):
+    # A Solved report carries a solution block but no certificate; it is
+    # not read as a ray.
+    assert cli_main(["solve", str(planted_file), "--json"]) == 0
+    report = tmp_path / "report.json"
+    report.write_text(capsys.readouterr().out)
+    assert cli_main(["check", str(planted_file), "--certificate", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: no certificate in {report}" in captured.err and captured.out == ""
+
+
 def test_check_rejects_wrong_certificate(tmp_path, capsys):
     path = tmp_path / "infeasible.json"
     save_problem(path, INFEASIBLE)

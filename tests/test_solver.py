@@ -17,9 +17,10 @@ from fbqp import (
     random_problem,
     solve,
 )
-from fbqp.jacobian import _PERTURB_ATTEMPTS, KktMatrix, _Jacobian
+from fbqp.jacobian import DenseJacobian, KktMatrix, ReducedJacobian, _Jacobian
 from fbqp.ncp import phi_derivative_vec
 from fbqp.solver import (
+    _LADDER,
     _STALL_STEPS,
     _active_set_rounds,
     _certificate,
@@ -140,8 +141,7 @@ def _direction(problem, x, sigma, center):
     """(d, K d, J d) at an iterate, and ``residual`` there."""
     kkt = KktMatrix(problem)
     point = residual(kkt, _stacked(x), sigma, _stacked(center))
-    d, _, kd, jd = _newton_direction(kkt, _stacked(x), sigma, point)
-    return (d, kd, jd), point
+    return _newton_direction(kkt, _stacked(x), sigma, point), point
 
 
 def _products(problem, x, d, sigma):
@@ -197,23 +197,35 @@ def test_newton_direction_back_substitution_accuracy():
     assert np.max(np.abs(jac @ d + r)) <= 1e-10 * (1.0 + np.max(np.abs(r)))
 
 
-def test_newton_direction_counts_one_factorization_per_attempt():
-    # H = 0 at sigma = 0 is singular; the first rung, J + 1e-10 I, solves.
+def test_newton_direction_counts_one_factorization_per_attempt(monkeypatch):
+    # H = 0 at sigma = 0 is singular; the rung J + 1e-10 I solves.
     problem = QpProblem(H=[[0.0]], f=[1.0])
     kkt, x = KktMatrix(problem), np.zeros(1)
-    direction, count, kd, jd = _newton_direction(kkt, x, 0.0, residual(kkt, x, 0.0, x))
-    assert count == 2
+    point = residual(kkt, x, 0.0, x)
+    assert _newton_direction(kkt, x, 0.0, point) == (None, None, None)
+    direction, kd, jd = _newton_direction(kkt, x, 0.0, point, 1e-10)
     np.testing.assert_allclose(direction, [-1e10])
     # J d is that of J itself, not of the rung J + 1e-10 I that solved.
     np.testing.assert_array_equal(np.concatenate((kd, jd)), [0.0, 0.0])
+    # A solve counts one factorization per call, perturbed rungs included
+    # (the degenerate input of test_degenerate_direction_is_retried_on_the_first_rung).
+    shifts = []
+
+    def counted(kkt, x, sigma, point, eps=0.0):
+        shifts.append(eps)
+        return _newton_direction(kkt, x, sigma, point, eps)
+
+    monkeypatch.setattr("fbqp.solver._newton_direction", counted)
+    result = solve(random_problem(_fleet_spec(541_000_338))[0])
+    assert result.factorizations == len(shifts) and 1e-10 in shifts
 
 
 def test_newton_direction_singular_after_perturbation():
     problem = QpProblem(H=[[np.nan]], f=[0.0])
     kkt, x = KktMatrix(problem), np.ones(1)
-    direction, count, kd, jd = _newton_direction(kkt, x, 1e-3, residual(kkt, x, 1e-3, x))
-    assert direction is None and kd is None and jd is None
-    assert count == 1 + _PERTURB_ATTEMPTS
+    point = residual(kkt, x, 1e-3, x)
+    for eps in _LADDER:
+        assert _newton_direction(kkt, x, 1e-3, point, eps) == (None, None, None)
 
 
 def test_line_search_accepts_full_newton_step():
@@ -457,7 +469,7 @@ def test_solve_reaches_singular_system(monkeypatch):
     monkeypatch.setattr("fbqp.jacobian.ReducedJacobian", unfactorable)
     result = solve(ONE_D)
     assert result.status is SolveStatus.SINGULAR_SYSTEM
-    assert result.factorizations == 1 + _PERTURB_ATTEMPTS
+    assert result.factorizations == len(_LADDER)
     assert shifts == [0.0, 1e-10, 1e-9, 1e-8]
     assert result.trace == ()
 
@@ -476,6 +488,39 @@ def test_solve_reaches_line_search_stalled(monkeypatch):
     assert result.outer_iterations == 3
     assert result.factorizations == 6
     assert result.trace == ()
+
+
+@pytest.mark.parametrize(
+    "failing, shifts",
+    [({0.0}, [0.0, 1e-10]), ({1e-10, 1e-9, 1e-8}, [0.0, 1e-10, 1e-9, 1e-8])],
+    ids=["j_fails_its_check", "perturbed_rungs_fail_their_checks"],
+)
+def test_ladder_stops_after_the_search_of_a_perturbed_rung(monkeypatch, failing, shifts):
+    # Every search fails. When J fails its check, J + 1e-10 I gets the one
+    # search and the stage stalls with no third rung. When J passes, its
+    # failed search moves on, and when no perturbed rung passes its check the
+    # stage stalls on the direction of J, which the certificate search gets.
+    attempts, searched, offered = [], [], []
+    for cls in (DenseJacobian, ReducedJacobian):
+        def build(kkt, d_y, d_v, sigma, eps=0.0, cls=cls):
+            attempts.append(eps)
+            system = cls(kkt, d_y, d_v, sigma, eps)
+            if eps in failing:
+                system.solve = lambda rhs: np.full_like(rhs, np.nan)
+            return system
+
+        monkeypatch.setattr(f"fbqp.jacobian.{cls.__name__}", build)
+    monkeypatch.setattr(
+        "fbqp.solver._line_search", lambda kkt, x, direction, base: searched.append(direction[0])
+    )
+    monkeypatch.setattr("fbqp.solver._certificate", lambda *args: offered.append(args[1:]))
+    result = solve(ONE_D, SolverConfig(max_outer=1))
+    assert result.status is SolveStatus.LINE_SEARCH_STALLED
+    assert attempts == shifts and result.factorizations == len(shifts)
+    assert len(searched) == 1 and searched[0] is not None
+    start = _stacked(Iterate.start(ONE_D))
+    ray, centre = offered[-1]
+    assert ray.tobytes() == (start + searched[0]).tobytes() and centre.tobytes() == start.tobytes()
 
 
 def _fleet_spec(i, rng=None):
@@ -826,18 +871,19 @@ def test_line_search_reads_checked_products_bit_for_bit(monkeypatch):
     # bits of the products formed again with J at sigma, also when a rung
     # J + eps I of the ladder solved.
     real = _newton_direction
-    attempts = []
+    shifts = []
 
-    def both(kkt, x, sigma, point):
-        d, count, kd, jd = real(kkt, x, sigma, point)
-        d_y, d_v = phi_derivative_vec(point.slack, x[kkt.sign.size :])
-        want = _Jacobian(kkt, d_y, d_v, sigma).products(d)
-        assert kd.tobytes() == want[0].tobytes() and jd.tobytes() == want[1].tobytes()
-        attempts.append(count)
-        return d, count, kd, jd
+    def both(kkt, x, sigma, point, eps=0.0):
+        d, kd, jd = real(kkt, x, sigma, point, eps)
+        if d is not None:
+            d_y, d_v = phi_derivative_vec(point.slack, x[kkt.sign.size :])
+            want = _Jacobian(kkt, d_y, d_v, sigma).products(d)
+            assert kd.tobytes() == want[0].tobytes() and jd.tobytes() == want[1].tobytes()
+        shifts.append(eps)
+        return d, kd, jd
 
     monkeypatch.setattr("fbqp.solver._newton_direction", both)
     for i in range(500):
         solve(random_problem(_fleet_spec(i))[0])
-    retried = sum(count > 1 for count in attempts)
-    assert len(attempts) > 2000 and 0 < retried < 0.05 * len(attempts)
+    steps, retried = shifts.count(0.0), sum(eps > 0.0 for eps in shifts)
+    assert steps > 2000 and 0 < retried < 0.05 * steps

@@ -218,13 +218,10 @@ class KktError:
     dual_neg_inf: float
 
     def max_error(self) -> float:
-        return max(
-            self.stationarity_inf,
-            self.eq_infeas_inf,
-            self.ineq_infeas_inf,
-            self.comp_inf,
-            self.dual_neg_inf,
-        )
+        e = (self.stationarity_inf, self.eq_infeas_inf, self.ineq_infeas_inf, self.comp_inf,
+             self.dual_neg_inf)
+        # NaN if any entry is: max drops a NaN that follows a finite entry.
+        return max(e) if sum(e) == sum(e) else np.nan
 
     def within(self, tol: float) -> bool:
         return self.max_error() <= tol

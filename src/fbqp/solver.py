@@ -15,8 +15,9 @@ shrinks sigma geometrically on a fixed schedule (``_SIGMA0``,
 at the iterate each stage starts from, driving the iterates to a solution of the
 unregularized system, certified by its sigma-free KKT residuals, or along a
 ray that certifies that there is none (``_certificate``). A stage ends at
-its merit target, after ``_STALL_STEPS`` consecutive backtracked steps, or
-at ``max_inner`` steps; the last two count as a missed target.
+its merit target, after ``_STALL_STEPS`` consecutive backtracked steps, on a
+step it cannot take, or at ``max_inner`` steps; the last three count as a
+missed target.
 
 The loop state is one stacked vector x = (z, lambda, v), and a step is
 x + t d. Each point is evaluated once: ``residual`` forms lin = K x + c,
@@ -34,7 +35,8 @@ A step climbs one perturbation ladder, J + eps I for eps in ``_LADDER``.
 A rung's direction is kept when its backward error passes, after at most
 one refinement pass (``fbqp.jacobian.checked_solve``), and gets a line
 search; a failed check, or a failed search on J itself, moves on to the
-next rung, and the search of a perturbed rung ends the climb. The check
+next rung, and the search of a perturbed rung ends the climb. A step that
+no rung can take, by its check or its search, ends the stage. The check
 forms K d and J d, and returns them. The stationarity and equality blocks
 of R are affine along a direction with slope (J d)[:n+p], and the slack
 moves by -(K d)[n+p:] = -A dz, so the line search evaluates phi once for
@@ -92,9 +94,6 @@ __all__ = [
 _SIGMA0 = 1e-3
 _SIGMA_SHRINK = 0.1
 _SIGMA_MIN = 1e-12
-# Below this merit the regularized subproblem is solved to roundoff and
-# further Newton steps are numerically meaningless.
-_MERIT_FLOOR = 1e-32
 # Per-stage inexactness: a stage ends once its residual norm is below
 # _STAGE_ETA * sigma * (1 + iterate scale). Solving subproblems tighter
 # than this wastes Newton steps without moving the outer iteration.
@@ -126,7 +125,6 @@ class SolveStatus(enum.Enum):
     SOLVED = "Solved"
     MAX_ITERATIONS = "MaxIterations"
     LINE_SEARCH_STALLED = "LineSearchStalled"
-    SINGULAR_SYSTEM = "SingularSystem"
     INVALID_PROBLEM = "InvalidProblem"
     PRIMAL_INFEASIBLE = "PrimalInfeasible"
     DUAL_INFEASIBLE = "DualInfeasible"
@@ -191,11 +189,12 @@ class SolveResult:
     """Outcome of ``solve``.
 
     ``certificate`` is the ray behind ``PRIMAL_INFEASIBLE`` or ``DUAL_INFEASIBLE``, else None.
-    ``factorizations`` counts the rungs of the perturbation ladder tried,
-    each one LU of J + eps I or the two Cholesky factorizations of its
-    reduced form (see ``fbqp.jacobian``), and the active-set rounds of a
-    warm start, one LU each, which ``trace`` and ``inner_iterations`` do
-    not count: those count Newton steps.
+    ``factorizations`` counts the rungs of the perturbation ladder tried
+    (all of them on a step that no rung can take), each one LU of J + eps I
+    or the two Cholesky factorizations of its reduced form (see
+    ``fbqp.jacobian``), and the active-set rounds of a warm start, one LU
+    each, which ``trace`` and ``inner_iterations`` do not count: those
+    count Newton steps.
     """
 
     iterate: Iterate
@@ -420,10 +419,12 @@ def solve(
         residuals, recomputed without any regularization, are all within
         ``config.tol_kkt``. ``PRIMAL_INFEASIBLE`` and ``DUAL_INFEASIBLE``
         come with a certificate, sought only at a stage end that missed its
-        merit target (after a run of backtracked steps, a failed line
-        search or ``max_inner`` steps), or took steps that failed to halve
-        its primal or stationarity error since the previous stage end. The
-        trace holds one record per accepted step.
+        merit target (after a run of backtracked steps, a step it could not
+        take or ``max_inner`` steps), or took steps that failed to halve
+        its primal or stationarity error since the previous stage end. Else
+        ``LINE_SEARCH_STALLED`` says that the last stage ended on a step it
+        could not take (no rung passed its check, or no step decreased the
+        merit). The trace holds one record per accepted step.
 
     Raises:
         ValueError: when ``warm_start`` has the wrong shapes or is not finite.
@@ -455,7 +456,6 @@ def solve(
     factorizations = 0
     outer_used = 0
     stalled = False
-    singular = False
     certificate = None
     point = residual(kkt, x, 0.0, x)
     error = point.error
@@ -476,7 +476,7 @@ def solve(
             sigma = max(_SIGMA0 * _SIGMA_SHRINK**outer, _SIGMA_MIN)
         center = x  # fixed for the stage while the inner loop moves x
         scale = 1.0 + math.sqrt(float(x @ x))
-        stage_merit_target = max(0.5 * (_STAGE_ETA * sigma * scale) ** 2, _MERIT_FLOOR)
+        stage_merit_target = 0.5 * (_STAGE_ETA * sigma * scale) ** 2
         outer_used = outer + 1
         stalled = False
         short_steps = 0
@@ -495,7 +495,7 @@ def solve(
                 break
             if short_steps == _STALL_STEPS:
                 break  # the target is missed, as when the budget is spent
-            d = None
+            d = searched = None
             for eps in _LADDER:
                 direction = _newton_direction(kkt, x, sigma, point, eps)
                 factorizations += 1
@@ -509,11 +509,8 @@ def solve(
                 # perturbed rung damps; its search is the last.
                 if searched is not None or eps:
                     break
-            if d is None:
-                singular = True
-                break
             if searched is None:
-                stalled = True
+                stalled = True  # no rung passed its check, or no step passed
                 break
             step, x, merit = searched
             point = residual(kkt, x, sigma, center)
@@ -521,7 +518,7 @@ def solve(
             inner_total += 1
             trace.append(TraceRecord(outer, inner, sigma, merit, error.max_error(), step))
             short_steps = short_steps + 1 if step < 1.0 else 0
-        if solved or singular:
+        if solved:
             break
         # Hopeless: the target missed (a run of short steps, a stall or a
         # spent budget), or steps that left an error unhalved.
@@ -529,7 +526,7 @@ def solve(
         stuck = primal[1] > 0.5 * primal[0] or error.stationarity_inf > 0.5 * last.stationarity_inf
         if (stuck and x is not center) or point.merit > stage_merit_target:
             certificate = _certificate(problem, x, center)
-            if certificate is None and stalled:
+            if certificate is None and stalled and d is not None:
                 # A search that failed at its first step leaves x at the
                 # centre; the direction's ray does not depend on a step.
                 certificate = _certificate(problem, x + d, x)
@@ -542,8 +539,6 @@ def solve(
     error = kkt_error(problem, iterate)
     if error.within(config.tol_kkt):
         status = SolveStatus.SOLVED
-    elif singular:
-        status = SolveStatus.SINGULAR_SYSTEM
     elif certificate is not None:
         status = SolveStatus["DUAL_INFEASIBLE" if certificate.z.any() else "PRIMAL_INFEASIBLE"]
     elif stalled:

@@ -135,6 +135,23 @@ def test_kkt_error_fields_nonnegative_and_dict():
     assert err.dual_neg_inf == pytest.approx(2.0)
 
 
+# A NaN in b or h gives a NaN slack or equality residual. Python's max
+# drops a NaN that follows a finite entry, so the error must not be read
+# from it: such a point certifies nothing.
+@pytest.mark.parametrize(
+    "problem, iterate",
+    [
+        (QpProblem(H=[[1.0]], f=[0.0], A=[[1.0]], b=[np.nan]), Iterate([0.0], [], [0.0])),
+        (QpProblem(H=[[1.0]], f=[0.0], G=[[1.0]], h=[np.nan]), Iterate([0.0], [0.0], [])),
+    ],
+    ids=["b", "h"],
+)
+def test_kkt_error_with_a_nan_entry_is_nan(problem, iterate):
+    err = kkt_error(problem, iterate)
+    assert np.isnan(err.max_error())
+    assert not err.within(1e-8)
+
+
 def test_kkt_error_dimension_mismatch():
     with pytest.raises(ValueError):
         kkt_error(_ONE_D, Iterate([1.0, 2.0]))

@@ -13,6 +13,7 @@ from fbqp import (
     SolveStatus,
     infeasibility_error,
     kkt_error,
+    oracle_agrees,
     phi_vec,
     random_problem,
     solve,
@@ -456,9 +457,10 @@ def test_solve_invalid_problem_short_circuits():
     assert result.trace == ()
 
 
-def test_solve_reaches_singular_system(monkeypatch):
+def test_unsolvable_step_ends_its_stage_like_a_failed_search(monkeypatch):
     # Every rung of the ladder fails to factor, whichever factorization it
-    # picks: the first step ends the solve.
+    # picks: each stage climbs the whole ladder once and stalls, with no
+    # direction to offer as a certificate.
     shifts = []
 
     def unfactorable(problem, d_y, d_v, sigma, eps=0.0):
@@ -467,11 +469,38 @@ def test_solve_reaches_singular_system(monkeypatch):
 
     monkeypatch.setattr("fbqp.jacobian.DenseJacobian", unfactorable)
     monkeypatch.setattr("fbqp.jacobian.ReducedJacobian", unfactorable)
-    result = solve(ONE_D)
-    assert result.status is SolveStatus.SINGULAR_SYSTEM
-    assert result.factorizations == len(_LADDER)
-    assert shifts == [0.0, 1e-10, 1e-9, 1e-8]
+    result = solve(ONE_D, SolverConfig(max_outer=2))
+    assert result.status is SolveStatus.LINE_SEARCH_STALLED
+    assert result.certificate is None
+    assert result.outer_iterations == 2
+    assert result.factorizations == 2 * len(_LADDER)
+    assert shifts == list(_LADDER) * 2
     assert result.trace == ()
+
+
+# PSD-only planted problems, as (n, p, q, condition_target, activity, seed),
+# with a step in stage 2 on which no rung of the ladder passes its check;
+# the next stage, recentred at a smaller sigma, takes its steps.
+@pytest.mark.parametrize(
+    "n, p, q, condition, activity, seed",
+    [
+        (2, 1, 4, 10, 0.915, 1591032612),
+        (4, 2, 11, 9.6e5, 0.479, 1778322352),
+        (2, 2, 6, 1.1e4, 0.809, 114050416),
+        (3, 3, 6, 3.327, 0.8591, 2080556248),
+        (2, 0, 6, 105.5, 0.8353, 197871803),
+        (3, 0, 9, 3090, 0.8827, 152351384),
+    ],
+)
+def test_psd_only_specs_are_solved(n, p, q, condition, activity, seed):
+    problem, planted = random_problem(GeneratorSpec(
+        n=n, p=p, q=q, condition_target=condition, activity_fraction=activity,
+        strictly_convex=False, seed=seed,
+    ))
+    result = solve(problem)
+    assert result.status is SolveStatus.SOLVED
+    np.testing.assert_allclose(result.iterate.z, planted.z, rtol=0.0, atol=1e-6)
+    assert oracle_agrees(problem, result)
 
 
 def test_solve_reaches_line_search_stalled(monkeypatch):
@@ -647,8 +676,9 @@ def test_solve_rejects_mismatched_warm_start():
         solve(ONE_D, warm_start=Iterate([0.0, 0.0]))
 
 
-# Unchecked, a non-finite start wastes factorizations before SingularSystem
-# (q = 0) or fails inside phi with a message naming its internal argument.
+# Unchecked, a non-finite start wastes every rung of the ladder on each
+# stage (q = 0) or fails inside phi with a message naming its internal
+# argument.
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize(
     "problem, block",

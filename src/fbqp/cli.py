@@ -46,9 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("problem", help="problem file (JSON)")
-    p_solve.add_argument("--tol", type=float, default=1e-8, help="KKT tolerance")
-    p_solve.add_argument("--max-outer", type=int, default=30)
-    p_solve.add_argument("--max-inner", type=int, default=50)
+    p_solve.add_argument("--tol", type=float, default=SolverConfig.tol_kkt, help="KKT tolerance")
+    p_solve.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
+    p_solve.add_argument("--max-inner", type=int, default=SolverConfig.max_inner)
     p_solve.add_argument("--warm-start", metavar="FILE",
                          help="start from the solution in FILE")
     p_solve.add_argument("--trace", metavar="FILE",
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solution file; defaults to the problem's own solution block")
     given.add_argument("--certificate", metavar="FILE",
                        help="certificate of infeasibility, or a solve report carrying one")
-    p_check.add_argument("--tol", type=float, default=1e-8)
+    p_check.add_argument("--tol", type=float, default=SolverConfig.tol_kkt)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=_cmd_check)
 

@@ -263,6 +263,7 @@ def serialize_problem(
     Raises:
         ProblemFormatError: a ValueError naming an array that holds a
             non-finite value.
+        ValueError: when ``solution`` does not match the problem's shapes.
     """
     # Fields in sorted() order (upper-case names first); "version" is last.
     out = ["{\n"]
@@ -276,6 +277,7 @@ def serialize_problem(
         out += ['  "metadata": ', text.replace("\n", "\n  "), ",\n"]
     out.append(f'  "n": {problem.n},\n  "p": {problem.p},\n  "q": {problem.q},\n')
     if solution is not None:
+        solution.require_match(problem)
         out.append('  "solution": {\n')
         for key, vector, end in (
             ("lambda", solution.lam, ",\n"), ("v", solution.v, ",\n"), ("z", solution.z, "\n")

@@ -9,16 +9,15 @@ and the offset
         [ A   0   0  ]          [ -b ]
 
 so that K x + c = (H z + f + G' lambda + A' v, G z - h, A z - b) is one
-matrix-vector product. At a point with proximal weight sigma, and shifted
-by a diagonal eps >= 0 on the rungs of the perturbation ladder, the
-Jacobian of ``solver.residual`` is
+matrix-vector product. At a point with proximal weight sigma, the Jacobian
+of ``solver.residual`` is
 
-    J = [ H + s I    G'     A'  ]      s = sigma + eps,
-        [ -G         s I    0   ]      D_v' = D_v + eps,
-        [ -D_y A     0      D_v']
+    J = [ H + sigma I    G'         A'  ]
+        [ -G             sigma I    0   ]
+        [ -D_y A         0          D_v ]
 
 with D_y, D_v >= 0 the diagonal derivatives of phi at (b - A z, v). That
-is J = diag(scale) K + diag(s on the first n + p rows, D_v'), with
+is J = diag(scale) K + diag(sigma on the first n + p rows, D_v), with
 scale = (1, -1, -d_y). So J x = scale * (K x) + diag * x, and one product
 with K checks every solve with J, whichever way J was factored.
 
@@ -30,28 +29,26 @@ step at these sizes. With more kept rows than n, J tends to a singular
 matrix as d_v -> 0; LU can then fail the check where the quasi-definite
 reduction of ``ReducedJacobian`` (Vanderbei, SIAM J. Optim. 1995) still
 solves to roundoff. It handles each inequality row i by whichever of d_y,
-d_v' is larger, and since d_y + d_v >= alpha (2 - sqrt 2), that divisor is
+d_v is larger, and since d_y + d_v >= alpha (2 - sqrt 2), that divisor is
 at least half of it:
 
-- a row with d_v' >= d_y is eliminated, dv_i = (r_i + d_y a_i'dz) / d_v',
-  which adds a_i a_i' d_y / d_v' (a weight of at most 1) to the z block;
+- a row with d_v >= d_y is eliminated, dv_i = (r_i + d_y a_i'dz) / d_v,
+  which adds a_i a_i' d_y / d_v (a weight of at most 1) to the z block;
 - every other row is divided by its d_y and kept, bordered with G.
 
 What is left is the symmetric quasi-definite matrix
 
-    [ M   B' ]    M = H + s I + A_E' W A_E,   B = [G; A_K],
-    [ B  -C  ]    C = diag(s on the G rows, d_v'/d_y on the kept rows),
+    [ M   B' ]    M = H + sigma I + A_E' W A_E,   B = [G; A_K],
+    [ B  -C  ]    C = diag(sigma on the G rows, d_v/d_y on the kept rows),
 
-with M positive definite for s > 0. It is factored as the Cholesky factor
-L of M and the Cholesky factor of the Schur complement S = C + B M^-1 B',
-of size p plus the number of kept rows.
+with M positive definite for sigma > 0. It is factored as the Cholesky
+factor L of M and the Cholesky factor of the Schur complement
+S = C + B M^-1 B', of size p plus the number of kept rows.
 
-``checked_solve`` makes one checked attempt at J + eps I: it picks the
-factorization, solves, and returns x with the products K x and J x its
-check formed, which the line search reads instead of forming them again.
-The Newton loop climbs the perturbation ladder over eps
-(``solver._LADDER``). ``refined_solve`` holds the backward-error test,
-which the sensitivities' solve passes too.
+``checked_solve`` makes one checked attempt at J and returns x with the
+product K x of its check, which the Newton step reads instead of forming
+it again. ``refined_solve`` holds the backward-error test, which the
+sensitivities' solve passes too.
 ``active_set_matrix`` gathers K_S, the principal submatrix of K over
 (z, lambda, v_S) for a set S of inequality rows, which the active-set
 rounds of a warm start and, shifted, the sensitivities factor.
@@ -100,51 +97,39 @@ class KktMatrix:
 
 
 class _Jacobian:
-    """``J + eps I`` at one point: the products with K and J that the check
-    of a solve reads, and the norm of its widened bound. Subclasses factor it.
+    """J at one point: the backward error of a solve with it, with the
+    product K x, and the norm of its widened bound. Subclasses factor it.
 
     Args:
         kkt: the problem's ``KktMatrix``.
         d_y, d_v: generalized derivatives of phi at (b - A z, v), shape (q,).
-        sigma: proximal weight; ``sigma + eps`` must be positive.
-        eps: diagonal shift of the whole of J, a rung of the Newton loop's
-            perturbation ladder (``solver._LADDER``).
+        sigma: proximal weight, positive for the reduced form.
     """
 
-    def __init__(self, kkt: KktMatrix, d_y: np.ndarray, d_v: np.ndarray, sigma: float,
-                 eps: float = 0.0):
+    def __init__(self, kkt: KktMatrix, d_y: np.ndarray, d_v: np.ndarray, sigma: float):
         self.kkt, self.problem = kkt, kkt.problem
-        self.eps, self.shift = eps, sigma + eps
         self.scale = np.concatenate((kkt.sign, -d_y))
-        # The diagonal that J adds to scale * K, without eps.
+        # The diagonal that J adds to scale * K.
         self.diagonal = np.concatenate((np.full(kkt.sign.size, sigma), d_v))
 
-    def products(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(K x, J x) for x of shape (N,), with J taken without eps."""
+    def backward(self, x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(J x - rhs, K x) for x of shape (N,)."""
         kx = self.kkt.matrix @ x
-        return kx, self.scale * kx + self.diagonal * x
-
-    def backward(self, x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """``(J + eps I) x - rhs`` and ``products(x)``."""
-        kx, jx = self.products(x)
-        back = jx - rhs
-        if self.eps:
-            back += self.eps * x
-        return back, (kx, jx)
+        return self.scale * kx + self.diagonal * x - rhs, kx
 
     def assemble(self) -> np.ndarray:
-        """``J + eps I`` as an array: diag(scale) K plus its diagonal."""
+        """J as an array: diag(scale) K plus its diagonal."""
         jac = self.scale[:, None] * self.kkt.matrix
-        jac.ravel()[:: jac.shape[0] + 1] += self.diagonal + self.eps
+        jac.ravel()[:: jac.shape[0] + 1] += self.diagonal
         return jac
 
     def norm_inf(self) -> float:
-        """``||J + eps I||_inf``, the largest absolute row sum of J."""
+        """``||J||_inf``, the largest absolute row sum of J."""
         return float(np.abs(self.assemble()).sum(axis=1).max())
 
 
 class DenseJacobian(_Jacobian):
-    """``J + eps I`` at one point, assembled and factored by LU.
+    """J at one point, assembled and factored by LU.
 
     Arguments are those of ``_Jacobian``.
 
@@ -152,19 +137,19 @@ class DenseJacobian(_Jacobian):
         np.linalg.LinAlgError: when LU meets an exactly zero pivot.
     """
 
-    def __init__(self, kkt, d_y, d_v, sigma, eps=0.0):
-        super().__init__(kkt, d_y, d_v, sigma, eps)
+    def __init__(self, kkt, d_y, d_v, sigma):
+        super().__init__(kkt, d_y, d_v, sigma)
         self.lu, self.pivots, info = lapack.dgetrf(self.assemble())
         if info:
             raise np.linalg.LinAlgError(f"J is singular (LAPACK info {info})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with ``(J + eps I) x = rhs``, for rhs of shape (N,)."""
+        """x with ``J x = rhs``, for rhs of shape (N,)."""
         return lapack.dgetrs(self.lu, self.pivots, rhs)[0]
 
 
 class ReducedJacobian(_Jacobian):
-    """``J + eps I`` at one point, factored through its reduced form.
+    """J at one point, factored through its reduced form.
 
     Arguments are those of ``_Jacobian``.
 
@@ -173,10 +158,10 @@ class ReducedJacobian(_Jacobian):
             definite (including non-finite data).
     """
 
-    def __init__(self, kkt, d_y, d_v, sigma, eps=0.0):
-        super().__init__(kkt, d_y, d_v, sigma, eps)
-        problem, shift = self.problem, self.shift
-        n, p, d_v = problem.n, problem.p, d_v + eps
+    def __init__(self, kkt, d_y, d_v, sigma):
+        super().__init__(kkt, d_y, d_v, sigma)
+        problem = self.problem
+        n, p = problem.n, problem.p
         # Boolean masks over the inequality rows, which scatter, and their
         # indices, which gather (``take``) faster.
         self.elim = d_v >= d_y
@@ -187,13 +172,13 @@ class ReducedJacobian(_Jacobian):
         self.dv_elim = d_v.take(self.elim_rows)
         self.dy_kept = d_y.take(self.kept_rows)
 
-        # The lower triangle of M = H + s I + A_E' W A_E as one rank-k update
-        # of H, whose transpose is H in the column-major order BLAS and
-        # LAPACK work in. The diagonal is shifted through the row-major
+        # The lower triangle of M = H + sigma I + A_E' W A_E as one rank-k
+        # update of H, whose transpose is H in the column-major order BLAS
+        # and LAPACK work in. The diagonal is shifted through the row-major
         # transpose of the result: ``ravel`` of a column-major array copies.
         scaled = np.sqrt(self.dy_elim / self.dv_elim)[:, None] * self.a_elim
         m = blas.dsyrk(1.0, scaled.T, beta=1.0, c=problem.H.T, lower=1)
-        m.T.ravel()[:: n + 1] += shift
+        m.T.ravel()[:: n + 1] += sigma
         self.factor = _cholesky(m, "M")
 
         border = np.concatenate((problem.G, problem.A.take(self.kept_rows, 0)))
@@ -205,7 +190,7 @@ class ReducedJacobian(_Jacobian):
             self.b_l_inv_t = blas.dtrsm(1.0, self.factor, border, side=1, lower=1, trans_a=1)
             s = blas.dsyrk(1.0, self.b_l_inv_t, lower=1)
             diagonal = s.T.ravel()[:: size + 1]
-            diagonal[:p] += shift
+            diagonal[:p] += sigma
             diagonal[p:] += d_v.take(self.kept_rows) / self.dy_kept
             self.s_factor = _cholesky(s, "the Schur complement")
 
@@ -220,7 +205,7 @@ class ReducedJacobian(_Jacobian):
         return x, u
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with ``(J + eps I) x = rhs``, for rhs of shape (N,)."""
+        """x with ``J x = rhs``, for rhs of shape (N,)."""
         n, p = self.problem.n, self.problem.p
         r_z, r_lam, r_v = rhs[:n], rhs[n : n + p], rhs[n + p :]
         r_elim, r_kept = r_v.take(self.elim_rows), r_v.take(self.kept_rows)
@@ -248,55 +233,52 @@ def active_set_matrix(kkt: KktMatrix, keep: np.ndarray) -> np.ndarray:
 
 def refined_solve(
     solve: Callable, backward: Callable, norm_inf: Callable, rhs: np.ndarray
-) -> tuple[np.ndarray | None, tuple]:
+) -> tuple[np.ndarray | None, object]:
     """x = ``solve(rhs)`` for a matrix M, kept when its backward error passes.
 
-    ``backward(x, rhs)`` returns (M x - rhs, products), and ``norm_inf()``
+    ``backward(x, rhs)`` returns (M x - rhs, product), and ``norm_inf()``
     returns ||M||_inf. x passes when ||M x - rhs||_inf is within
     1e-10 * (1 + ||rhs||_inf), widened by 1e-10 * ||M||_inf ||x||_inf since
     no double-precision solve can beat that floor when the solution dwarfs
     the right-hand side. One pass of iterative refinement is tried before x
-    fails. Returns (x, products), or (None, ()) when x fails.
+    fails. Returns (x, product), or (None, None) when x fails.
     """
     tol = _SOLVE_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
     x = solve(rhs)
     for refine in (True, False):
-        back, products = backward(x, rhs)
+        back, product = backward(x, rhs)
         error = float(np.abs(back).max(initial=0.0))
         if not error < math.inf:
             break  # x is not finite
         # The widened bound is computed only when the plain one fails.
         if error <= tol or error <= tol + _SOLVE_TOL * norm_inf() * float(np.abs(x).max()):
-            return x, products
+            return x, product
         if refine:
             x = x - solve(back)
-    return None, ()
+    return None, None
 
 
 def checked_solve(
-    kkt: KktMatrix, d_y: np.ndarray, d_v: np.ndarray, sigma: float, rhs: np.ndarray,
-    eps: float = 0.0,
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """x with ``(J + eps I) x = rhs``, rhs of shape (N,), checked; one attempt.
+    kkt: KktMatrix, d_y: np.ndarray, d_v: np.ndarray, sigma: float, rhs: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """x with ``J x = rhs``, rhs of shape (N,), checked; one attempt.
 
-    Arguments are those of ``_Jacobian``. J + eps I is factored by
-    ``DenseJacobian`` when N <= ``_DENSE_MAX`` and p plus the number of rows
-    with d_v + eps < d_y is at most n, and by ``ReducedJacobian`` otherwise,
-    and x is checked by ``refined_solve`` against that J + eps I.
+    Arguments are those of ``_Jacobian``. J is factored by ``DenseJacobian``
+    when N <= ``_DENSE_MAX`` and p plus the number of rows with d_v < d_y is
+    at most n, and by ``ReducedJacobian`` otherwise, and x is checked by
+    ``refined_solve`` against that J.
 
     Returns:
-        (x, kx, jx): kx and jx are the products of the check that passed,
-        ``_Jacobian.products`` of x, with J without eps. All three are None
-        when J + eps I cannot be factored or x fails its check.
+        (x, K x), with K x the product of the check that passed, or
+        (None, None) when J cannot be factored or x fails its check.
     """
     n, p = kkt.problem.n, kkt.problem.p
-    dense = rhs.shape[0] <= _DENSE_MAX and p + np.count_nonzero(d_v + eps < d_y) <= n
+    dense = rhs.shape[0] <= _DENSE_MAX and p + np.count_nonzero(d_v < d_y) <= n
     try:
-        system = (DenseJacobian if dense else ReducedJacobian)(kkt, d_y, d_v, sigma, eps)
+        system = (DenseJacobian if dense else ReducedJacobian)(kkt, d_y, d_v, sigma)
     except np.linalg.LinAlgError:
-        return None, None, None
-    x, products = refined_solve(system.solve, system.backward, system.norm_inf, rhs)
-    return (x, *products) if x is not None else (None, None, None)
+        return None, None
+    return refined_solve(system.solve, system.backward, system.norm_inf, rhs)
 
 
 def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:

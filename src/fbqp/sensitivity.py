@@ -114,7 +114,7 @@ def _pull_back(
     if not info:
         x, _ = refined_solve(
             lambda r: lapack.dgetrs(lu, pivots, r)[0],
-            lambda y, r: (shifted @ y - r, ()),
+            lambda y, r: (shifted @ y - r, None),
             lambda: float(np.abs(shifted).sum(axis=1).max()),
             rhs,
         )
@@ -159,13 +159,13 @@ def vjp(problem: QpProblem, result: SolveResult, z_cotangent: np.ndarray) -> Vjp
 
     Raises:
         NotSolvedError, SingularSystemError: as in ``solution_sensitivity``.
-        ValueError: if the cotangent has the wrong shape.
+        ValueError: if the cotangent has the wrong shape or is not finite.
     """
     z_cotangent = np.asarray(z_cotangent, dtype=float)
     if z_cotangent.shape != (problem.n,):
-        raise ValueError(
-            f"z_cotangent must have shape ({problem.n},), got {z_cotangent.shape}"
-        )
+        raise ValueError(f"z_cotangent must have shape ({problem.n},), got {z_cotangent.shape}")
+    if not np.isfinite(z_cotangent).all():
+        raise ValueError("z_cotangent must be finite")
     df, dh, db, wellposed = _pull_back(problem, result, z_cotangent)
     z, lam, v = result.iterate.z, result.iterate.lam, result.iterate.v
     raw_dH = np.outer(df, z)

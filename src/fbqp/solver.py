@@ -31,14 +31,15 @@ last iterate, recomputed from the problem data.
 Each Newton step solves J d = -R through ``fbqp.jacobian``: by one LU of
 the assembled J when the system is small and well determined, and else
 through a symmetric quasi-definite reduction with two Cholesky factors.
-A step climbs one perturbation ladder, J + eps I for eps in ``_LADDER``.
-A rung's direction is kept when its backward error passes, after at most
-one refinement pass (``fbqp.jacobian.checked_solve``), and gets a line
-search; a failed check, or a failed search on J itself, moves on to the
-next rung, and the search of a perturbed rung ends the climb. A step that
-no rung can take, by its check or its search, ends the stage. The check
-forms K d and J d, and returns them. The stationarity and equality blocks
-of R are affine along a direction with slope (J d)[:n+p], and the slack
+A step climbs one perturbation ladder, J + eps I (the Jacobian at
+sigma + eps with D_v + eps) for eps in ``_LADDER``. A rung's direction is
+kept when its backward error passes, after at most one refinement pass
+(``fbqp.jacobian.checked_solve``), and gets a line search; a failed check,
+or a failed search on J itself, moves on to the next rung, and the search
+of a perturbed rung ends the climb. A step that no rung can take, by its
+check or its search, ends the stage. The check forms K d and returns it.
+The stationarity and equality blocks of R are affine along a direction
+with slope (J d)[:n+p] = sign (K d)[:n+p] + sigma d[:n+p], and the slack
 moves by -(K d)[n+p:] = -A dz, so the line search evaluates phi once for
 the full step and once for each stack of shorter steps.
 ``assemble_jacobian`` builds J at an iterate with the LU path's assembly.
@@ -262,18 +263,22 @@ def assemble_jacobian(problem: QpProblem, iterate: Iterate, sigma: float) -> np.
 def _newton_direction(
     kkt: KktMatrix, x: np.ndarray, sigma: float, point: Evaluation, eps: float = 0.0
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """(d, K d, J d) with (J + eps I) d = -R at x, from one checked attempt
-    (``fbqp.jacobian.checked_solve``), or three Nones when it failed.
+    """(d, K d, (J d)[:n+p]) with (J + eps I) d = -R at x, from one checked
+    attempt (``fbqp.jacobian.checked_solve``), or three Nones when it failed.
 
     J is the generalized Jacobian of the residual (``assemble_jacobian``) at
-    the sigma of ``point``, the ``residual`` at x; J d is the product with J
-    itself, also on a perturbed rung of ``_LADDER``.
+    the sigma of ``point``, the ``residual`` at x. The rung J + eps I is the
+    Jacobian at sigma + eps with D_v + eps; the slope is that of J itself.
     """
+    n_p = kkt.sign.size
     if point.slack.size:
-        d_y, d_v = phi_derivative_vec(point.slack, x[kkt.sign.size :])
+        d_y, d_v = phi_derivative_vec(point.slack, x[n_p:])
     else:
         d_y = d_v = point.slack
-    return checked_solve(kkt, d_y, d_v, sigma, -point.r, eps)
+    d, kd = checked_solve(kkt, d_y, d_v + eps, sigma + eps, -point.r)
+    if d is None:
+        return None, None, None
+    return d, kd, kkt.sign * kd[:n_p] + sigma * d[:n_p]
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
@@ -312,17 +317,17 @@ def _line_search(
     steps one by one.
 
     Args:
-        direction: (d, K d, J d) as ``_newton_direction`` returned them at
-            x, with J at the sigma of ``base``.
+        direction: (d, K d, (J d)[:n+p]) as ``_newton_direction`` returned
+            them at x, with J at the sigma of ``base``.
         base: ``residual`` at x.
 
     Returns:
         (step, x + step d, merit there), or None when no step of at least
         1e-12 passes.
     """
-    d, kd, jd = direction
+    d, kd, d_top = direction
     n_p = kkt.sign.size
-    r_top, d_top, a_dz = base.r[:n_p], jd[:n_p], kd[n_p:]
+    r_top, a_dz = base.r[:n_p], kd[n_p:]
     v, dv = x[n_p:], d[n_p:]
 
     def trial(t):

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from fbqp import QpProblem, load_problem, save_problem
-from fbqp.cli import cli_main
+from fbqp import QpProblem, SolverConfig, load_problem, save_problem
+from fbqp.cli import build_parser, cli_main
 
 INFEASIBLE = QpProblem(H=np.eye(1), f=[0.0], G=[[1.0], [1.0]], h=[0.0, 1.0])
 
@@ -158,6 +158,16 @@ def test_solve_solver_flags_accepted(planted_file, capsys):
     assert cli_main(["solve", str(planted_file), "--alpha", "0.9"]) == 1
     assert cli_main(["solve", str(planted_file), "--tol", "nan"]) == 1
     assert "tol_kkt" in capsys.readouterr().err
+
+
+def test_flag_defaults_are_those_of_the_solver_config():
+    defaults = SolverConfig()
+    parser = build_parser()
+    solved = parser.parse_args(["solve", "p.json"])
+    assert (solved.tol, solved.max_outer, solved.max_inner) == (
+        defaults.tol_kkt, defaults.max_outer, defaults.max_inner
+    )
+    assert parser.parse_args(["check", "p.json"]).tol == defaults.tol_kkt
 
 
 def test_check_fails_on_wrong_solution(planted_file, tmp_path, capsys):

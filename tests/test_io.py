@@ -241,7 +241,7 @@ def test_serialize_edge_floats_match_json_indent_encoder():
         A=[edges, edges],
         b=[1e16, 0.0],
     )
-    solutions = [Iterate(edges, [-0.0], [5e-324, 1e-5]), Iterate(edges[:6])]
+    solutions = [Iterate(edges, [-0.0], [5e-324, 1e-5]), Iterate(edges[:6], [1e16], [0.1, -0.0])]
     for solution in (None, *solutions):
         text = serialize_problem(problem, solution, {"edge": edges})
         assert text == _reference_serialize(problem, solution, {"edge": edges})
@@ -286,6 +286,26 @@ def test_save_refusing_a_problem_keeps_the_file(tmp_path):
     assert before
     with pytest.raises(ProblemFormatError):
         save_problem(path, QpProblem(H=[[np.inf]], f=[1.0]))
+    assert path.read_bytes() == before
+
+
+# n = 2 with a solution whose z has three entries.
+MISMATCHED = (
+    QpProblem(np.eye(2), [-2.0, 1.0], A=[[1, 0]], b=[1.0]), Iterate([1.0, 2.0, 3.0], [], [0.5])
+)
+
+
+def test_serialize_refuses_a_solution_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="do not match"):
+        serialize_problem(*MISMATCHED)
+
+
+def test_save_refusing_a_solution_of_the_wrong_shape_keeps_the_file(tmp_path):
+    path = tmp_path / "problem.json"
+    save_problem(path, MISMATCHED[0])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="do not match"):
+        save_problem(path, *MISMATCHED)
     assert path.read_bytes() == before
 
 

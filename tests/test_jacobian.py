@@ -68,13 +68,15 @@ CASES = (
 
 
 def _system(problem, x, sigma, eps=0.0):
+    """The reduced form of the rung at (sigma + eps, D_v + eps), which is
+    J + eps I, and (d_y, d_v) of J."""
     slack = problem.b - problem.A @ x.z
     d_y, d_v = phi_derivative_vec(slack, x.v)
-    return ReducedJacobian(KktMatrix(problem), d_y, d_v, sigma, eps), d_y, d_v
+    return ReducedJacobian(KktMatrix(problem), d_y, d_v + eps, sigma + eps), d_y, d_v
 
 
 def _apply(system, x):
-    """``(J + eps I) x``, the backward error of x against a zero right-hand side."""
+    """The system's J times x, the backward error of x against a zero right-hand side."""
     return system.backward(x, np.zeros_like(x))[0]
 
 
@@ -116,7 +118,7 @@ def test_solves_match_perturbed_jacobian_and_transpose(name, eps):
         _close(system.solve(rhs), np.linalg.solve(jac, rhs))
         np.testing.assert_allclose(_apply(system, rhs), jac @ rhs, rtol=1e-12, atol=1e-12)
         # checked_solve passes on J itself, with no shift.
-        checked, _, _ = checked_solve(system.kkt, d_y, d_v, SIGMA, rhs)
+        checked, _ = checked_solve(system.kkt, d_y, d_v, SIGMA, rhs)
         _close(checked, np.linalg.solve(unperturbed, rhs))
 
 
@@ -126,12 +128,12 @@ def test_lu_solves_match_perturbed_jacobian_and_transpose(name, eps):
     problem, x = _case(name)
     slack = problem.b - problem.A @ x.z
     d_y, d_v = phi_derivative_vec(slack, x.v)
-    system = DenseJacobian(KktMatrix(problem), d_y, d_v, SIGMA, eps)
+    system = DenseJacobian(KktMatrix(problem), d_y, d_v + eps, SIGMA + eps)
     size = problem.n + problem.p + problem.q
     jac = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(size)
     rng = np.random.default_rng(size)
     # Products and norms are those of the reduced form, bit for bit.
-    reduced = ReducedJacobian(system.kkt, d_y, d_v, SIGMA, eps)
+    reduced = ReducedJacobian(system.kkt, d_y, d_v + eps, SIGMA + eps)
     assert system.norm_inf() == reduced.norm_inf()
     for rhs in rng.standard_normal((3, size)):
         _close(system.solve(rhs), np.linalg.solve(jac, rhs))
@@ -159,7 +161,7 @@ def test_checked_solve_factors_by_lu_while_kept_rows_fit(monkeypatch, kept, expe
     picked = _picks(monkeypatch)
     rhs = np.ones(8)
     kkt = KktMatrix(problem)
-    x, _, _ = checked_solve(kkt, d_y, d_v, SIGMA, rhs)
+    x, _ = checked_solve(kkt, d_y, d_v, SIGMA, rhs)
     assert picked == [expected]
     assert np.max(np.abs(_apply(_Jacobian(kkt, d_y, d_v, SIGMA), x) - rhs)) <= 1e-10 * 2.0
 
@@ -171,23 +173,24 @@ def test_checked_solve_factors_by_lu_up_to_the_size_bound(monkeypatch, size, exp
     problem, _ = random_problem(GeneratorSpec(n=size, seed=9))
     empty = np.zeros(0)
     picked = _picks(monkeypatch)
-    x, _, _ = checked_solve(KktMatrix(problem), empty, empty, SIGMA, np.ones(size))
+    x, _ = checked_solve(KktMatrix(problem), empty, empty, SIGMA, np.ones(size))
     assert x is not None and picked == [expected]
 
 
 def test_checked_solve_picks_the_factorization_per_attempt(monkeypatch):
     # H = 0 and sigma = 0 with both rows kept leave M = 0: J fails in its
-    # reduced form. With eps = 1e-10, d_v + eps >= d_y eliminates row 0, the
-    # one kept row fits n = 1, and J + 1e-10 I is factored by LU.
+    # reduced form. On the rung J + 1e-10 I, at (sigma + 1e-10, D_v + 1e-10),
+    # d_v + 1e-10 >= d_y eliminates row 0, the one kept row fits n = 1, and
+    # the rung is factored by LU.
     problem = QpProblem(H=[[0.0]], f=[0.0], A=[[1.0], [-1.0]], b=[1.0, 1.0])
     d_y, d_v = np.ones(2), np.array([1.0 - 5e-11, 0.5])
     picked = _picks(monkeypatch)
     rhs = np.ones(3)
     kkt = KktMatrix(problem)
-    assert checked_solve(kkt, d_y, d_v, 0.0, rhs) == (None, None, None)
-    x, _, _ = checked_solve(kkt, d_y, d_v, 0.0, rhs, eps=1e-10)
+    assert checked_solve(kkt, d_y, d_v, 0.0, rhs) == (None, None)
+    x, _ = checked_solve(kkt, d_y, d_v + 1e-10, 1e-10, rhs)
     assert picked == ["ReducedJacobian", "DenseJacobian"]
-    rung = _Jacobian(kkt, d_y, d_v, 0.0, 1e-10)
+    rung = _Jacobian(kkt, d_y, d_v + 1e-10, 1e-10)
     assert np.max(np.abs(_apply(rung, x) - rhs)) <= 1e-10 * 2.0
 
 
@@ -197,7 +200,7 @@ def test_row_norm_matches_dense(name):
     slack = problem.b - problem.A @ x.z
     d_y, d_v = phi_derivative_vec(slack, x.v)
     eps = 1e-8
-    system = ReducedJacobian(KktMatrix(problem), d_y, d_v, SIGMA, eps)
+    system = ReducedJacobian(KktMatrix(problem), d_y, d_v + eps, SIGMA + eps)
     jac = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(problem.n + problem.p + problem.q)
     expected = np.max(np.abs(jac).sum(axis=1))
     assert system.norm_inf() == expected
@@ -205,15 +208,15 @@ def test_row_norm_matches_dense(name):
 
 def test_singular_reduced_block_raises():
     # H = 0 and sigma = 0 leave M = 0 when no row is eliminated, so J
-    # fails and J + 1e-10 I passes.
+    # fails and J + 1e-10 I, the Jacobian at sigma = 1e-10, passes.
     problem = QpProblem(H=np.zeros((2, 2)), f=np.zeros(2))
     kkt, empty = KktMatrix(problem), np.zeros(0)
     with pytest.raises(np.linalg.LinAlgError):
         ReducedJacobian(kkt, empty, empty, 0.0)
-    rung = ReducedJacobian(kkt, empty, empty, 0.0, 1e-10)
+    rung = ReducedJacobian(kkt, empty, empty, 1e-10)
     rhs = np.ones(2)
-    assert checked_solve(kkt, empty, empty, 0.0, rhs) == (None, None, None)
-    x, _, _ = checked_solve(kkt, empty, empty, 0.0, rhs, eps=1e-10)
+    assert checked_solve(kkt, empty, empty, 0.0, rhs) == (None, None)
+    x, _ = checked_solve(kkt, empty, empty, 1e-10, rhs)
     assert np.max(np.abs(_apply(rung, x) - rhs)) <= 1e-10 * (1.0 + 1.0)
     np.testing.assert_allclose(x, [1e10, 1e10])
 
@@ -275,33 +278,30 @@ def _forced(monkeypatch, cls):
 @pytest.mark.parametrize("eps", [0.0, 1e-10, 1e-8])
 @pytest.mark.parametrize("name", CASES)
 def test_products_are_those_of_the_assembled_jacobian(monkeypatch, name, eps, cls):
-    # One product with K serves J, whichever way J + eps I is factored. The
-    # products checked_solve returns are those of J itself; its check adds
-    # eps x.
+    # One product with K serves J, whichever way J is factored. The Jacobian
+    # at (sigma + eps, D_v + eps) is J + eps I, the rung the ladder solves.
     problem, x = _case(name)
     _, d_y, d_v = _system(problem, x, SIGMA)
     kkt = KktMatrix(problem)
-    k, jac = _kkt_blocks(problem), assemble_jacobian(problem, x, SIGMA)
-    size = jac.shape[0]
-    shifted = jac + eps * np.eye(size)
-    system = cls(kkt, d_y, d_v, SIGMA, eps)
+    k = _kkt_blocks(problem)
+    size = k.shape[0]
+    shifted = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(size)
+    system = cls(kkt, d_y, d_v + eps, SIGMA + eps)
     rng = np.random.default_rng(size)
     _forced(monkeypatch, cls)
     for right in rng.standard_normal((3, size)):
-        kx, jx = system.products(right)
-        _product_close(kx, k, right)
-        _product_close(jx, jac, right)
+        _product_close(system.backward(right, right)[1], k, right)
         _product_close(_apply(system, right), shifted, right)
-        solution, kx, jx = checked_solve(kkt, d_y, d_v, SIGMA, right, eps)
-        _product_close(jx, jac, solution)
-        _product_close(jx + eps * solution, shifted, solution)
+        solution, kx = checked_solve(kkt, d_y, d_v + eps, SIGMA + eps, right)
         _product_close(kx, k, solution)
+        _product_close(system.scale * kx + system.diagonal * solution, shifted, solution)
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_checked_solve_hands_back_the_products_of_its_check(name):
-    # A solve with J returns K x and J x = scale * (K x) + diag * x, with
-    # the bits of those products formed from the data.
+    # A solve with J returns K x, and its check reads J x - rhs =
+    # scale * (K x) + diag * x - rhs, with the bits of those products formed
+    # from the data.
     problem, x = _case(name)
     _, d_y, d_v = _system(problem, x, SIGMA)
     n, p = problem.n, problem.p
@@ -309,10 +309,11 @@ def test_checked_solve_hands_back_the_products_of_its_check(name):
     scale = np.concatenate((np.ones(n), -np.ones(p), -d_y))
     diagonal = np.concatenate((np.full(n + p, SIGMA), d_v))
     rhs = np.random.default_rng(7).standard_normal(n + p + problem.q)
-    solution, kx, jx = checked_solve(kkt, d_y, d_v, SIGMA, rhs)
+    solution, kx = checked_solve(kkt, d_y, d_v, SIGMA, rhs)
     want = k @ solution
     assert kx.tobytes() == want.tobytes()
-    assert jx.tobytes() == (scale * want + diagonal * solution).tobytes()
+    back, _ = _Jacobian(kkt, d_y, d_v, SIGMA).backward(solution, rhs)
+    assert back.tobytes() == (scale * want + diagonal * solution - rhs).tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -332,11 +333,11 @@ def test_refined_solve_refines_once_and_then_fails():
     exact = np.linalg.solve(matrix, rhs)
 
     def backward(x, r):
-        return matrix @ x - r, (x.sum(),)
+        return matrix @ x - r, x.sum()
 
-    x, products = refined_solve(
+    x, product = refined_solve(
         lambda r: np.linalg.solve(matrix, r) * (1.0 + 1e-6), backward, lambda: 5.0, rhs
     )
     _close(x, exact, rtol=1e-11)
-    assert products == (x.sum(),)
-    assert refined_solve(lambda r: 2.0 * r, backward, lambda: 5.0, rhs) == (None, ())
+    assert product == x.sum()
+    assert refined_solve(lambda r: 2.0 * r, backward, lambda: 5.0, rhs) == (None, None)

@@ -64,7 +64,7 @@ def test_requires_solved_status():
 def test_failed_check_raises_singular_system_error(monkeypatch):
     problem = QpProblem(H=[[2.0]], f=[1.0])
     result = solve(problem, TIGHT)
-    monkeypatch.setattr("fbqp.sensitivity.refined_solve", lambda *args: (None, ()))
+    monkeypatch.setattr("fbqp.sensitivity.refined_solve", lambda *args: (None, None))
     with pytest.raises(SingularSystemError):
         solution_sensitivity(problem, result)
     with pytest.raises(SingularSystemError):
@@ -296,6 +296,18 @@ def test_vjp_rejects_bad_cotangent_shape():
     result = solve(problem, TIGHT)
     with pytest.raises(ValueError):
         vjp(problem, result, np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_vjp_rejects_a_cotangent_that_is_not_finite(bad):
+    # The README's box problem: the cotangent is refused, rather than blamed
+    # on the solve with K_S.
+    box = QpProblem(
+        H=np.eye(2), f=[-2.0, 1.0], A=[[1, 0], [0, 1], [-1, 0], [0, -1]], b=[1.0, 1.0, 0.0, 0.0]
+    )
+    result = solve(box)
+    with pytest.raises(ValueError, match="finite"):
+        vjp(box, result, [bad, 0.0])
 
 
 def test_vjp_consistent_with_forward_contraction():

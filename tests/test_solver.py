@@ -22,6 +22,7 @@ from fbqp.jacobian import DenseJacobian, KktMatrix, ReducedJacobian, _Jacobian
 from fbqp.ncp import phi_derivative_vec
 from fbqp.solver import (
     _LADDER,
+    _SIGMA0,
     _STALL_STEPS,
     _active_set_rounds,
     _certificate,
@@ -146,10 +147,11 @@ def _direction(problem, x, sigma, center):
 
 
 def _products(problem, x, d, sigma):
-    """(d, K d, J d) for any d at an iterate, formed from the data."""
+    """(d, K d, (J d)[:n+p]) for any d at an iterate, formed from the data."""
     kkt = KktMatrix(problem)
     d_y, d_v = phi_derivative_vec(problem.b - problem.A @ x.z, x.v)
-    return (d, *_Jacobian(kkt, d_y, d_v, sigma).products(d))
+    jd, kd = _Jacobian(kkt, d_y, d_v, sigma).backward(d, np.zeros_like(d))
+    return d, kd, jd[: kkt.sign.size]
 
 
 def _search(problem, x, direction, base):
@@ -463,12 +465,16 @@ def test_unsolvable_step_ends_its_stage_like_a_failed_search(monkeypatch):
     # direction to offer as a certificate.
     shifts = []
 
-    def unfactorable(problem, d_y, d_v, sigma, eps=0.0):
-        shifts.append(eps)
+    def unfactorable(problem, d_y, d_v, sigma):
         raise np.linalg.LinAlgError("forced")
+
+    def recorded(kkt, x, sigma, point, eps=0.0):
+        shifts.append(eps)
+        return _newton_direction(kkt, x, sigma, point, eps)
 
     monkeypatch.setattr("fbqp.jacobian.DenseJacobian", unfactorable)
     monkeypatch.setattr("fbqp.jacobian.ReducedJacobian", unfactorable)
+    monkeypatch.setattr("fbqp.solver._newton_direction", recorded)
     result = solve(ONE_D, SolverConfig(max_outer=2))
     assert result.status is SolveStatus.LINE_SEARCH_STALLED
     assert result.certificate is None
@@ -529,11 +535,13 @@ def test_ladder_stops_after_the_search_of_a_perturbed_rung(monkeypatch, failing,
     # search and the stage stalls with no third rung. When J passes, its
     # failed search moves on, and when no perturbed rung passes its check the
     # stage stalls on the direction of J, which the certificate search gets.
+    # A rung's shift is read from the sigma it is factored at, _SIGMA0 + eps.
     attempts, searched, offered = [], [], []
     for cls in (DenseJacobian, ReducedJacobian):
-        def build(kkt, d_y, d_v, sigma, eps=0.0, cls=cls):
+        def build(kkt, d_y, d_v, sigma, cls=cls):
+            eps = next(eps for eps in _LADDER if _SIGMA0 + eps == sigma)
             attempts.append(eps)
-            system = cls(kkt, d_y, d_v, sigma, eps)
+            system = cls(kkt, d_y, d_v, sigma)
             if eps in failing:
                 system.solve = lambda rhs: np.full_like(rhs, np.nan)
             return system
@@ -897,20 +905,21 @@ def test_degenerate_fleet_problems_solve(n, p, q, activity, seed):
 
 def test_line_search_reads_checked_products_bit_for_bit(monkeypatch):
     # Every direction of the test fleet (the recipe of tests/test_acceptance.py):
-    # the K d and J d that checked_solve returns to the line search have the
-    # bits of the products formed again with J at sigma, also when a rung
-    # J + eps I of the ladder solved.
+    # the K d that checked_solve returns, and the slope the line search reads,
+    # have the bits of K d and of the first n + p rows of J d formed again
+    # with J at sigma, also when a rung J + eps I of the ladder solved.
     real = _newton_direction
     shifts = []
 
     def both(kkt, x, sigma, point, eps=0.0):
-        d, kd, jd = real(kkt, x, sigma, point, eps)
+        d, kd, slope = real(kkt, x, sigma, point, eps)
         if d is not None:
             d_y, d_v = phi_derivative_vec(point.slack, x[kkt.sign.size :])
-            want = _Jacobian(kkt, d_y, d_v, sigma).products(d)
-            assert kd.tobytes() == want[0].tobytes() and jd.tobytes() == want[1].tobytes()
+            jd, want = _Jacobian(kkt, d_y, d_v, sigma).backward(d, np.zeros_like(d))
+            assert kd.tobytes() == want.tobytes()
+            assert slope.tobytes() == jd[: kkt.sign.size].tobytes()
         shifts.append(eps)
-        return d, kd, jd
+        return d, kd, slope
 
     monkeypatch.setattr("fbqp.solver._newton_direction", both)
     for i in range(500):

@@ -194,25 +194,20 @@ class ReducedJacobian(_Jacobian):
             diagonal[p:] += d_v.take(self.kept_rows) / self.dy_kept
             self.s_factor = _cholesky(s, "the Schur complement")
 
-    def _solve_reduced(self, top: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x, u) with M x + B'u = top and B x - C u = low."""
-        t, _ = lapack.dtrtrs(self.factor, top, lower=1)
-        u = low
-        if self.s_factor is not None:
-            u, _ = lapack.dpotrs(self.s_factor, self.b_l_inv_t @ t - low, lower=1)
-            t = t - self.b_l_inv_t.T @ u
-        x, _ = lapack.dtrtrs(self.factor, t, lower=1, trans=1)
-        return x, u
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with ``J x = rhs``, for rhs of shape (N,)."""
         n, p = self.problem.n, self.problem.p
         r_z, r_lam, r_v = rhs[:n], rhs[n : n + p], rhs[n + p :]
         r_elim, r_kept = r_v.take(self.elim_rows), r_v.take(self.kept_rows)
-        # u = (d_lam, d_v on the kept rows).
+        # x_z and u = (d_lam, d_v on the kept rows) solve M x_z + B'u = top
+        # and B x_z - C u = low; u holds low until the Schur complement solve.
         top = r_z - self.a_elim.T @ (r_elim / self.dv_elim)
-        low = -np.concatenate((r_lam, r_kept / self.dy_kept))
-        x_z, u = self._solve_reduced(top, low)
+        u = -np.concatenate((r_lam, r_kept / self.dy_kept))
+        t, _ = lapack.dtrtrs(self.factor, top, lower=1)
+        if self.s_factor is not None:
+            u, _ = lapack.dpotrs(self.s_factor, self.b_l_inv_t @ t - u, lower=1)
+            t = t - self.b_l_inv_t.T @ u
+        x_z, _ = lapack.dtrtrs(self.factor, t, lower=1, trans=1)
         out = np.empty_like(rhs)
         out[:n] = x_z
         out[n : n + p] = u[:p]

@@ -245,12 +245,14 @@ def oracle_agrees(
     forgiven when the gain ||H||_2 / sigma_min([G; A_binding]) at the
     optimum times the result's ``tol_kkt`` exceeds ``10 * tol``: an error
     in z at the certificate's tolerance then moves the multipliers that far.
+    A result whose iterate does not match the problem raises ``ValueError``.
 
     Args:
         oracle: reuse a precomputed ``active_set_solve`` outcome; computed
             on the fly when omitted.
         tol: must be finite and positive, or ``ValueError`` is raised.
     """
+    result.iterate.require_match(problem)
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if oracle is None:

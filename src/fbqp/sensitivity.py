@@ -96,6 +96,7 @@ def _pull_back(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """(df, dh, db, wellposed): the cotangents on z, of shape (n,) or (n, k),
     pulled back to f, h and b through the shifted K_S (module docstring)."""
+    result.iterate.require_match(problem)
     if result.status is not SolveStatus.SOLVED:
         raise NotSolvedError(
             f"sensitivities need a Solved result, got status {result.status.value}"
@@ -144,6 +145,7 @@ def solution_sensitivity(problem: QpProblem, result: SolveResult) -> Sensitivity
 
     Raises:
         NotSolvedError: when the result status is not Solved.
+        ValueError: when the result's iterate does not match the problem.
         SingularSystemError: when the solve with the shifted K_S fails its
             backward-error check.
     """
@@ -159,7 +161,7 @@ def vjp(problem: QpProblem, result: SolveResult, z_cotangent: np.ndarray) -> Vjp
 
     Raises:
         NotSolvedError, SingularSystemError: as in ``solution_sensitivity``.
-        ValueError: if the cotangent has the wrong shape or is not finite.
+        ValueError: as there, or if the cotangent has the wrong shape or is not finite.
     """
     z_cotangent = np.asarray(z_cotangent, dtype=float)
     if z_cotangent.shape != (problem.n,):

@@ -14,10 +14,12 @@ shrinks sigma geometrically on a fixed schedule (``_SIGMA0``,
 ``_SIGMA_SHRINK``, down to ``_SIGMA_MIN``) and re-centers the proximal term
 at the iterate each stage starts from, driving the iterates to a solution of the
 unregularized system, certified by its sigma-free KKT residuals, or along a
-ray that certifies that there is none (``_certificate``). A stage ends at
-its merit target, after ``_STALL_STEPS`` consecutive backtracked steps, on a
-step it cannot take, or at ``max_inner`` steps; the last three count as a
-missed target.
+ray that certifies that there is none (``_certificate``). A stage
+(``_stage``) returns why it ended: "solved", within ``tol_kkt``; "target",
+at its merit target; "endgame", at a merit below ``_ENDGAME_RATIO`` times
+the squared KKT error, so the next stage takes sigma straight to the floor;
+"stall", after ``_STALL_STEPS`` consecutive backtracked steps; "no step", on
+a step it cannot take; or "budget", after ``max_inner`` steps.
 
 The loop state is one stacked vector x = (z, lambda, v), and a step is
 x + t d. Each point is evaluated once: ``residual`` forms lin = K x + c,
@@ -400,6 +402,54 @@ def _active_set_rounds(
     return None, rounds
 
 
+def _stage(
+    kkt: KktMatrix, x: np.ndarray, point: Evaluation, sigma: float, target: float, outer: int,
+    config: SolverConfig, trace: list[TraceRecord],
+) -> tuple[np.ndarray, Evaluation, np.ndarray | None, int, str]:
+    """Newton steps at sigma, centred at x, with ``point`` the previous
+    stage's ``residual`` at x; each accepted step is appended to ``trace``.
+    Returns x, its ``residual``, the last direction searched on a step it
+    could not take (else None), the factorizations and the reason the stage
+    ended (module docstring); a "budget" end leaves its last point unchecked.
+    """
+    n_p = kkt.sign.size
+    center, short_steps, factorizations = x, 0, 0
+    # Every point is evaluated once, right after the step that reaches it.
+    # At the new centre the sigma terms of R vanish.
+    r = np.concatenate((kkt.sign * point.lin[:n_p], point.r[n_p:]))
+    point = point._replace(r=r, merit=0.5 * float(r @ r))
+    for inner in range(config.max_inner):
+        if point.error.within(config.tol_kkt):
+            return x, point, None, factorizations, "solved"
+        if point.merit <= target:
+            # Subproblem solved to sigma-proportional accuracy; move on.
+            endgame = point.merit <= _ENDGAME_RATIO * 0.5 * point.error.max_error() ** 2
+            return x, point, None, factorizations, "endgame" if endgame else "target"
+        if short_steps == _STALL_STEPS:
+            return x, point, None, factorizations, "stall"
+        d = searched = None
+        for eps in _LADDER:
+            direction = _newton_direction(kkt, x, sigma, point, eps)
+            factorizations += 1
+            if direction[0] is None:
+                continue
+            d = direction[0]
+            searched = _line_search(kkt, x, direction, point)
+            # Near a degenerate solution J can pass its check at a condition
+            # near 1e16, and its direction then moves the multipliers far along
+            # near-null directions, which a perturbed rung damps; its search is the last.
+            if searched is not None or eps:
+                break
+        if searched is None:
+            # No rung passed its check, or no step passed.
+            return x, point, d, factorizations, "no step"
+        step, x, merit = searched
+        point = residual(kkt, x, sigma, center)
+        trace.append(TraceRecord(outer, inner, sigma, merit, point.error.max_error(), step))
+        short_steps = short_steps + 1 if step < 1.0 else 0
+    return x, point, None, factorizations, "budget"
+
+
 def solve(
     problem: QpProblem,
     config: SolverConfig | None = None,
@@ -423,13 +473,12 @@ def solve(
         A ``SolveResult``. Status ``SOLVED`` certifies that the plain KKT
         residuals, recomputed without any regularization, are all within
         ``config.tol_kkt``. ``PRIMAL_INFEASIBLE`` and ``DUAL_INFEASIBLE``
-        come with a certificate, sought only at a stage end that missed its
-        merit target (after a run of backtracked steps, a step it could not
-        take or ``max_inner`` steps), or took steps that failed to halve
-        its primal or stationarity error since the previous stage end. Else
-        ``LINE_SEARCH_STALLED`` says that the last stage ended on a step it
-        could not take (no rung passed its check, or no step decreased the
-        merit). The trace holds one record per accepted step.
+        come with a certificate, sought only at a stage end whose merit
+        misses its target (as every "stall" and "no step" end does), or that
+        took steps that failed to halve its primal or stationarity error
+        since the previous stage end. Else ``LINE_SEARCH_STALLED`` says that the last stage
+        ended "no step": no rung passed its check, or no step decreased the
+        merit. The trace holds one record per accepted step.
 
     Raises:
         ValueError: when ``warm_start`` has the wrong shapes or is not finite.
@@ -457,81 +506,32 @@ def solve(
     kkt = KktMatrix(problem)
     n, n_p = problem.n, problem.n + problem.p
     trace: list[TraceRecord] = []
-    inner_total = 0
-    factorizations = 0
-    outer_used = 0
-    stalled = False
-    certificate = None
+    factorizations = outer_used = 0
+    certificate = reason = None
     point = residual(kkt, x, 0.0, x)
-    error = point.error
-    solved = error.within(config.tol_kkt)
+    solved = point.error.within(config.tol_kkt)
     if warm_start is not None and not solved:
         certified, factorizations = _active_set_rounds(kkt, x, point, config)
         if certified is not None:
             x, solved = certified, True  # no stage runs
 
-    polish = False
-    for outer in range(config.max_outer):
-        if solved:
-            break
-        if polish:
-            sigma = _SIGMA_MIN
-            polish = False
-        else:
-            sigma = max(_SIGMA0 * _SIGMA_SHRINK**outer, _SIGMA_MIN)
-        center = x  # fixed for the stage while the inner loop moves x
-        scale = 1.0 + math.sqrt(float(x @ x))
-        stage_merit_target = 0.5 * (_STAGE_ETA * sigma * scale) ** 2
+    for outer in range(0 if solved else config.max_outer):
+        sigma = max(_SIGMA0 * _SIGMA_SHRINK**outer, _SIGMA_MIN)
+        sigma = _SIGMA_MIN if reason == "endgame" else sigma
+        target = 0.5 * (_STAGE_ETA * sigma * (1.0 + math.sqrt(float(x @ x)))) ** 2
+        center, last = x, point.error
+        x, point, d, count, reason = _stage(kkt, x, point, sigma, target, outer, config, trace)
+        factorizations += count
         outer_used = outer + 1
-        stalled = False
-        short_steps = 0
-        last = error
-        # Every point is evaluated once, right after the step that reaches
-        # it. At the new centre the sigma terms of R vanish.
-        r = np.concatenate((kkt.sign * point.lin[:n_p], point.r[n_p:]))
-        point = point._replace(r=r, merit=0.5 * float(r @ r))
-        for inner in range(config.max_inner):
-            if error.within(config.tol_kkt):
-                solved = True
-                break
-            if point.merit <= stage_merit_target:
-                # Subproblem solved to sigma-proportional accuracy; move on.
-                polish = point.merit <= _ENDGAME_RATIO * 0.5 * error.max_error() ** 2
-                break
-            if short_steps == _STALL_STEPS:
-                break  # the target is missed, as when the budget is spent
-            d = searched = None
-            for eps in _LADDER:
-                direction = _newton_direction(kkt, x, sigma, point, eps)
-                factorizations += 1
-                if direction[0] is None:
-                    continue
-                d = direction[0]
-                searched = _line_search(kkt, x, direction, point)
-                # Near a degenerate solution J can pass its check at a
-                # condition near 1e16, and its direction then moves the
-                # multipliers far along near-null directions, which a
-                # perturbed rung damps; its search is the last.
-                if searched is not None or eps:
-                    break
-            if searched is None:
-                stalled = True  # no rung passed its check, or no step passed
-                break
-            step, x, merit = searched
-            point = residual(kkt, x, sigma, center)
-            error = point.error
-            inner_total += 1
-            trace.append(TraceRecord(outer, inner, sigma, merit, error.max_error(), step))
-            short_steps = short_steps + 1 if step < 1.0 else 0
-        if solved:
+        if reason == "solved":
             break
-        # Hopeless: the target missed (a run of short steps, a stall or a
-        # spent budget), or steps that left an error unhalved.
+        # Hopeless: the target missed, or steps that left an error unhalved.
+        error = point.error
         primal = [max(k.eq_infeas_inf, k.ineq_infeas_inf) for k in (last, error)]
         stuck = primal[1] > 0.5 * primal[0] or error.stationarity_inf > 0.5 * last.stationarity_inf
-        if (stuck and x is not center) or point.merit > stage_merit_target:
+        if (stuck and x is not center) or point.merit > target:
             certificate = _certificate(problem, x, center)
-            if certificate is None and stalled and d is not None:
+            if certificate is None and d is not None:
                 # A search that failed at its first step leaves x at the
                 # centre; the direction's ray does not depend on a step.
                 certificate = _certificate(problem, x + d, x)
@@ -546,7 +546,7 @@ def solve(
         status = SolveStatus.SOLVED
     elif certificate is not None:
         status = SolveStatus["DUAL_INFEASIBLE" if certificate.z.any() else "PRIMAL_INFEASIBLE"]
-    elif stalled:
+    elif reason == "no step":
         status = SolveStatus.LINE_SEARCH_STALLED
     else:
         status = SolveStatus.MAX_ITERATIONS
@@ -555,7 +555,7 @@ def solve(
         status=status,
         kkt=error,
         trace=tuple(trace),
-        inner_iterations=inner_total,
+        inner_iterations=len(trace),
         factorizations=factorizations,
         outer_iterations=outer_used,
         config=config,

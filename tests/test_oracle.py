@@ -237,6 +237,15 @@ def test_agreement_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
         oracle_agrees(problem, fake, tol=tol)
 
 
+def test_agreement_refuses_a_result_of_another_problem():
+    solved_on = QpProblem(H=np.eye(2), f=[-1.0, -1.0], A=[[1.0, 0.0]], b=[0.5])
+    other = QpProblem(
+        H=np.eye(2), f=[-1.0, -1.0], A=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b=[0.5, 0.5, 5.0]
+    )
+    with pytest.raises(ValueError, match="do not match problem"):
+        oracle_agrees(other, solve(solved_on))
+
+
 def test_agreement_raises_when_oracle_too_large():
     rng = np.random.default_rng(5)
     problem = QpProblem(

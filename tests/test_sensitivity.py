@@ -61,6 +61,21 @@ def test_requires_solved_status():
         vjp(problem, stunted, np.zeros(4))
 
 
+def test_result_of_another_problem_is_refused():
+    # One inequality row against three: the result's v used to be broadcast
+    # over the other problem's rows.
+    solved_on = QpProblem(H=np.eye(2), f=[-1.0, -1.0], A=[[1.0, 0.0]], b=[0.5])
+    other = QpProblem(
+        H=np.eye(2), f=[-1.0, -1.0], A=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b=[0.5, 0.5, 5.0]
+    )
+    result = solve(solved_on)
+    assert result.solved
+    with pytest.raises(ValueError, match="do not match problem"):
+        vjp(other, result, np.ones(2))
+    with pytest.raises(ValueError, match="do not match problem"):
+        solution_sensitivity(other, result)
+
+
 def test_failed_check_raises_singular_system_error(monkeypatch):
     problem = QpProblem(H=[[2.0]], f=[1.0])
     result = solve(problem, TIGHT)

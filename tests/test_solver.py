@@ -28,6 +28,7 @@ from fbqp.solver import (
     _certificate,
     _line_search,
     _newton_direction,
+    _stage,
     assemble_jacobian,
     residual,
 )
@@ -660,6 +661,25 @@ def test_stage_ends_after_run_of_backtracked_steps(monkeypatch):
     assert [record.outer for record in result.trace[: stage_0 + 1]] == [0] * stage_0 + [1]
     assert result.solved
     np.testing.assert_allclose(result.iterate.z, planted.z, rtol=0.0, atol=1e-6)
+
+
+def test_stages_reach_every_exit_reason(monkeypatch):
+    # Test-fleet inputs 0, 1 and 60 and the infeasible copy of input 0 (bench
+    # fleet seed 0 inputs 0, 2, 63 and 1), and input 0 again with one Newton
+    # step per stage.
+    reasons = set()
+
+    def recorded(*args):
+        end = _stage(*args)
+        reasons.add(end[-1])
+        return end
+
+    monkeypatch.setattr("fbqp.solver._stage", recorded)
+    (problem, copy), other, stalling = _fleet_input(0), _fleet_input(1)[0], _fleet_input(60)[0]
+    for candidate in (problem, copy, other, stalling):
+        solve(candidate)
+    solve(problem, SolverConfig(max_inner=1))
+    assert reasons == {"solved", "target", "endgame", "stall", "no step", "budget"}
 
 
 def test_fully_active_fleet_takes_stall_exit():

@@ -120,8 +120,8 @@ def test_fischer_burmeister_part_is_positively_homogeneous():
 
 
 def test_stacked_rows_match_row_by_row_bits():
-    # The line search evaluates a stack of trial points at once; each row
-    # must carry the bits of that row evaluated alone.
+    # Both functions take a (k, q) stack of rows as part of their public
+    # contract; each row must carry the bits of that row evaluated alone.
     rng = np.random.default_rng(11)
     y = rng.uniform(-5.0, 5.0, size=(9, 6)) * 10.0 ** rng.integers(-8, 8, size=(9, 6))
     v = rng.uniform(-5.0, 5.0, size=(9, 6))

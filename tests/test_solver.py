@@ -316,7 +316,8 @@ LINE_SEARCH_IDS = ["n5p1q4", "n3p2q7", "n4p0q0"]
 @pytest.mark.parametrize("exponent", [0, 1, 7, 8, 39])
 def test_line_search_matches_reference_loop(spec, exponent):
     # Scale the Newton direction so that the first step passing the Armijo
-    # test is 2^-exponent, on either side of each block boundary.
+    # test is 2^-exponent: the full step, the first and the last backtracked
+    # step, and two in between.
     problem, x, direction, base = _line_search_case(spec)
     target = 0.5**exponent
     for factor in (1.0, 1.25, 1.5, 1.75, 1.1, 1.9):
@@ -680,6 +681,19 @@ def test_stages_reach_every_exit_reason(monkeypatch):
         solve(candidate)
     solve(problem, SolverConfig(max_inner=1))
     assert reasons == {"solved", "target", "endgame", "stall", "no step", "budget"}
+
+
+@pytest.mark.parametrize("max_inner", [1, 2, 5])
+def test_solved_result_counts_no_stage_after_its_last_step(max_inner):
+    # A stage whose inner budget runs out on the step that reaches tol_kkt
+    # ends "solved", so no further stage is counted. Test-fleet inputs,
+    # infeasible copies included (those end without Solved).
+    for i in range(100):
+        problem, copy = _fleet_input(i)
+        for candidate in (problem, copy) if i % 20 == 0 else (problem,):
+            result = solve(candidate, SolverConfig(max_inner=max_inner))
+            if result.solved and result.trace:
+                assert result.outer_iterations == result.trace[-1].outer + 1, i
 
 
 def test_fully_active_fleet_takes_stall_exit():

@@ -23,11 +23,11 @@ with K checks every solve with J, whichever way J was factored.
 
 J is formed only for a small, well-determined system: at most
 ``_DENSE_MAX`` rows, and a kept block [G; A_K] (below) of at most n rows.
-``DenseJacobian`` factors it by LU in a few LAPACK calls, where the reduced
+``dense_solve`` factors it by LU and solves in one LAPACK call; the reduced
 form takes some fifty numpy and LAPACK calls, whose fixed cost dominates a
 step at these sizes. With more kept rows than n, J tends to a singular
 matrix as d_v -> 0; LU can then fail the check where the quasi-definite
-reduction of ``ReducedJacobian`` (Vanderbei, SIAM J. Optim. 1995) still
+reduction of ``reduced_solve`` (Vanderbei, SIAM J. Optim. 1995) still
 solves to roundoff. It handles each inequality row i by whichever of d_y,
 d_v is larger, and since d_y + d_v >= alpha (2 - sqrt 2), that divisor is
 at least half of it:
@@ -45,10 +45,10 @@ with M positive definite for sigma > 0. It is factored as the Cholesky
 factor L of M and the Cholesky factor of the Schur complement
 S = C + B M^-1 B', of size p plus the number of kept rows.
 
-``checked_solve`` makes one checked attempt at J and returns x with the
-product K x of its check, which the Newton step reads instead of forming
-it again. ``refined_solve`` holds the backward-error test, which the
-sensitivities' solve passes too.
+``checked_solve`` makes one checked attempt at J, one factor-and-solve and
+one test, and returns x with the product K x of its check, which the Newton
+step reads instead of forming it again. ``backward_error_passes`` is the
+test, which the sensitivities' solve passes too.
 ``active_set_matrix`` gathers K_S, the principal submatrix of K over
 (z, lambda, v_S) for a set S of inequality rows, which the active-set
 rounds of a warm start and, shifted, the sensitivities factor.
@@ -65,13 +65,13 @@ from scipy.linalg import blas, lapack
 from .problem import QpProblem
 
 __all__ = [
-    "KktMatrix", "DenseJacobian", "ReducedJacobian", "active_set_matrix", "checked_solve",
-    "refined_solve",
+    "KktMatrix", "active_set_matrix", "backward_error_passes", "checked_solve", "dense_solve",
+    "reduced_solve",
 ]
 
 # Relative accuracy demanded of every checked solve.
 _SOLVE_TOL = 1e-10
-# Largest n + p + q factored as the assembled J (``DenseJacobian``).
+# Largest n + p + q solved with the assembled J (``dense_solve``).
 _DENSE_MAX = 64
 
 
@@ -98,7 +98,7 @@ class KktMatrix:
 
 class _Jacobian:
     """J at one point: the backward error of a solve with it, with the
-    product K x, and the norm of its widened bound. Subclasses factor it.
+    product K x, and the norm of its widened bound.
 
     Args:
         kkt: the problem's ``KktMatrix``.
@@ -107,7 +107,7 @@ class _Jacobian:
     """
 
     def __init__(self, kkt: KktMatrix, d_y: np.ndarray, d_v: np.ndarray, sigma: float):
-        self.kkt, self.problem = kkt, kkt.problem
+        self.kkt, self.d_y, self.d_v, self.sigma = kkt, d_y, d_v, sigma
         self.scale = np.concatenate((kkt.sign, -d_y))
         # The diagonal that J adds to scale * K.
         self.diagonal = np.concatenate((np.full(kkt.sign.size, sigma), d_v))
@@ -128,93 +128,74 @@ class _Jacobian:
         return float(np.abs(self.assemble()).sum(axis=1).max())
 
 
-class DenseJacobian(_Jacobian):
-    """J at one point, assembled and factored by LU.
-
-    Arguments are those of ``_Jacobian``.
+def dense_solve(jac: _Jacobian, rhs: np.ndarray) -> np.ndarray:
+    """x with ``J x = rhs``, rhs of shape (N,), by LU of the assembled J.
 
     Raises:
         np.linalg.LinAlgError: when LU meets an exactly zero pivot.
     """
-
-    def __init__(self, kkt, d_y, d_v, sigma):
-        super().__init__(kkt, d_y, d_v, sigma)
-        self.lu, self.pivots, info = lapack.dgetrf(self.assemble())
-        if info:
-            raise np.linalg.LinAlgError(f"J is singular (LAPACK info {info})")
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with ``J x = rhs``, for rhs of shape (N,)."""
-        return lapack.dgetrs(self.lu, self.pivots, rhs)[0]
+    x, info = lapack.dgesv(jac.assemble(), rhs)[2:]
+    if info:
+        raise np.linalg.LinAlgError(f"J is singular (LAPACK info {info})")
+    return x
 
 
-class ReducedJacobian(_Jacobian):
-    """J at one point, factored through its reduced form.
-
-    Arguments are those of ``_Jacobian``.
+def reduced_solve(jac: _Jacobian, rhs: np.ndarray) -> np.ndarray:
+    """x with ``J x = rhs``, rhs of shape (N,), through the reduced form of J.
 
     Raises:
         np.linalg.LinAlgError: when M or S is not numerically positive
             definite (including non-finite data).
     """
+    problem, d_y, d_v = jac.kkt.problem, jac.d_y, jac.d_v
+    n, p = problem.n, problem.p
+    # Boolean masks over the inequality rows, which scatter, and their
+    # indices, which gather (``take``) faster.
+    elim = d_v >= d_y
+    kept = ~elim
+    elim_rows, kept_rows = elim.nonzero()[0], kept.nonzero()[0]
+    a_elim = problem.A.take(elim_rows, 0)
+    dy_elim, dv_elim, dy_kept = d_y.take(elim_rows), d_v.take(elim_rows), d_y.take(kept_rows)
 
-    def __init__(self, kkt, d_y, d_v, sigma):
-        super().__init__(kkt, d_y, d_v, sigma)
-        problem = self.problem
-        n, p = problem.n, problem.p
-        # Boolean masks over the inequality rows, which scatter, and their
-        # indices, which gather (``take``) faster.
-        self.elim = d_v >= d_y
-        self.kept = ~self.elim
-        self.elim_rows, self.kept_rows = self.elim.nonzero()[0], self.kept.nonzero()[0]
-        self.a_elim = problem.A.take(self.elim_rows, 0)
-        self.dy_elim = d_y.take(self.elim_rows)
-        self.dv_elim = d_v.take(self.elim_rows)
-        self.dy_kept = d_y.take(self.kept_rows)
+    # The lower triangle of M = H + sigma I + A_E' W A_E as one rank-k
+    # update of H, whose transpose is H in the column-major order BLAS
+    # and LAPACK work in. The diagonal is shifted through the row-major
+    # transpose of the result: ``ravel`` of a column-major array copies.
+    scaled = np.sqrt(dy_elim / dv_elim)[:, None] * a_elim
+    m = blas.dsyrk(1.0, scaled.T, beta=1.0, c=problem.H.T, lower=1)
+    m.T.ravel()[:: n + 1] += jac.sigma
+    factor = _cholesky(m, "M")
 
-        # The lower triangle of M = H + sigma I + A_E' W A_E as one rank-k
-        # update of H, whose transpose is H in the column-major order BLAS
-        # and LAPACK work in. The diagonal is shifted through the row-major
-        # transpose of the result: ``ravel`` of a column-major array copies.
-        scaled = np.sqrt(self.dy_elim / self.dv_elim)[:, None] * self.a_elim
-        m = blas.dsyrk(1.0, scaled.T, beta=1.0, c=problem.H.T, lower=1)
-        m.T.ravel()[:: n + 1] += sigma
-        self.factor = _cholesky(m, "M")
+    border = np.concatenate((problem.G, problem.A.take(kept_rows, 0)))
+    size = border.shape[0]
+    # B L^-T and the Cholesky factor of S = C + (B L^-T)(B L^-T)', when
+    # B has rows; C is added to the diagonal as for M.
+    if size:
+        b_l_inv_t = blas.dtrsm(1.0, factor, border, side=1, lower=1, trans_a=1)
+        s = blas.dsyrk(1.0, b_l_inv_t, lower=1)
+        diagonal = s.T.ravel()[:: size + 1]
+        diagonal[:p] += jac.sigma
+        diagonal[p:] += d_v.take(kept_rows) / dy_kept
+        s_factor = _cholesky(s, "the Schur complement")
 
-        border = np.concatenate((problem.G, problem.A.take(self.kept_rows, 0)))
-        size = border.shape[0]
-        # B L^-T and the Cholesky factor of S = C + (B L^-T)(B L^-T)', when
-        # B has rows; C is added to the diagonal as for M.
-        self.b_l_inv_t = self.s_factor = None
-        if size:
-            self.b_l_inv_t = blas.dtrsm(1.0, self.factor, border, side=1, lower=1, trans_a=1)
-            s = blas.dsyrk(1.0, self.b_l_inv_t, lower=1)
-            diagonal = s.T.ravel()[:: size + 1]
-            diagonal[:p] += sigma
-            diagonal[p:] += d_v.take(self.kept_rows) / self.dy_kept
-            self.s_factor = _cholesky(s, "the Schur complement")
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with ``J x = rhs``, for rhs of shape (N,)."""
-        n, p = self.problem.n, self.problem.p
-        r_z, r_lam, r_v = rhs[:n], rhs[n : n + p], rhs[n + p :]
-        r_elim, r_kept = r_v.take(self.elim_rows), r_v.take(self.kept_rows)
-        # x_z and u = (d_lam, d_v on the kept rows) solve M x_z + B'u = top
-        # and B x_z - C u = low; u holds low until the Schur complement solve.
-        top = r_z - self.a_elim.T @ (r_elim / self.dv_elim)
-        u = -np.concatenate((r_lam, r_kept / self.dy_kept))
-        t, _ = lapack.dtrtrs(self.factor, top, lower=1)
-        if self.s_factor is not None:
-            u, _ = lapack.dpotrs(self.s_factor, self.b_l_inv_t @ t - u, lower=1)
-            t = t - self.b_l_inv_t.T @ u
-        x_z, _ = lapack.dtrtrs(self.factor, t, lower=1, trans=1)
-        out = np.empty_like(rhs)
-        out[:n] = x_z
-        out[n : n + p] = u[:p]
-        out_v = out[n + p :]
-        out_v[self.kept] = u[p:]
-        out_v[self.elim] = (r_elim + self.dy_elim * (self.a_elim @ x_z)) / self.dv_elim
-        return out
+    r_z, r_lam, r_v = rhs[:n], rhs[n : n + p], rhs[n + p :]
+    r_elim, r_kept = r_v.take(elim_rows), r_v.take(kept_rows)
+    # x_z and u = (d_lam, d_v on the kept rows) solve M x_z + B'u = top
+    # and B x_z - C u = low; u holds low until the Schur complement solve.
+    top = r_z - a_elim.T @ (r_elim / dv_elim)
+    u = -np.concatenate((r_lam, r_kept / dy_kept))
+    t, _ = lapack.dtrtrs(factor, top, lower=1)
+    if size:
+        u, _ = lapack.dpotrs(s_factor, b_l_inv_t @ t - u, lower=1)
+        t = t - b_l_inv_t.T @ u
+    x_z, _ = lapack.dtrtrs(factor, t, lower=1, trans=1)
+    out = np.empty_like(rhs)
+    out[:n] = x_z
+    out[n : n + p] = u[:p]
+    out_v = out[n + p :]
+    out_v[kept] = u[p:]
+    out_v[elim] = (r_elim + dy_elim * (a_elim @ x_z)) / dv_elim
+    return out
 
 
 def active_set_matrix(kkt: KktMatrix, keep: np.ndarray) -> np.ndarray:
@@ -226,31 +207,22 @@ def active_set_matrix(kkt: KktMatrix, keep: np.ndarray) -> np.ndarray:
     return kkt.matrix.take(keep, 0).take(keep, 1).T
 
 
-def refined_solve(
-    solve: Callable, backward: Callable, norm_inf: Callable, rhs: np.ndarray
-) -> tuple[np.ndarray | None, object]:
-    """x = ``solve(rhs)`` for a matrix M, kept when its backward error passes.
+def backward_error_passes(
+    back: np.ndarray, rhs: np.ndarray, x: np.ndarray, norm_inf: Callable[[], float]
+) -> bool:
+    """Whether x, with residual ``back = M x - rhs``, passes as a solve with M.
 
-    ``backward(x, rhs)`` returns (M x - rhs, product), and ``norm_inf()``
-    returns ||M||_inf. x passes when ||M x - rhs||_inf is within
+    ``norm_inf()`` returns ||M||_inf. x passes when ||back||_inf is within
     1e-10 * (1 + ||rhs||_inf), widened by 1e-10 * ||M||_inf ||x||_inf since
     no double-precision solve can beat that floor when the solution dwarfs
-    the right-hand side. One pass of iterative refinement is tried before x
-    fails. Returns (x, product), or (None, None) when x fails.
+    the right-hand side. A residual that is not finite fails.
     """
+    error = float(np.abs(back).max(initial=0.0))
     tol = _SOLVE_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
-    x = solve(rhs)
-    for refine in (True, False):
-        back, product = backward(x, rhs)
-        error = float(np.abs(back).max(initial=0.0))
-        if not error < math.inf:
-            break  # x is not finite
-        # The widened bound is computed only when the plain one fails.
-        if error <= tol or error <= tol + _SOLVE_TOL * norm_inf() * float(np.abs(x).max()):
-            return x, product
-        if refine:
-            x = x - solve(back)
-    return None, None
+    # The widened bound is computed only when the plain one fails.
+    return error < math.inf and (
+        error <= tol or error <= tol + _SOLVE_TOL * norm_inf() * float(np.abs(x).max())
+    )
 
 
 def checked_solve(
@@ -258,22 +230,21 @@ def checked_solve(
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """x with ``J x = rhs``, rhs of shape (N,), checked; one attempt.
 
-    Arguments are those of ``_Jacobian``. J is factored by ``DenseJacobian``
-    when N <= ``_DENSE_MAX`` and p plus the number of rows with d_v < d_y is
-    at most n, and by ``ReducedJacobian`` otherwise, and x is checked by
-    ``refined_solve`` against that J.
-
-    Returns:
-        (x, K x), with K x the product of the check that passed, or
-        (None, None) when J cannot be factored or x fails its check.
+    Arguments are those of ``_Jacobian``. x comes from ``dense_solve`` when
+    N <= ``_DENSE_MAX`` and p plus the number of rows with d_v < d_y is at
+    most n, and from ``reduced_solve`` otherwise. Returns (x, K x), with K x
+    the product of its check by ``backward_error_passes``, or (None, None)
+    when J cannot be factored or x fails that check.
     """
     n, p = kkt.problem.n, kkt.problem.p
     dense = rhs.shape[0] <= _DENSE_MAX and p + np.count_nonzero(d_v < d_y) <= n
+    jac = _Jacobian(kkt, d_y, d_v, sigma)
     try:
-        system = (DenseJacobian if dense else ReducedJacobian)(kkt, d_y, d_v, sigma)
+        x = (dense_solve if dense else reduced_solve)(jac, rhs)
     except np.linalg.LinAlgError:
         return None, None
-    return refined_solve(system.solve, system.backward, system.norm_inf, rhs)
+    back, kx = jac.backward(x, rhs)
+    return (x, kx) if backward_error_passes(back, rhs, x, jac.norm_inf) else (None, None)
 
 
 def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:

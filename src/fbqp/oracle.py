@@ -44,6 +44,8 @@ MAX_ORACLE_INEQUALITIES = 16
 # Numerical slack when accepting a candidate active set.
 _FEAS_TOL = 1e-9
 _DUAL_TOL = 1e-9
+# A row binds at a point when its slack is at most this.
+_BINDING_TOL = 1e-7
 # Two accepted candidates tie when objectives agree this closely.
 _TIE_TOL = 1e-9
 # ... and the tie is only degenerate if the points or multipliers differ by more.
@@ -214,7 +216,8 @@ def active_set_solve(problem: QpProblem) -> OracleResult:
         # multipliers are not unique even though only one basic candidate
         # was accepted. More rows than variables are rank-deficient without
         # an SVD.
-        stack = np.vstack((problem.G, problem.A[problem.b - problem.A @ best_iterate.z <= 1e-7]))
+        binding = problem.b - problem.A @ best_iterate.z <= _BINDING_TOL
+        stack = np.vstack((problem.G, problem.A[binding]))
         if len(stack) > n or (len(stack) and np.linalg.matrix_rank(stack) < len(stack)):
             multiplicity = True
     return OracleResult(
@@ -287,7 +290,7 @@ def _multiplier_gain(problem: QpProblem, z: np.ndarray) -> float:
     """||H||_2 / sigma_min([G; A_binding]) at z: how much an error in z can
     move the multipliers that stationarity, H z + f + G' lam + A' v = 0,
     determines."""
-    binding = problem.A[problem.b - problem.A @ z <= 1e-7]
+    binding = problem.A[problem.b - problem.A @ z <= _BINDING_TOL]
     stack = np.vstack((problem.G, binding))
     # More rows than variables leave a null space of the rows: no bound.
     singular = np.linalg.svd(stack, compute_uv=False) if len(stack) <= problem.n else [0.0]

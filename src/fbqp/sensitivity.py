@@ -15,10 +15,10 @@ for one cotangent (``vjp``) or the n unit cotangents (``solution_sensitivity``).
 K_S is taken with its diagonal shifted by +sigma_min on the z block and
 -sigma_min on the multipliers (sigma_min = ``fbqp.solver._SIGMA_MIN`` =
 1e-12), which keeps it invertible where LICQ or second-order sufficiency
-fails, and the solve is checked by ``fbqp.jacobian.refined_solve``. A weakly
-active row (v_i below the threshold) counts as inactive: one branch of a
-one-sided linearization of the nonsmooth solution map (Bolte, Le, Pauwels &
-Silveti-Falls, NeurIPS 2021, arXiv:2106.04350), flagged not well-posed.
+fails; its one solve is checked by ``fbqp.jacobian.backward_error_passes``.
+A weakly active row (v_i below the threshold) counts as inactive, one branch
+of a one-sided linearization of the nonsmooth solution map (Bolte, Le, Pauwels
+& Silveti-Falls, NeurIPS 2021, arXiv:2106.04350), flagged not well-posed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .jacobian import KktMatrix, active_set_matrix, refined_solve
+from .jacobian import KktMatrix, active_set_matrix, backward_error_passes
 from .problem import QpProblem
 from .solver import _SIGMA_MIN, SolveResult, SolveStatus
 
@@ -108,18 +108,12 @@ def _pull_back(
     keep = np.concatenate((np.arange(n_p), n_p + np.flatnonzero(strict)))
     k_s = active_set_matrix(KktMatrix(problem), keep)
     shifted = k_s + np.diag(np.where(keep < n, _SIGMA_MIN, -_SIGMA_MIN))
-    lu, pivots, info = lapack.dgetrf(shifted)
     rhs = np.zeros(keep.shape + cotangents.shape[1:])
     rhs[:n] = -cotangents
-    x = None
-    if not info:
-        x, _ = refined_solve(
-            lambda r: lapack.dgetrs(lu, pivots, r)[0],
-            lambda y, r: (shifted @ y - r, None),
-            lambda: float(np.abs(shifted).sum(axis=1).max()),
-            rhs,
-        )
-    if x is None:
+    x, info = lapack.dgesv(shifted, rhs)[2:]
+    if info or not backward_error_passes(
+        shifted @ x - rhs, rhs, x, lambda: float(np.abs(shifted).sum(axis=1).max())
+    ):
         raise SingularSystemError("the shifted active-set system failed its backward-error check")
     db = np.zeros((problem.q,) + cotangents.shape[1:])
     db[strict] = -x[n_p:]

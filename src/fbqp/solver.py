@@ -36,7 +36,7 @@ the assembled J when the system is small and well determined, and else
 through a symmetric quasi-definite reduction with two Cholesky factors.
 A step climbs one perturbation ladder, J + eps I (the Jacobian at
 sigma + eps with D_v + eps) for eps in ``_LADDER``. A rung's direction is
-kept when its backward error passes, after at most one refinement pass
+kept when the backward error of its one solve passes
 (``fbqp.jacobian.checked_solve``), and gets a line search; a failed check,
 or a failed search on J itself, moves on to the next rung, and the search
 of a perturbed rung ends the climb. A step that no rung can take, by its

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from fbqp import GeneratorSpec, Iterate, QpProblem, random_problem
-from fbqp.jacobian import _DENSE_MAX, DenseJacobian, KktMatrix, ReducedJacobian, checked_solve
-from fbqp.jacobian import _Jacobian, active_set_matrix, refined_solve
+from fbqp.jacobian import _DENSE_MAX, KktMatrix, _Jacobian, active_set_matrix
+from fbqp.jacobian import backward_error_passes, checked_solve, dense_solve, reduced_solve
 from fbqp.ncp import phi_derivative_vec
 from fbqp.solver import _newton_direction, assemble_jacobian, residual
 
 SIGMA = 1e-3
+# The two ways checked_solve solves with J, keyed by the form of J each
+# factors: J assembled, or its reduced form.
+PATHS = {"DenseJacobian": dense_solve, "ReducedJacobian": reduced_solve}
 
 
 def _iterate(problem, rng, slack=None, v=None):
@@ -68,11 +71,11 @@ CASES = (
 
 
 def _system(problem, x, sigma, eps=0.0):
-    """The reduced form of the rung at (sigma + eps, D_v + eps), which is
-    J + eps I, and (d_y, d_v) of J."""
+    """The rung at (sigma + eps, D_v + eps), which is J + eps I, and
+    (d_y, d_v) of J."""
     slack = problem.b - problem.A @ x.z
     d_y, d_v = phi_derivative_vec(slack, x.v)
-    return ReducedJacobian(KktMatrix(problem), d_y, d_v + eps, sigma + eps), d_y, d_v
+    return _Jacobian(KktMatrix(problem), d_y, d_v + eps, sigma + eps), d_y, d_v
 
 
 def _apply(system, x):
@@ -86,13 +89,14 @@ def _close(actual, expected, rtol=1e-8):
 
 
 def test_cases_cover_the_structure():
+    # The reduced form eliminates the rows with d_v >= d_y and keeps the rest.
     problem, x = _case("all_rows_kept")
-    system, _, _ = _system(problem, x, SIGMA)
-    assert not system.elim.any() and problem.p + problem.q > problem.n
+    _, d_y, d_v = _system(problem, x, SIGMA)
+    assert not (d_v >= d_y).any() and problem.p + problem.q > problem.n
     problem, x = _case("zero_slack_row")
-    system, d_y, d_v = _system(problem, x, SIGMA)
-    assert d_v[1] == 0.0 and system.kept[1]
-    assert system.elim.any()
+    _, d_y, d_v = _system(problem, x, SIGMA)
+    assert d_v[1] == 0.0 and d_v[1] < d_y[1]
+    assert (d_v >= d_y).any()
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -115,7 +119,7 @@ def test_solves_match_perturbed_jacobian_and_transpose(name, eps):
     unperturbed = assemble_jacobian(problem, x, SIGMA)
     rng = np.random.default_rng(size)
     for rhs in rng.standard_normal((3, size)):
-        _close(system.solve(rhs), np.linalg.solve(jac, rhs))
+        _close(reduced_solve(system, rhs), np.linalg.solve(jac, rhs))
         np.testing.assert_allclose(_apply(system, rhs), jac @ rhs, rtol=1e-12, atol=1e-12)
         # checked_solve passes on J itself, with no shift.
         checked, _ = checked_solve(system.kkt, d_y, d_v, SIGMA, rhs)
@@ -128,27 +132,23 @@ def test_lu_solves_match_perturbed_jacobian_and_transpose(name, eps):
     problem, x = _case(name)
     slack = problem.b - problem.A @ x.z
     d_y, d_v = phi_derivative_vec(slack, x.v)
-    system = DenseJacobian(KktMatrix(problem), d_y, d_v + eps, SIGMA + eps)
+    system = _Jacobian(KktMatrix(problem), d_y, d_v + eps, SIGMA + eps)
     size = problem.n + problem.p + problem.q
     jac = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(size)
     rng = np.random.default_rng(size)
-    # Products and norms are those of the reduced form, bit for bit.
-    reduced = ReducedJacobian(system.kkt, d_y, d_v + eps, SIGMA + eps)
-    assert system.norm_inf() == reduced.norm_inf()
     for rhs in rng.standard_normal((3, size)):
-        _close(system.solve(rhs), np.linalg.solve(jac, rhs))
-        assert _apply(system, rhs).tobytes() == _apply(reduced, rhs).tobytes()
+        _close(dense_solve(system, rhs), np.linalg.solve(jac, rhs))
 
 
 def _picks(monkeypatch):
-    """Record the class of each factorization that checked_solve builds."""
+    """Record the path (a key of ``PATHS``) of each solve that checked_solve makes."""
     picked = []
-    for cls in (DenseJacobian, ReducedJacobian):
-        def build(*args, cls=cls):
-            picked.append(cls.__name__)
-            return cls(*args)
+    for key, path in PATHS.items():
+        def solve(*args, key=key, path=path):
+            picked.append(key)
+            return path(*args)
 
-        monkeypatch.setattr(f"fbqp.jacobian.{cls.__name__}", build)
+        monkeypatch.setattr(f"fbqp.jacobian.{path.__name__}", solve)
     return picked
 
 
@@ -200,7 +200,7 @@ def test_row_norm_matches_dense(name):
     slack = problem.b - problem.A @ x.z
     d_y, d_v = phi_derivative_vec(slack, x.v)
     eps = 1e-8
-    system = ReducedJacobian(KktMatrix(problem), d_y, d_v + eps, SIGMA + eps)
+    system = _Jacobian(KktMatrix(problem), d_y, d_v + eps, SIGMA + eps)
     jac = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(problem.n + problem.p + problem.q)
     expected = np.max(np.abs(jac).sum(axis=1))
     assert system.norm_inf() == expected
@@ -211,10 +211,10 @@ def test_singular_reduced_block_raises():
     # fails and J + 1e-10 I, the Jacobian at sigma = 1e-10, passes.
     problem = QpProblem(H=np.zeros((2, 2)), f=np.zeros(2))
     kkt, empty = KktMatrix(problem), np.zeros(0)
-    with pytest.raises(np.linalg.LinAlgError):
-        ReducedJacobian(kkt, empty, empty, 0.0)
-    rung = ReducedJacobian(kkt, empty, empty, 1e-10)
     rhs = np.ones(2)
+    with pytest.raises(np.linalg.LinAlgError):
+        reduced_solve(_Jacobian(kkt, empty, empty, 0.0), rhs)
+    rung = _Jacobian(kkt, empty, empty, 1e-10)
     assert checked_solve(kkt, empty, empty, 0.0, rhs) == (None, None)
     x, _ = checked_solve(kkt, empty, empty, 1e-10, rhs)
     assert np.max(np.abs(_apply(rung, x) - rhs)) <= 1e-10 * (1.0 + 1.0)
@@ -268,16 +268,16 @@ def _product_close(got, jac, x):
     assert np.max(np.abs(got - jac @ x), initial=0.0) <= 1e-13 * scale
 
 
-def _forced(monkeypatch, cls):
-    """Make checked_solve factor ``cls`` only."""
-    for name in ("DenseJacobian", "ReducedJacobian"):
-        monkeypatch.setattr(f"fbqp.jacobian.{name}", cls)
+def _forced(monkeypatch, path):
+    """Make checked_solve solve by ``path`` only."""
+    for other in PATHS.values():
+        monkeypatch.setattr(f"fbqp.jacobian.{other.__name__}", path)
 
 
-@pytest.mark.parametrize("cls", [DenseJacobian, ReducedJacobian])
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("eps", [0.0, 1e-10, 1e-8])
 @pytest.mark.parametrize("name", CASES)
-def test_products_are_those_of_the_assembled_jacobian(monkeypatch, name, eps, cls):
+def test_products_are_those_of_the_assembled_jacobian(monkeypatch, name, eps, path):
     # One product with K serves J, whichever way J is factored. The Jacobian
     # at (sigma + eps, D_v + eps) is J + eps I, the rung the ladder solves.
     problem, x = _case(name)
@@ -286,9 +286,9 @@ def test_products_are_those_of_the_assembled_jacobian(monkeypatch, name, eps, cl
     k = _kkt_blocks(problem)
     size = k.shape[0]
     shifted = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(size)
-    system = cls(kkt, d_y, d_v + eps, SIGMA + eps)
+    system = _Jacobian(kkt, d_y, d_v + eps, SIGMA + eps)
     rng = np.random.default_rng(size)
-    _forced(monkeypatch, cls)
+    _forced(monkeypatch, PATHS[path])
     for right in rng.standard_normal((3, size)):
         _product_close(system.backward(right, right)[1], k, right)
         _product_close(_apply(system, right), shifted, right)
@@ -325,19 +325,50 @@ def test_active_set_matrix_is_the_principal_submatrix_of_k(name):
     assert got.tobytes(order="F") == _kkt_blocks(problem)[np.ix_(keep, keep)].tobytes()
 
 
-def test_refined_solve_refines_once_and_then_fails():
-    # A solve off by 1e-6 relative passes after one refinement pass; one off
-    # by a constant factor fails after it.
+def test_backward_error_passes_in_one_pass():
+    # An exact solve passes; one off by 1e-6 relative fails, with no second
+    # solve to refine it; so does a residual that is not finite.
     matrix = np.array([[4.0, 1.0], [1.0, 3.0]])
     rhs = np.array([1.0, 2.0])
     exact = np.linalg.solve(matrix, rhs)
+    asked = []
 
-    def backward(x, r):
-        return matrix @ x - r, x.sum()
+    def norm_inf():
+        asked.append(True)
+        return 5.0
 
-    x, product = refined_solve(
-        lambda r: np.linalg.solve(matrix, r) * (1.0 + 1e-6), backward, lambda: 5.0, rhs
-    )
-    _close(x, exact, rtol=1e-11)
-    assert product == x.sum()
-    assert refined_solve(lambda r: 2.0 * r, backward, lambda: 5.0, rhs) == (None, None)
+    assert backward_error_passes(matrix @ exact - rhs, rhs, exact, norm_inf)
+    assert not asked  # the plain bound suffices, so the norm is not formed
+    off = exact * (1.0 + 1e-6)
+    assert not backward_error_passes(matrix @ off - rhs, rhs, off, norm_inf)
+    nan = np.full(2, np.nan)
+    assert not backward_error_passes(nan, rhs, nan, norm_inf)
+    # A solution that dwarfs the right-hand side: M = diag(1e-8, 1) with
+    # ||M||_inf = 1 and M x = (1, 0), x off by 3e-10 relative. Its residual
+    # misses the plain bound and passes the widened one, ...
+    small = np.diag([1e-8, 1.0])
+    rhs = np.array([1.0, 0.0])
+    x = np.array([1e8 * (1.0 + 3e-10), 0.0])
+    back = small @ x - rhs
+    plain = 1e-10 * (1.0 + 1.0)
+    assert plain < np.abs(back).max() <= plain + 1e-10 * 1.0 * np.abs(x).max()
+    assert backward_error_passes(back, rhs, x, lambda: 1.0)
+    # ... and with a norm too small to widen it enough, the same x fails.
+    assert not backward_error_passes(back, rhs, x, lambda: 1e-9)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_failed_check_makes_one_solve(monkeypatch, path):
+    # A checked attempt whose solve fails its check is not solved again.
+    problem, x = _case("psd_hessian")
+    _, d_y, d_v = _system(problem, x, SIGMA)
+    solves = []
+
+    def off(jac, rhs):
+        solves.append(rhs)
+        return 2.0 * PATHS[path](jac, rhs)
+
+    _forced(monkeypatch, off)
+    rhs = np.ones(problem.n + problem.p + problem.q)
+    assert checked_solve(KktMatrix(problem), d_y, d_v, SIGMA, rhs) == (None, None)
+    assert len(solves) == 1

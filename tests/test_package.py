@@ -26,7 +26,7 @@ def test_all_holds_the_public_names_and_each_resolves():
     assert fbqp.__all__ == sorted(PUBLIC)
     for name in fbqp.__all__:
         assert getattr(fbqp, name) is not None
-    assert "ReducedJacobian" not in fbqp.__all__ and "checked_solve" not in fbqp.__all__
+    assert "reduced_solve" not in fbqp.__all__ and "checked_solve" not in fbqp.__all__
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -18,7 +18,7 @@ from fbqp import (
     random_problem,
     solve,
 )
-from fbqp.jacobian import DenseJacobian, KktMatrix, ReducedJacobian, _Jacobian
+from fbqp.jacobian import KktMatrix, _Jacobian, dense_solve, reduced_solve
 from fbqp.ncp import phi_derivative_vec
 from fbqp.solver import (
     _LADDER,
@@ -467,15 +467,15 @@ def test_unsolvable_step_ends_its_stage_like_a_failed_search(monkeypatch):
     # direction to offer as a certificate.
     shifts = []
 
-    def unfactorable(problem, d_y, d_v, sigma):
+    def unfactorable(jac, rhs):
         raise np.linalg.LinAlgError("forced")
 
     def recorded(kkt, x, sigma, point, eps=0.0):
         shifts.append(eps)
         return _newton_direction(kkt, x, sigma, point, eps)
 
-    monkeypatch.setattr("fbqp.jacobian.DenseJacobian", unfactorable)
-    monkeypatch.setattr("fbqp.jacobian.ReducedJacobian", unfactorable)
+    monkeypatch.setattr("fbqp.jacobian.dense_solve", unfactorable)
+    monkeypatch.setattr("fbqp.jacobian.reduced_solve", unfactorable)
     monkeypatch.setattr("fbqp.solver._newton_direction", recorded)
     result = solve(ONE_D, SolverConfig(max_outer=2))
     assert result.status is SolveStatus.LINE_SEARCH_STALLED
@@ -539,16 +539,13 @@ def test_ladder_stops_after_the_search_of_a_perturbed_rung(monkeypatch, failing,
     # stage stalls on the direction of J, which the certificate search gets.
     # A rung's shift is read from the sigma it is factored at, _SIGMA0 + eps.
     attempts, searched, offered = [], [], []
-    for cls in (DenseJacobian, ReducedJacobian):
-        def build(kkt, d_y, d_v, sigma, cls=cls):
-            eps = next(eps for eps in _LADDER if _SIGMA0 + eps == sigma)
+    for path in (dense_solve, reduced_solve):
+        def solve_rung(jac, rhs, path=path):
+            eps = next(eps for eps in _LADDER if _SIGMA0 + eps == jac.sigma)
             attempts.append(eps)
-            system = cls(kkt, d_y, d_v, sigma)
-            if eps in failing:
-                system.solve = lambda rhs: np.full_like(rhs, np.nan)
-            return system
+            return np.full_like(rhs, np.nan) if eps in failing else path(jac, rhs)
 
-        monkeypatch.setattr(f"fbqp.jacobian.{cls.__name__}", build)
+        monkeypatch.setattr(f"fbqp.jacobian.{path.__name__}", solve_rung)
     monkeypatch.setattr(
         "fbqp.solver._line_search", lambda kkt, x, direction, base: searched.append(direction[0])
     )

@@ -30,9 +30,12 @@ A result's hash covers its status, the bytes of z, lambda and v, the five
 KKT error entries, the inner iteration and factorization counts, every
 trace record and the certificate. ``outer_iterations`` is kept beside it:
 the set's digest covers both. ``--items N`` keeps the first N inputs of
-each set. ``--each`` also prints ``name index outer_iterations sha256``
-for every result, so a diff of two runs shows which results changed and
-whether only their stage count did.
+each set. ``--each`` also prints
+``name index outer_iterations status factorizations sha256`` for every
+result, so a diff of two runs shows which results changed, whether their
+status moved and whether only their stage or factorization count did. The
+status and factorization count on that line are printed outside the set's
+digest, so the default output is the same with or without ``--each``.
 
 BLAS is pinned to one thread before numpy is imported.
 """
@@ -141,10 +144,11 @@ def main(argv=None) -> None:
     for name in args.sets:
         digest, count = hashlib.sha256(), 0
         for count, (result, extras) in enumerate(results(name, args.items), 1):
-            line = f"{result.outer_iterations} {result_hash(result, *extras)}"
-            digest.update(f"{line}\n".encode())
+            outer, sha = result.outer_iterations, result_hash(result, *extras)
+            digest.update(f"{outer} {sha}\n".encode())
             if args.each:
-                print(f"{name} {count - 1} {line}")
+                status = result.status.value
+                print(f"{name} {count - 1} {outer} {status} {result.factorizations} {sha}")
         print(f"{name} {count} {digest.hexdigest()}", flush=True)
 
 

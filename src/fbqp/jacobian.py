@@ -51,7 +51,7 @@ step reads instead of forming it again. ``backward_error_passes`` is the
 test, which the sensitivities' solve passes too.
 ``active_set_matrix`` gathers K_S, the principal submatrix of K over
 (z, lambda, v_S) for a set S of inequality rows, which the active-set
-rounds of a warm start and, shifted, the sensitivities factor.
+rounds and, shifted, the sensitivities factor.
 """
 
 from __future__ import annotations
@@ -111,6 +111,7 @@ class _Jacobian:
         self.scale = np.concatenate((kkt.sign, -d_y))
         # The diagonal that J adds to scale * K.
         self.diagonal = np.concatenate((np.full(kkt.sign.size, sigma), d_v))
+        self.array = None  # J, once ``assemble`` has built it
 
     def backward(self, x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(J x - rhs, K x) for x of shape (N,)."""
@@ -118,14 +119,16 @@ class _Jacobian:
         return self.scale * kx + self.diagonal * x - rhs, kx
 
     def assemble(self) -> np.ndarray:
-        """J as an array: diag(scale) K plus its diagonal."""
-        jac = self.scale[:, None] * self.kkt.matrix
+        """J as an array: diag(scale) K plus its diagonal, kept as ``array``."""
+        self.array = jac = self.scale[:, None] * self.kkt.matrix
         jac.ravel()[:: jac.shape[0] + 1] += self.diagonal
         return jac
 
     def norm_inf(self) -> float:
-        """``||J||_inf``, the largest absolute row sum of J."""
-        return float(np.abs(self.assemble()).sum(axis=1).max())
+        """``||J||_inf``, the largest absolute row sum of J, from the array
+        that ``dense_solve`` assembled (``dgesv`` factors a copy) if it ran."""
+        array = self.assemble() if self.array is None else self.array
+        return float(np.abs(array).sum(axis=1).max())
 
 
 def dense_solve(jac: _Jacobian, rhs: np.ndarray) -> np.ndarray:

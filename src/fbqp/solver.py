@@ -15,7 +15,8 @@ shrinks sigma geometrically on a fixed schedule (``_SIGMA0``,
 at the iterate each stage starts from, driving the iterates to a solution of the
 unregularized system, certified by its sigma-free KKT residuals, or along a
 ray that certifies that there is none (``_certificate``). A stage
-(``_stage``) returns why it ended: "solved", within ``tol_kkt``; "target",
+(``_stage``) returns why it ended: "solved", within ``tol_kkt`` at an
+iterate or at the point of active-set rounds (below); "target",
 at its merit target; "endgame", at a merit below ``_ENDGAME_RATIO`` times
 the squared KKT error, so the next stage takes sigma straight to the floor;
 "stall", after ``_STALL_STEPS`` consecutive backtracked steps; "no step", on
@@ -58,10 +59,18 @@ by one LU, with v = 0 off S. The rounds end at a point within ``tol_kkt``
 error is not strictly below the previous round's, which also ends any cycle
 of guesses, or after ``max_inner`` rounds. Otherwise the Newton loop runs
 from the warm start itself. On a parametric path whose active set changes
-only now and then, most solves end in a round or two. Cold starts go
-straight to the Newton loop: the default start says nothing about the
-active set, and the trace of a cold solve is the record of its convergence
-that the tests read.
+only now and then, most solves end in a round or two. The default start
+says nothing about the active set, so a cold start goes to the Newton loop.
+When N = n + p + q exceeds ``fbqp.jacobian._DENSE_MAX`` (decided once per
+solve), the rounds also run from Newton iterates: after each accepted step
+of a stage but its first, when the guess S there and the one at the iterate
+before both have p + |S| <= n, and S is not the stage's last failed guess.
+Rounds that certify end the stage "solved" at their point; rounds that fail
+leave the Newton loop where it was. The trace holds Newton steps only. On
+the first 64 dense_medium inputs of seed 0, 32 of 40 attempts certify, all
+on the half-active inputs, which then take 6 factorizations (median) where
+Newton alone takes 15-16.5. Smaller solves never run rounds, so a fleet
+solve's trace is the record of Newton's convergence that the tests read.
 
 The package exports ``solve`` with its three settings (``SolverConfig``:
 accuracy and budgets) and result types; the method's parameters are module
@@ -79,7 +88,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .jacobian import KktMatrix, _Jacobian, active_set_matrix, checked_solve
+from .jacobian import _DENSE_MAX, KktMatrix, _Jacobian, active_set_matrix, checked_solve
 from .ncp import phi_derivative_vec, phi_vec
 from .problem import Iterate, KktError, QpProblem, _kkt_norms, infeasibility_error, kkt_error
 from .problem import validate_problem
@@ -145,7 +154,7 @@ class SolverConfig:
         max_inner: cap on the Newton iterations of one stage, an integer of
             at least 1. Most stages end well before it, at their merit
             target or after ``_STALL_STEPS`` consecutive backtracked steps.
-            It also caps the active-set rounds of a warm start.
+            It also caps the active-set rounds of one attempt.
 
     The method's parameters are module constants: the proximal schedule
     (``_SIGMA0``, ``_SIGMA_SHRINK``, ``_SIGMA_MIN``), the stage rule, the
@@ -196,9 +205,10 @@ class SolveResult:
     ``factorizations`` counts the rungs of the perturbation ladder tried
     (all of them on a step that no rung can take), each one LU of J + eps I
     or the two Cholesky factorizations of its reduced form (see
-    ``fbqp.jacobian``), and the active-set rounds of a warm start, one LU
-    each, which ``trace`` and ``inner_iterations`` do not count: those
-    count Newton steps.
+    ``fbqp.jacobian``), and the active-set rounds, one LU each, of a warm
+    start or from the Newton iterates of a solve with n + p + q above
+    ``fbqp.jacobian._DENSE_MAX``. ``trace`` and ``inner_iterations`` do
+    not count the rounds: those count Newton steps.
     """
 
     iterate: Iterate
@@ -380,16 +390,18 @@ def _active_set_rounds(
 
 def _stage(
     kkt: KktMatrix, x: np.ndarray, point: Evaluation, sigma: float, target: float, outer: int,
-    config: SolverConfig, trace: list[TraceRecord],
+    config: SolverConfig, trace: list[TraceRecord], select: bool,
 ) -> tuple[np.ndarray, Evaluation, np.ndarray | None, int, str]:
     """Newton steps at sigma, centred at x, with ``point`` the previous
     stage's ``residual`` at x; each accepted step is appended to ``trace``.
-    Returns x, its ``residual``, the last direction searched on a step it
-    could not take (else None), the factorizations and the reason the stage
-    ended (module docstring).
+    With ``select``, active-set rounds may run from its iterates (module
+    docstring). Returns x, its ``residual``, the last direction searched on
+    a step it could not take (else None), the factorizations and the reason
+    the stage ended (module docstring).
     """
-    n_p = kkt.sign.size
+    n, n_p = kkt.problem.n, kkt.sign.size
     center, short_steps, factorizations = x, 0, 0
+    fitted, failed = False, None  # whether the last guess fit; the last failed guess
     # Every point is evaluated once, right after the step that reaches it.
     # At the new centre the sigma terms of R vanish.
     r = np.concatenate((kkt.sign * point.lin[:n_p], point.r[n_p:]))
@@ -397,6 +409,17 @@ def _stage(
     for inner in range(config.max_inner):
         if point.error.within(config.tol_kkt):
             return x, point, None, factorizations, "solved"
+        if select and inner:
+            guess = x[n_p:] > point.slack
+            fits = n_p - n + np.count_nonzero(guess) <= n
+            if fits and fitted and not np.array_equal(guess, failed):
+                certified, rounds = _active_set_rounds(kkt, x, point, config)
+                factorizations += rounds
+                if certified is not None:
+                    point = residual(kkt, certified, sigma, center)
+                    return certified, point, None, factorizations, "solved"
+                failed = guess
+            fitted = fits
         if point.merit <= target:
             # Subproblem solved to sigma-proportional accuracy; move on.
             endgame = point.merit <= _ENDGAME_RATIO * 0.5 * point.error.max_error() ** 2
@@ -484,6 +507,7 @@ def solve(
     trace: list[TraceRecord] = []
     factorizations, outer = 0, -1  # outer + 1 stages run
     certificate = reason = None
+    select = x.size > _DENSE_MAX
     point = residual(kkt, x, 0.0, x)
     solved = point.error.within(config.tol_kkt)
     if warm_start is not None and not solved:
@@ -496,7 +520,9 @@ def solve(
         sigma = _SIGMA_MIN if reason == "endgame" else sigma
         target = 0.5 * (_STAGE_ETA * sigma * (1.0 + math.sqrt(float(x @ x)))) ** 2
         center, last = x, point.error
-        x, point, d, count, reason = _stage(kkt, x, point, sigma, target, outer, config, trace)
+        x, point, d, count, reason = _stage(
+            kkt, x, point, sigma, target, outer, config, trace, select
+        )
         factorizations += count
         if reason == "solved":
             break

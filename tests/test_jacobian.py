@@ -204,6 +204,12 @@ def test_row_norm_matches_dense(name):
     jac = assemble_jacobian(problem, x, SIGMA) + eps * np.eye(problem.n + problem.p + problem.q)
     expected = np.max(np.abs(jac).sum(axis=1))
     assert system.norm_inf() == expected
+    # After an LU solve the norm is read from the array dgesv was given
+    # (a copy is factored), not from J assembled a second time.
+    solved = _Jacobian(KktMatrix(problem), d_y, d_v + eps, SIGMA + eps)
+    dense_solve(solved, np.ones(jac.shape[0]))
+    solved.assemble = None
+    assert solved.norm_inf() == expected
 
 
 def test_singular_reduced_block_raises():

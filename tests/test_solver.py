@@ -883,6 +883,66 @@ def test_random_warm_start_keeps_the_cold_status(strictly_convex):
             assert float(np.abs(result.iterate.z - planted.z).max()) <= 1e-6
 
 
+def _recorded_rounds(monkeypatch):
+    """Patch ``_active_set_rounds`` to also append (certified, rounds) of
+    each call to the list returned."""
+    calls = []
+
+    def recorded(*args):
+        certified, rounds = _active_set_rounds(*args)
+        calls.append((certified is not None, rounds))
+        return certified, rounds
+
+    monkeypatch.setattr("fbqp.solver._active_set_rounds", recorded)
+    return calls
+
+
+def test_cold_medium_solve_ends_in_active_set_rounds(monkeypatch):
+    problem, planted = random_problem(
+        GeneratorSpec(n=100, p=10, q=100, activity_fraction=0.5, seed=1)
+    )
+    calls = _recorded_rounds(monkeypatch)
+    result = solve(problem)
+    assert result.solved and calls and calls[-1][0]
+    assert float(np.abs(result.iterate.z - planted.z).max()) <= 1e-6
+    # Newton alone, with the size test moved past this problem.
+    monkeypatch.setattr("fbqp.solver._DENSE_MAX", problem.n + problem.p + problem.q)
+    newton = solve(problem)
+    assert newton.solved and result.factorizations < newton.factorizations
+
+
+def test_cold_fleet_solves_run_no_active_set_rounds(monkeypatch):
+    # The test fleet, infeasible copies included: n + p + q <= 64, so its
+    # traces are those of the Newton loop alone.
+    calls = _recorded_rounds(monkeypatch)
+    for i in range(500):
+        problem, copy = _fleet_input(i)
+        for candidate in (problem, copy) if i % 20 == 0 else (problem,):
+            solve(candidate)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "activity, strictly_convex, certified",
+    [(1.0, True, False), (0.5, False, True)],
+    ids=["fully-active", "psd-only"],
+)
+def test_medium_solve_with_rounds_stays_solved(monkeypatch, activity, strictly_convex, certified):
+    # More active rows than variables, where the rounds fail and Newton goes
+    # on from the same iterate, and a PSD-only cost, where they certify.
+    problem, _ = random_problem(GeneratorSpec(
+        n=60, p=6, q=60, activity_fraction=activity, strictly_convex=strictly_convex, seed=1
+    ))
+    calls = _recorded_rounds(monkeypatch)
+    result = solve(problem)
+    assert result.solved and calls and calls[-1][0] is certified
+    if not certified:
+        monkeypatch.setattr("fbqp.solver._DENSE_MAX", problem.n + problem.p + problem.q)
+        newton = solve(problem)
+        assert result.trace == newton.trace
+        assert result.factorizations == newton.factorizations + sum(k for _, k in calls)
+
+
 def test_solve_deterministic_trace():
     problem, _ = random_problem(
         GeneratorSpec(n=6, p=2, q=5, activity_fraction=0.5, seed=13)

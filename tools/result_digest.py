@@ -3,7 +3,7 @@
 Two trees that print the same lines give bit-identical results on those
 sets. Run from the repository root, for example:
 
-    python3 tools/result_digest.py fleet:0 dense diff:0 scan budget
+    python3 tools/result_digest.py fleet:0 dense diff:0 scan medium budget
     python3 tools/result_digest.py --items 200 fleet:0
 
 Each output line is ``name count sha256``. The inputs come from the
@@ -22,6 +22,12 @@ benchmark's workloads (``bench/workloads.py``, imported, not changed):
   p = integers(0, min(n, 3) + 1), q = integers(0, 12), the condition target
   10 ** uniform(0, 6), the activity fraction uniform(0, 1),
   strictly_convex = integers(0, 2) == 1 and seed = integers(0, 2**31).
+- ``medium``: 200 specs from ``numpy.random.default_rng(2026)``, each
+  solved cold, drawn as for ``scan`` except for the sizes:
+  n = integers(30, 121), p = integers(0, n // 5 + 1) and
+  q = integers(n // 2, 2 * n + 1). Most have n + p + q above 64, where
+  the Newton steps take the reduced form and active-set rounds may run
+  from their iterates.
 - ``budget``: the first 1,000 fleet seed 0 inputs, each solved with
   ``max_outer=6`` and ``max_inner`` 1, 2 and 5 in turn (3,000 results), so
   that many stages end on their inner budget.
@@ -60,6 +66,7 @@ import fbqp  # noqa: E402
 from workloads import AcceptanceFleet, DenseMedium, DiffPipeline  # noqa: E402
 
 SCAN_SIZE = 3000
+MEDIUM_SIZE = 200
 DENSE_ITEMS = 32
 BUDGET_INPUTS = 1000
 BUDGET_INNER = (1, 2, 5)
@@ -103,12 +110,22 @@ def _diff(seed: int, items: int | None):
         yield out["result"], (out["grads"], out["sens"])
 
 
-def _scan(items: int | None):
-    rng = np.random.default_rng(12345)
-    for _ in range(SCAN_SIZE if items is None else min(items, SCAN_SIZE)):
-        n = int(rng.integers(1, 12))
-        p = int(rng.integers(0, min(n, 3) + 1))
-        q = int(rng.integers(0, 12))
+def _scan_sizes(rng) -> tuple[int, int, int]:
+    n = int(rng.integers(1, 12))
+    return n, int(rng.integers(0, min(n, 3) + 1)), int(rng.integers(0, 12))
+
+
+def _medium_sizes(rng) -> tuple[int, int, int]:
+    n = int(rng.integers(30, 121))
+    return n, int(rng.integers(0, n // 5 + 1)), int(rng.integers(n // 2, 2 * n + 1))
+
+
+def _random_specs(rng_seed: int, sizes, count: int, items: int | None):
+    """Cold solves of ``count`` specs from ``default_rng(rng_seed)``, whose
+    (n, p, q) ``sizes`` draws first (see the module docstring)."""
+    rng = np.random.default_rng(rng_seed)
+    for _ in range(count if items is None else min(items, count)):
+        n, p, q = sizes(rng)
         condition = float(10.0 ** rng.uniform(0.0, 6.0))
         activity = float(rng.uniform(0.0, 1.0))
         convex = bool(rng.integers(0, 2) == 1)
@@ -130,14 +147,18 @@ def results(name: str, items: int | None):
     kind, _, seed = name.partition(":")
     if kind in ("fleet", "diff") and seed.isdigit():
         return (_fleet if kind == "fleet" else _diff)(int(seed), items)
-    if not seed and kind in ("dense", "scan", "budget"):
-        return {"dense": _dense, "scan": _scan, "budget": _budget}[kind](items)
-    raise SystemExit(f"unknown set {name!r}; use fleet:S, dense, diff:S, scan or budget")
+    if name == "scan":
+        return _random_specs(12345, _scan_sizes, SCAN_SIZE, items)
+    if name == "medium":
+        return _random_specs(2026, _medium_sizes, MEDIUM_SIZE, items)
+    if name in ("dense", "budget"):
+        return {"dense": _dense, "budget": _budget}[name](items)
+    raise SystemExit(f"unknown set {name!r}; use fleet:S, dense, diff:S, scan, medium or budget")
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("sets", nargs="+", help="fleet:S, dense, diff:S, scan or budget")
+    parser.add_argument("sets", nargs="+", help="fleet:S, dense, diff:S, scan, medium or budget")
     parser.add_argument("--items", type=int, help="keep the first N inputs of each set")
     parser.add_argument("--each", action="store_true", help="also print one line per result")
     args = parser.parse_args(argv)

@@ -50,8 +50,9 @@ one test, and returns x with the product K x of its check, which the Newton
 step reads instead of forming it again. ``backward_error_passes`` is the
 test, which the sensitivities' solve passes too.
 ``active_set_matrix`` gathers K_S, the principal submatrix of K over
-(z, lambda, v_S) for a set S of inequality rows, which the active-set
-rounds and, shifted, the sensitivities factor.
+(z, lambda, v_S) for a set S of inequality rows, which the sensitivities
+factor, shifted. ``active_set_solve`` solves with K_S for the active-set
+rounds, by a Cholesky factor of H and one of order p + |S| per round.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ from scipy.linalg import blas, lapack
 from .problem import QpProblem
 
 __all__ = [
-    "KktMatrix", "active_set_matrix", "backward_error_passes", "checked_solve", "dense_solve",
-    "reduced_solve",
+    "KktMatrix", "active_set_matrix", "active_set_solve", "backward_error_passes",
+    "checked_solve", "dense_solve", "reduced_solve",
 ]
 
 # Relative accuracy demanded of every checked solve.
@@ -94,6 +95,8 @@ class KktMatrix:
         self.offset = np.concatenate((problem.f, -problem.h, -problem.b))
         self.sign = np.ones(n + p)
         self.sign[n:] = -1.0
+        # ``active_set_solve``'s (L, [-f'; G; A] L^-T), H = L L'; False if H is not PD.
+        self.range_space = None
 
 
 class _Jacobian:
@@ -208,6 +211,53 @@ def active_set_matrix(kkt: KktMatrix, keep: np.ndarray) -> np.ndarray:
     itself, which LAPACK factors in place.
     """
     return kkt.matrix.take(keep, 0).take(keep, 1).T
+
+
+def active_set_solve(
+    kkt: KktMatrix, keep: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+    """x with ``K_S x[keep] = -c[keep]`` and zeros off ``keep`` (z, lambda,
+    then S), with K x + c and the number of factorizations made.
+
+    By the range-space method (Gill, Golub, Murray & Saunders, Math. Comp.
+    1974): with H = L L', W = [G; A_S] L^-T and t = L^-1 (-f), u solves
+    W W' u = W t - [h; b_S] and z = L^-T (t - W'u). When H or W W' is not
+    positive definite, or x fails ``backward_error_passes`` on
+    (K x + c)[keep], x comes from one LU of K_S. x is None when K_S is
+    singular: LU meets a zero pivot, or p + |S| > n (no factorization).
+    """
+    n, rhs = kkt.problem.n, -kkt.offset[keep]
+    if rhs.size > 2 * n:
+        return None, None, 0  # the p + |S| > n rows of [G; A_S] are dependent
+    x, factored, info = np.zeros(kkt.offset.size), 0, 0
+    if kkt.range_space is None:
+        factor, info = lapack.dpotrf(kkt.problem.H, lower=1)
+        rows = np.vstack((rhs[:n], kkt.matrix[n:, :n]))
+        kkt.range_space = info == 0 and (
+            factor, blas.dtrsm(1.0, factor, rows, side=1, lower=1, trans_a=1)
+        )
+        factored = 1
+    if kkt.range_space:
+        factor, rows = kkt.range_space
+        t, w, u = rows[0], rows.take(keep[n:] - n + 1, 0), rhs[n:]
+        if u.size:
+            # W W' as (W')'W', with W' in the Fortran order BLAS reads.
+            schur = blas.dsyrk(1.0, w.T, trans=1, lower=1)
+            schur, info = lapack.dpotrf(schur, lower=1, overwrite_a=1)
+            factored += 1
+            u = lapack.dpotrs(schur, w @ t - u, lower=1)[0] if info == 0 else u
+        if info == 0:
+            x[:n], x[keep[n:]] = lapack.dtrtrs(factor, t - w.T @ u, lower=1, trans=1)[0], u
+            lin = kkt.matrix @ x + kkt.offset
+            norm = lambda: np.linalg.norm(active_set_matrix(kkt, keep), np.inf)  # noqa: E731
+            if backward_error_passes(lin[keep], rhs, x, norm):
+                return x, lin, factored
+    k_s = active_set_matrix(kkt, keep)
+    _, _, solution, info = lapack.dgesv(k_s, rhs, overwrite_a=1, overwrite_b=1)
+    if info:
+        return None, None, factored + 1
+    x[keep] = solution
+    return x, kkt.matrix @ x + kkt.offset, factored + 1
 
 
 def backward_error_passes(

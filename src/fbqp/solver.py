@@ -52,15 +52,15 @@ A warm start that misses ``tol_kkt`` first gets primal-dual active-set
 rounds (``_active_set_rounds``; Hintermueller, Ito & Kunisch, SIAM J.
 Optim. 2002, repeating OSQP's polish, arXiv:1711.08013 §5.2). A round
 guesses S = {i : v_i > slack_i} and solves K_S, the principal submatrix of
-K over (z, lambda, v_S) (``fbqp.jacobian.active_set_matrix``), against -c
-by one LU, with v = 0 off S. The rounds end at a point within ``tol_kkt``
-(the solve then ends there without a Newton step, ``Solved`` on
-``kkt_error`` as every solve is), at a singular K_S, at a round whose KKT
-error is not strictly below the previous round's, which also ends any cycle
-of guesses, or after ``max_inner`` rounds. Otherwise the Newton loop runs
-from the warm start itself. On a parametric path whose active set changes
-only now and then, most solves end in a round or two. The default start
-says nothing about the active set, so a cold start goes to the Newton loop.
+K over (z, lambda, v_S), against -c with v = 0 off S, by the range-space
+method of ``fbqp.jacobian.active_set_solve``. The rounds end at a point
+within ``tol_kkt`` (the solve then ends there without a Newton step,
+``Solved`` on ``kkt_error`` as every solve is), at a singular K_S (as
+p + |S| > n makes it), at a round whose KKT error is not strictly below
+the previous round's, which also ends any cycle of guesses, or after
+``max_inner`` rounds. Otherwise the Newton loop runs from the warm start
+itself. On a parametric path whose active set changes only now and then,
+most solves end in a round or two. A cold start goes to the Newton loop.
 When N = n + p + q exceeds ``fbqp.jacobian._DENSE_MAX`` (decided once per
 solve), the rounds also run from Newton iterates: after each accepted step
 of a stage but its first, when the guess S there and the one at the iterate
@@ -68,9 +68,9 @@ before both have p + |S| <= n, and S is not the stage's last failed guess.
 Rounds that certify end the stage "solved" at their point; rounds that fail
 leave the Newton loop where it was. The trace holds Newton steps only. On
 the first 64 dense_medium inputs of seed 0, 32 of 40 attempts certify, all
-on the half-active inputs, which then take 6 factorizations (median) where
-Newton alone takes 15-16.5. Smaller solves never run rounds, so a fleet
-solve's trace is the record of Newton's convergence that the tests read.
+on the half-active inputs, which then take 7 factorizations (median) where
+Newton alone takes 15-16.5; no round falls back to LU. Smaller solves
+never run rounds, so a fleet solve's trace is Newton's alone.
 
 The package exports ``solve`` with its three settings (``SolverConfig``:
 accuracy and budgets) and result types; the method's parameters are module
@@ -86,9 +86,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .jacobian import _DENSE_MAX, KktMatrix, _Jacobian, active_set_matrix, checked_solve
+from .jacobian import _DENSE_MAX, KktMatrix, _Jacobian, active_set_solve, checked_solve
 from .ncp import phi_derivative_vec, phi_vec
 from .problem import Iterate, KktError, QpProblem, _kkt_norms, infeasibility_error, kkt_error
 from .problem import validate_problem
@@ -205,10 +204,11 @@ class SolveResult:
     ``factorizations`` counts the rungs of the perturbation ladder tried
     (all of them on a step that no rung can take), each one LU of J + eps I
     or the two Cholesky factorizations of its reduced form (see
-    ``fbqp.jacobian``), and the active-set rounds, one LU each, of a warm
-    start or from the Newton iterates of a solve with n + p + q above
-    ``fbqp.jacobian._DENSE_MAX``. ``trace`` and ``inner_iterations`` do
-    not count the rounds: those count Newton steps.
+    ``fbqp.jacobian``), and those of ``fbqp.jacobian.active_set_solve`` in
+    the active-set rounds (of H once per solve, then each Schur complement
+    and LU) of a warm start or from the Newton iterates of a solve with
+    n + p + q above ``fbqp.jacobian._DENSE_MAX``. ``trace`` and
+    ``inner_iterations`` do not count the rounds: those count Newton steps.
     """
 
     iterate: Iterate
@@ -229,14 +229,16 @@ class SolveResult:
         return len(self.trace)
 
 
-def residual(kkt: KktMatrix, x: np.ndarray, sigma: float, center: np.ndarray) -> Evaluation:
+def residual(
+    kkt: KktMatrix, x: np.ndarray, sigma: float, center: np.ndarray, lin: np.ndarray | None = None
+) -> Evaluation:
     """Evaluate the regularized residual R and the KKT error at a stacked point.
 
     This is the one evaluation of a point: one product lin = K x + c gives
-    the gradient of the Lagrangian, G z - h and the slack. R is
-    ``sign * lin + sigma (x - center)`` on its first n + p rows and phi of
-    the slack and v on the rest. Shapes are not checked here; ``solve``
-    checks its start once.
+    the gradient of the Lagrangian, G z - h and the slack, unless ``lin``
+    passes it in. R is ``sign * lin + sigma (x - center)`` on its first
+    n + p rows and phi of the slack and v on the rest. Shapes are not
+    checked here; ``solve`` checks its start once.
 
     Args:
         kkt: the problem's ``KktMatrix``.
@@ -246,7 +248,7 @@ def residual(kkt: KktMatrix, x: np.ndarray, sigma: float, center: np.ndarray) ->
         center: proximal center, of x's shape; only its z and lam rows enter.
     """
     n, n_p = kkt.problem.n, kkt.sign.size
-    lin = kkt.matrix @ x + kkt.offset
+    lin = kkt.matrix @ x + kkt.offset if lin is None else lin
     slack, v = -lin[n_p:], x[n_p:]
     r = np.empty_like(x)
     r[:n_p] = kkt.sign * lin[:n_p] + sigma * (x[:n_p] - center[:n_p])
@@ -365,27 +367,25 @@ def _active_set_rounds(
 
     Returns:
         (the point of the round whose KKT error, read from K x + c, is
-        within ``config.tol_kkt``, or None when no round's is; rounds run,
-        one LU each).
+        within ``config.tol_kkt``, or None when no round's is; the
+        factorizations of ``fbqp.jacobian.active_set_solve``).
     """
     n_p = kkt.sign.size
-    previous = math.inf
-    for rounds in range(1, config.max_inner + 1):
+    previous, factorizations = math.inf, 0
+    for _ in range(config.max_inner):
         keep = np.concatenate((np.arange(n_p), n_p + np.flatnonzero(x[n_p:] > point.slack)))
-        k_s = active_set_matrix(kkt, keep)
-        _, _, solution, info = lapack.dgesv(k_s, -kkt.offset[keep], overwrite_a=1, overwrite_b=1)
-        if info:
-            break  # an exactly singular K_S, such as a singular H with S empty
-        x = np.zeros_like(x)
-        x[keep] = solution
-        point = residual(kkt, x, 0.0, x)
+        x, lin, count = active_set_solve(kkt, keep)
+        factorizations += count
+        if x is None:
+            break  # a singular K_S, such as a singular H with S empty
+        point = residual(kkt, x, 0.0, x, lin)
         error = point.error.max_error()
         if error <= config.tol_kkt:
-            return x, rounds
+            return x, factorizations
         if not error < previous:
             break
         previous = error
-    return None, rounds
+    return None, factorizations
 
 
 def _stage(

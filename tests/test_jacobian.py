@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from fbqp import GeneratorSpec, Iterate, QpProblem, random_problem
-from fbqp.jacobian import _DENSE_MAX, KktMatrix, _Jacobian, active_set_matrix
+from fbqp.jacobian import _DENSE_MAX, KktMatrix, _Jacobian, active_set_matrix, active_set_solve
 from fbqp.jacobian import backward_error_passes, checked_solve, dense_solve, reduced_solve
 from fbqp.ncp import phi_derivative_vec
 from fbqp.solver import _newton_direction, assemble_jacobian, residual
@@ -378,3 +379,92 @@ def test_failed_check_makes_one_solve(monkeypatch, path):
     rhs = np.ones(problem.n + problem.p + problem.q)
     assert checked_solve(KktMatrix(problem), d_y, d_v, SIGMA, rhs) == (None, None)
     assert len(solves) == 1
+
+
+def _keep(problem, rows):
+    """The stacked indices of z, lambda and the inequality rows ``rows``."""
+    n_p = problem.n + problem.p
+    return np.concatenate((np.arange(n_p), n_p + np.asarray(rows, dtype=int)))
+
+
+def _lu(kkt, keep):
+    """x[keep] from one LU of K_S, as the fallback computes it."""
+    _, _, solution, info = lapack.dgesv(active_set_matrix(kkt, keep), -kkt.offset[keep])
+    assert info == 0
+    return solution
+
+
+@pytest.mark.parametrize(
+    "n, p, q, size",
+    [(8, 0, 10, 4), (8, 2, 10, 0), (8, 0, 10, 0), (8, 2, 10, 6), (8, 0, 10, 8), (30, 3, 40, 15)],
+    ids=["no-equalities", "empty-S", "no-rows", "square", "square-no-equalities", "medium"],
+)
+def test_active_set_solve_matches_lu(n, p, q, size):
+    # Strictly convex H: the range-space solve passes its check, so no LU
+    # runs; the Cholesky factor of H is made once per KktMatrix and each
+    # call adds one Schur complement when p + |S| > 0. p + |S| = n on the
+    # square cases.
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        problem, _ = random_problem(GeneratorSpec(n=n, p=p, q=q, seed=seed))
+        kkt = KktMatrix(problem)
+        schur = int(p + size > 0)
+        for call in range(3):
+            keep = _keep(problem, np.sort(rng.choice(q, size, replace=False)))
+            x, lin, factored = active_set_solve(kkt, keep)
+            assert factored == schur + (call == 0)
+            off = np.ones(x.size, dtype=bool)
+            off[keep] = False
+            assert not x[off].any()
+            assert lin.tobytes() == (kkt.matrix @ x + kkt.offset).tobytes()
+            rhs, k_s = -kkt.offset[keep], active_set_matrix(kkt, keep)
+            norm = lambda: np.linalg.norm(k_s, np.inf)  # noqa: E731
+            assert backward_error_passes(lin[keep], rhs, x[keep], norm)
+            lu = _lu(kkt, keep)
+            assert backward_error_passes(k_s @ lu - rhs, rhs, lu, norm)
+            _close(x[keep], lu)
+
+
+@pytest.mark.parametrize(
+    "seed, size, path", [(0, 5, "cholesky-of-H"), (2, 5, "schur-complement"), (2, 2, "check")]
+)
+def test_psd_only_hessian_takes_the_lu(monkeypatch, seed, size, path):
+    # H has a null direction. dpotrf finds it on seed 0 and passes on
+    # roundoff on seed 2, where W W' then fails to factor or, with fewer
+    # rows in S, the range-space x fails its check. Each time x has the bits
+    # of one LU of K_S, which is well conditioned here.
+    problem, _ = random_problem(GeneratorSpec(
+        n=6, p=1, q=8, activity_fraction=0.5, strictly_convex=False, seed=seed
+    ))
+    checks = []
+
+    def recorded(*args):
+        checks.append(backward_error_passes(*args))
+        return checks[-1]
+
+    monkeypatch.setattr("fbqp.jacobian.backward_error_passes", recorded)
+    kkt = KktMatrix(problem)
+    keep = _keep(problem, range(size))
+    x, lin, factored = active_set_solve(kkt, keep)
+    assert x[keep].tobytes() == _lu(kkt, keep).tobytes()
+    assert lin.tobytes() == (kkt.matrix @ x + kkt.offset).tobytes()
+    # The Cholesky factorization of H, the Schur complement when H passed,
+    # and the LU.
+    expected = {
+        "cholesky-of-H": (True, 2, []),
+        "schur-complement": (False, 3, []),
+        "check": (False, 3, [False]),
+    }
+    assert (kkt.range_space is False, factored, checks) == expected[path]
+
+
+def test_guess_that_cannot_fit_makes_no_factorization(monkeypatch):
+    # p + |S| = 1 + 6 > n = 5 rows: [G; A_S] has dependent rows, so K_S is
+    # singular, and the solve returns before any factorization.
+    problem, _ = random_problem(GeneratorSpec(n=5, p=1, q=8, seed=3))
+    calls = []
+    for name in ("dpotrf", "dgesv"):
+        monkeypatch.setattr(lapack, name, lambda *args, name=name, **kw: calls.append(name))
+    kkt = KktMatrix(problem)
+    assert active_set_solve(kkt, _keep(problem, range(6))) == (None, None, 0)
+    assert calls == [] and kkt.range_space is None

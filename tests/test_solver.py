@@ -846,11 +846,12 @@ def test_warm_started_path_ends_in_active_set_rounds(seed):
 
 def test_singular_first_round_falls_through_to_newton():
     # PSD-only H. At the warm start v = 0 lies below the slack 1, so the
-    # first guess is S empty, and K_S = H is singular.
+    # first guess is S empty, and K_S = H is singular: the Cholesky
+    # factorization of H fails, and so does the LU of K_S that follows.
     problem = QpProblem(H=np.diag([1.0, 0.0]), f=[0.0, -1.0], A=[[0.0, 1.0]], b=[1.0])
     warm = Iterate([0.0, 0.0], [], [0.0])
     kkt, x = KktMatrix(problem), _stacked(warm)
-    assert _active_set_rounds(kkt, x, residual(kkt, x, 0.0, x), SolverConfig()) == (None, 1)
+    assert _active_set_rounds(kkt, x, residual(kkt, x, 0.0, x), SolverConfig()) == (None, 2)
     result = solve(problem, warm_start=warm)
     assert result.solved
     assert result.inner_iterations > 0
@@ -884,14 +885,14 @@ def test_random_warm_start_keeps_the_cold_status(strictly_convex):
 
 
 def _recorded_rounds(monkeypatch):
-    """Patch ``_active_set_rounds`` to also append (certified, rounds) of
-    each call to the list returned."""
+    """Patch ``_active_set_rounds`` to also append (certified,
+    factorizations) of each call to the list returned."""
     calls = []
 
     def recorded(*args):
-        certified, rounds = _active_set_rounds(*args)
-        calls.append((certified is not None, rounds))
-        return certified, rounds
+        certified, factorizations = _active_set_rounds(*args)
+        calls.append((certified is not None, factorizations))
+        return certified, factorizations
 
     monkeypatch.setattr("fbqp.solver._active_set_rounds", recorded)
     return calls
@@ -940,7 +941,11 @@ def test_medium_solve_with_rounds_stays_solved(monkeypatch, activity, strictly_c
         monkeypatch.setattr("fbqp.solver._DENSE_MAX", problem.n + problem.p + problem.q)
         newton = solve(problem)
         assert result.trace == newton.trace
-        assert result.factorizations == newton.factorizations + sum(k for _, k in calls)
+        # One attempt: the Cholesky factorization of H and one Schur
+        # complement; its second guess has p + |S| > n, which ends the
+        # rounds before any factorization.
+        assert calls == [(False, 2)]
+        assert result.factorizations == newton.factorizations + 2
 
 
 def test_solve_deterministic_trace():

@@ -37,11 +37,12 @@ KKT error entries, the inner iteration and factorization counts, every
 trace record and the certificate. ``outer_iterations`` is kept beside it:
 the set's digest covers both. ``--items N`` keeps the first N inputs of
 each set. ``--each`` also prints
-``name index outer_iterations status factorizations sha256`` for every
-result, so a diff of two runs shows which results changed, whether their
-status moved and whether only their stage or factorization count did. The
-status and factorization count on that line are printed outside the set's
-digest, so the default output is the same with or without ``--each``.
+``name index outer_iterations status inner_iterations factorizations sha256``
+for every result, so a diff of two runs shows which results changed, whether
+their status moved and whether only their stage, Newton step or
+factorization count did. The status and the two counts on that line are
+printed outside the set's digest, so the default output is the same with or
+without ``--each``.
 
 BLAS is pinned to one thread before numpy is imported.
 """
@@ -168,8 +169,8 @@ def main(argv=None) -> None:
             outer, sha = result.outer_iterations, result_hash(result, *extras)
             digest.update(f"{outer} {sha}\n".encode())
             if args.each:
-                status = result.status.value
-                print(f"{name} {count - 1} {outer} {status} {result.factorizations} {sha}")
+                status, inner = result.status.value, result.inner_iterations
+                print(f"{name} {count - 1} {outer} {status} {inner} {result.factorizations} {sha}")
         print(f"{name} {count} {digest.hexdigest()}", flush=True)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io as qpio
 from .oracle import OracleStatus, active_set_solve
-from .problem import GeneratorSpec, infeasibility_error, kkt_error, random_problem
+from .problem import GeneratorSpec, Iterate, infeasibility_error, kkt_error, random_problem
 from .solver import SolveStatus, SolverConfig, solve
 
 __all__ = ["build_parser", "cli_main", "main"]
@@ -94,22 +94,28 @@ def _format_vector(vec: np.ndarray) -> str:
     return np.array2string(vec, max_line_width=100000, separator=", ")
 
 
+def _read_point(path: str, problem, block: str) -> Iterate:
+    """The point (z, lambda, v) in the file at ``path``, checked against the
+    problem's shapes: a bare {"z", "lambda", "v"} object, or the ``block``
+    of a report that carries one."""
+    with open(path, "r", encoding="utf-8") as handle:
+        document = qpio._decode(handle.read(), "solution")
+    if "z" not in document:
+        if block not in document:
+            raise qpio.ProblemFormatError(f"no {block} in {path}")
+        document = document[block]
+    return qpio.parse_solution(document, n=problem.n, p=problem.p, q=problem.q)
+
+
 def _cmd_solve(args) -> int:
     problem, _ = qpio.load_problem(args.problem)
     config = SolverConfig(tol_kkt=args.tol, max_outer=args.max_outer, max_inner=args.max_inner)
-    warm = None
-    if args.warm_start:
-        with open(args.warm_start, "r", encoding="utf-8") as handle:
-            warm = qpio.parse_solution(
-                handle.read(), n=problem.n, p=problem.p, q=problem.q
-            )
+    warm = _read_point(args.warm_start, problem, "solution") if args.warm_start else None
     result = solve(problem, config, warm_start=warm)
     if args.trace:
         qpio.write_trace(result.trace, args.trace)
     if result.status is SolveStatus.INVALID_PROBLEM:
-        print("error: problem failed validation; run with a well-formed problem",
-              file=sys.stderr)
-        return 1
+        raise ValueError("problem failed validation; run with a well-formed problem")
     objective = problem.objective(result.iterate.z)
     if args.json:
         report = {
@@ -143,17 +149,9 @@ def _cmd_check(args) -> int:
     problem, embedded = qpio.load_problem(args.problem)
     if args.certificate:
         return _check_certificate(problem, args)
-    if args.solution:
-        with open(args.solution, "r", encoding="utf-8") as handle:
-            iterate = qpio.parse_solution(
-                handle.read(), n=problem.n, p=problem.p, q=problem.q
-            )
-    elif embedded is not None:
-        iterate = embedded
-    else:
-        print("error: no solution to check; pass --solution or embed one",
-              file=sys.stderr)
-        return 1
+    iterate = _read_point(args.solution, problem, "solution") if args.solution else embedded
+    if iterate is None:
+        raise ValueError("no solution to check; pass --solution or embed one")
     kkt = kkt_error(problem, iterate)
     ok = kkt.within(args.tol)
     if args.json:
@@ -168,13 +166,7 @@ def _cmd_check(args) -> int:
 
 
 def _check_certificate(problem, args) -> int:
-    with open(args.certificate, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if isinstance(document, dict) and "z" not in document:
-        if "certificate" not in document:
-            raise qpio.ProblemFormatError(f"no certificate in {args.certificate}")
-        document = document["certificate"]
-    ray = qpio.parse_solution(document, n=problem.n, p=problem.p, q=problem.q)
+    ray = _read_point(args.certificate, problem, "certificate")
     error = infeasibility_error(problem, ray)
     ok = error <= args.tol
     if args.json:
@@ -188,17 +180,13 @@ def _check_certificate(problem, args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        spec = GeneratorSpec(
-            n=args.n,
-            p=args.p,
-            q=args.q,
-            activity_fraction=args.active_frac,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spec = GeneratorSpec(
+        n=args.n,
+        p=args.p,
+        q=args.q,
+        activity_fraction=args.active_frac,
+        seed=args.seed,
+    )
     problem, planted = random_problem(spec)
     qpio.save_problem(
         args.output, problem, solution=planted,
@@ -212,9 +200,7 @@ def _cmd_oracle(args) -> int:
     problem, _ = qpio.load_problem(args.problem)
     outcome = active_set_solve(problem)
     if outcome.status is OracleStatus.TOO_LARGE:
-        print(f"error: oracle enumeration refuses q = {problem.q} > 16 inequalities",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"oracle enumeration refuses q = {problem.q} > 16 inequalities")
     if args.json:
         document = {"status": outcome.status.value,
                     "multiplicity_flag": outcome.multiplicity_flag}

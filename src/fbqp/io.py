@@ -149,6 +149,19 @@ def _parse_dim(doc: dict, name: str, minimum: int) -> int:
     return value
 
 
+def _decode(document: Any, what: str) -> dict:
+    """The JSON object in JSON text, or an already-decoded ``document``;
+    ``what`` names it in the error for any other value."""
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise ProblemFormatError(f"not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ProblemFormatError(f"{what} must be a JSON object")
+    return document
+
+
 def parse_problem(document: str | dict) -> tuple[QpProblem, Iterate | None]:
     """Parse a problem document from JSON text or an already-decoded dict.
 
@@ -159,13 +172,7 @@ def parse_problem(document: str | dict) -> tuple[QpProblem, Iterate | None]:
     Raises:
         ProblemFormatError: naming the offending field.
     """
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ProblemFormatError("document must be a JSON object")
+    document = _decode(document, "document")
     version = document.get("version")
     if version != FORMAT_VERSION:
         raise ProblemFormatError(
@@ -199,13 +206,7 @@ def parse_solution(
     a "solution" key (so a solver's JSON report can be fed back directly).
     Dimensions are checked when given.
     """
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ProblemFormatError("solution must be a JSON object")
+    document = _decode(document, "solution")
     if "z" not in document and isinstance(document.get("solution"), dict):
         document = document["solution"]
     if "z" not in document:

@@ -95,7 +95,7 @@ class KktMatrix:
         self.offset = np.concatenate((problem.f, -problem.h, -problem.b))
         self.sign = np.ones(n + p)
         self.sign[n:] = -1.0
-        # ``active_set_solve``'s (L, [-f'; G; A] L^-T), H = L L'; False if H is not PD.
+        # ``active_set_solve``'s (L, [-f'; G; A] L^-T), H = L L'; False once it failed.
         self.range_space = None
 
 
@@ -223,8 +223,9 @@ def active_set_solve(
     1974): with H = L L', W = [G; A_S] L^-T and t = L^-1 (-f), u solves
     W W' u = W t - [h; b_S] and z = L^-T (t - W'u). When H or W W' is not
     positive definite, or x fails ``backward_error_passes`` on
-    (K x + c)[keep], x comes from one LU of K_S. x is None when K_S is
-    singular: LU meets a zero pivot, or p + |S| > n (no factorization).
+    (K x + c)[keep], x comes from one LU of K_S, as it does on every later
+    call with this ``kkt``. x is None when K_S is singular: LU meets a zero
+    pivot, or p + |S| > n (no factorization).
     """
     n, rhs = kkt.problem.n, -kkt.offset[keep]
     if rhs.size > 2 * n:
@@ -252,6 +253,7 @@ def active_set_solve(
             norm = lambda: np.linalg.norm(active_set_matrix(kkt, keep), np.inf)  # noqa: E731
             if backward_error_passes(lin[keep], rhs, x, norm):
                 return x, lin, factored
+        kkt.range_space = False  # the rest of the solve's rounds take the LU
     k_s = active_set_matrix(kkt, keep)
     _, _, solution, info = lapack.dgesv(k_s, rhs, overwrite_a=1, overwrite_b=1)
     if info:

@@ -101,36 +101,22 @@ class QpProblem:
         if f.shape != (n,):
             raise ValueError(f"f must have shape ({n},), got {f.shape}")
 
-        if G is None:
-            G = np.zeros((0, n))
-        G = _as_float_array(G, "G")
-        if G.ndim != 2 or G.shape[1] != n:
-            raise ValueError(f"G must have shape (p, {n}), got {G.shape}")
-        p = G.shape[0]
-        if h is None and p == 0:
-            h = np.zeros(0)
-        h = _as_float_array(h, "h")
-        if h.shape != (p,):
-            raise ValueError(f"h must have shape ({p},), got {h.shape}")
-
-        if A is None:
-            A = np.zeros((0, n))
-        A = _as_float_array(A, "A")
-        if A.ndim != 2 or A.shape[1] != n:
-            raise ValueError(f"A must have shape (q, {n}), got {A.shape}")
-        q = A.shape[0]
-        if b is None and q == 0:
-            b = np.zeros(0)
-        b = _as_float_array(b, "b")
-        if b.shape != (q,):
-            raise ValueError(f"b must have shape ({q},), got {b.shape}")
+        # The constraint pairs (G, h) with p rows and (A, b) with q rows.
+        pairs = []
+        for (mat_name, vec_name, size), mat, vec in zip(("Ghp", "Abq"), (G, A), (h, b)):
+            mat = _as_float_array(np.zeros((0, n)) if mat is None else mat, mat_name)
+            if mat.ndim != 2 or mat.shape[1] != n:
+                raise ValueError(f"{mat_name} must have shape ({size}, {n}), got {mat.shape}")
+            rows = mat.shape[0]
+            vec = _as_float_array(np.zeros(0) if vec is None and rows == 0 else vec, vec_name)
+            if vec.shape != (rows,):
+                raise ValueError(f"{vec_name} must have shape ({rows},), got {vec.shape}")
+            pairs += [mat, vec]
 
         asym = _inf_norm((H - H.T).ravel()) if np.all(np.isfinite(H)) else 0.0
         H = 0.5 * (H + H.T)
 
-        for field_name, value in (
-            ("H", H), ("f", f), ("G", G), ("h", h), ("A", A), ("b", b),
-        ):
+        for field_name, value in zip(("H", "f", "G", "h", "A", "b"), (H, f, *pairs)):
             value.setflags(write=False)
             object.__setattr__(self, field_name, value)
         object.__setattr__(self, "hessian_asymmetry", float(asym))

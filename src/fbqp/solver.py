@@ -229,15 +229,13 @@ class SolveResult:
         return len(self.trace)
 
 
-def residual(
-    kkt: KktMatrix, x: np.ndarray, sigma: float, center: np.ndarray, lin: np.ndarray | None = None
-) -> Evaluation:
+def residual(kkt: KktMatrix, x: np.ndarray, sigma: float, center: np.ndarray) -> Evaluation:
     """Evaluate the regularized residual R and the KKT error at a stacked point.
 
     This is the one evaluation of a point: one product lin = K x + c gives
-    the gradient of the Lagrangian, G z - h and the slack, unless ``lin``
-    passes it in. R is ``sign * lin + sigma (x - center)`` on its first
-    n + p rows and phi of the slack and v on the rest. Shapes are not
+    the gradient of the Lagrangian, G z - h and the slack. R is
+    ``sign * lin + sigma (x - center)`` on its first n + p rows and phi of
+    the slack and v on the rest. Shapes are not
     checked here; ``solve`` checks its start once.
 
     Args:
@@ -248,7 +246,7 @@ def residual(
         center: proximal center, of x's shape; only its z and lam rows enter.
     """
     n, n_p = kkt.problem.n, kkt.sign.size
-    lin = kkt.matrix @ x + kkt.offset if lin is None else lin
+    lin = kkt.matrix @ x + kkt.offset
     slack, v = -lin[n_p:], x[n_p:]
     r = np.empty_like(x)
     r[:n_p] = kkt.sign * lin[:n_p] + sigma * (x[:n_p] - center[:n_p])
@@ -362,24 +360,25 @@ def _certificate(problem: QpProblem, x: np.ndarray, center: np.ndarray) -> Itera
 def _active_set_rounds(
     kkt: KktMatrix, x: np.ndarray, point: Evaluation, config: SolverConfig
 ) -> tuple[np.ndarray | None, int]:
-    """Active-set rounds from the stacked point x, with ``point`` its
-    ``residual`` at sigma = 0 (see the module docstring).
+    """Active-set rounds from the stacked point x, whose first guess reads
+    the slack of ``point``, a ``residual`` at x (see the module docstring).
+    Each round reads its KKT error, and its next guess, from K x + c alone.
 
     Returns:
         (the point of the round whose KKT error, read from K x + c, is
         within ``config.tol_kkt``, or None when no round's is; the
         factorizations of ``fbqp.jacobian.active_set_solve``).
     """
-    n_p = kkt.sign.size
-    previous, factorizations = math.inf, 0
+    n, n_p = kkt.problem.n, kkt.sign.size
+    slack, previous, factorizations = point.slack, math.inf, 0
     for _ in range(config.max_inner):
-        keep = np.concatenate((np.arange(n_p), n_p + np.flatnonzero(x[n_p:] > point.slack)))
+        keep = np.concatenate((np.arange(n_p), n_p + np.flatnonzero(x[n_p:] > slack)))
         x, lin, count = active_set_solve(kkt, keep)
         factorizations += count
         if x is None:
             break  # a singular K_S, such as a singular H with S empty
-        point = residual(kkt, x, 0.0, x, lin)
-        error = point.error.max_error()
+        slack = -lin[n_p:]
+        error = _kkt_norms(lin[:n], lin[n:n_p], slack, x[n_p:]).max_error()
         if error <= config.tol_kkt:
             return x, factorizations
         if not error < previous:

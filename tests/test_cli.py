@@ -198,7 +198,46 @@ def test_check_without_solution_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bare.json"
     save_problem(path, QpProblem(H=[[2.0]], f=[0.0]))
     assert cli_main(["check", str(path)]) == 1
-    assert "error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "error: no solution to check; pass --solution or embed one\n"
+    assert captured.out == ""
+
+
+def test_solve_of_invalid_problem_is_usage_error(tmp_path, capsys):
+    # An indefinite H fails validation: no report, and the one error line.
+    path = tmp_path / "indefinite.json"
+    save_problem(path, QpProblem(H=np.diag([1.0, -1.0]), f=[0.0, 0.0]))
+    for flags in ([], ["--json"]):
+        assert cli_main(["solve", str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: problem failed validation; run with a well-formed problem\n"
+        )
+        assert captured.out == ""
+
+
+def test_point_file_without_a_point_is_usage_error(planted_file, tmp_path, capsys):
+    # A file with neither z nor the block the command reads.
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"status": "Solved"}))
+    for command in (["check", str(planted_file), "--solution", str(other)],
+                    ["solve", str(planted_file), "--warm-start", str(other)]):
+        assert cli_main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no solution in {other}\n" and captured.out == ""
+
+
+def test_point_file_that_is_not_json_is_usage_error(planted_file, tmp_path, capsys):
+    # The same message for each of the three point files.
+    text = tmp_path / "text.txt"
+    text.write_text("not json\n")
+    for flag in ("--certificate", "--solution"):
+        assert cli_main(["check", str(planted_file), flag, str(text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: not valid JSON: Expecting value: line 1 column 1 (char 0)\n"
+        assert captured.out == ""
+    assert cli_main(["solve", str(planted_file), "--warm-start", str(text)]) == 1
+    assert capsys.readouterr().err.startswith("error: not valid JSON: ")
 
 
 def test_missing_file_exits_one(capsys):
@@ -227,7 +266,8 @@ def test_no_subcommand_prints_usage(capsys):
 def test_gen_rejects_bad_spec(tmp_path, capsys):
     out = tmp_path / "never.json"
     assert cli_main(["gen", "--n", "2", "--p", "3", "-o", str(out)]) == 1
-    assert "error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "error: p = 3 exceeds n = 2\n" and captured.out == ""
     assert not out.exists()
 
 
@@ -253,8 +293,11 @@ def test_oracle_refuses_large_problems(tmp_path, capsys):
         H=np.eye(2), f=np.zeros(2),
         A=rng.standard_normal((17, 2)), b=np.full(17, 5.0),
     ))
-    assert cli_main(["oracle", str(path)]) == 1
-    assert "16" in capsys.readouterr().err
+    for flags in ([], ["--json"]):
+        assert cli_main(["oracle", str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: oracle enumeration refuses q = 17 > 16 inequalities\n"
+        assert captured.out == ""
 
 
 def test_json_outputs_are_deterministic(planted_file, capsys):

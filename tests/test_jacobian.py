@@ -451,11 +451,16 @@ def test_psd_only_hessian_takes_the_lu(monkeypatch, seed, size, path):
     # The Cholesky factorization of H, the Schur complement when H passed,
     # and the LU.
     expected = {
-        "cholesky-of-H": (True, 2, []),
-        "schur-complement": (False, 3, []),
-        "check": (False, 3, [False]),
+        "cholesky-of-H": (2, []),
+        "schur-complement": (3, []),
+        "check": (3, [False]),
     }
-    assert (kkt.range_space is False, factored, checks) == expected[path]
+    assert (factored, checks) == expected[path]
+    # Every fallback gives up the range-space path for this KktMatrix: the
+    # next call goes straight to the LU.
+    assert kkt.range_space is False
+    again, _, factored = active_set_solve(kkt, keep)
+    assert again.tobytes() == x.tobytes() and (factored, checks) == (1, expected[path][1])
 
 
 def test_guess_that_cannot_fit_makes_no_factorization(monkeypatch):

@@ -18,7 +18,7 @@ from fbqp import (
     random_problem,
     solve,
 )
-from fbqp.jacobian import KktMatrix, _Jacobian, dense_solve, reduced_solve
+from fbqp.jacobian import KktMatrix, _Jacobian, active_set_solve, dense_solve, reduced_solve
 from fbqp.ncp import phi_derivative_vec
 from fbqp.solver import (
     _LADDER,
@@ -856,6 +856,44 @@ def test_singular_first_round_falls_through_to_newton():
     assert result.solved
     assert result.inner_iterations > 0
     np.testing.assert_allclose(result.iterate.z, [0.0, 1.0], atol=1e-8)
+
+
+def test_active_set_rounds_evaluate_no_phi(monkeypatch):
+    # A round reads its KKT error and its next guess from K x + c alone; phi
+    # enters only through the slack of the point the rounds start from.
+    problem, planted = random_problem(
+        GeneratorSpec(n=8, p=2, q=8, activity_fraction=0.5, seed=0)
+    )
+    kkt = KktMatrix(problem)
+    x = _stacked(planted) + 1e-3 * np.random.default_rng(0).standard_normal(18)
+    point = residual(kkt, x, 0.0, x)
+    calls = []
+    monkeypatch.setattr("fbqp.solver.phi_vec", lambda *args: calls.append(args))
+    certified, factorizations = _active_set_rounds(kkt, x, point, SolverConfig())
+    assert certified is not None and factorizations == 2
+    assert calls == []
+
+
+def test_psd_medium_spec_makes_one_failing_schur_attempt(monkeypatch):
+    # CI's psd-medium.json: the Cholesky factorization of its singular H
+    # passes on roundoff, so the first round factors H and a Schur
+    # complement that fails, then takes the LU of K_S; the later rounds take
+    # the LU straight away.
+    problem, _ = random_problem(GeneratorSpec(
+        n=40, p=4, q=40, activity_fraction=0.5, strictly_convex=False, seed=1
+    ))
+    calls = []
+
+    def recorded(kkt, keep):
+        tried = kkt.range_space is not False
+        out = active_set_solve(kkt, keep)
+        calls.append((tried, out[2]))
+        return out
+
+    monkeypatch.setattr("fbqp.solver.active_set_solve", recorded)
+    result = solve(problem)
+    assert result.solved and result.factorizations == 7
+    assert calls == [(True, 3), (False, 1), (False, 1)]
 
 
 def test_warm_started_infeasible_problems_keep_their_certificates():

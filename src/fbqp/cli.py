@@ -16,6 +16,7 @@ problems and oversized oracle calls), 2 honest negative outcomes
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -97,14 +98,18 @@ def _format_vector(vec: np.ndarray) -> str:
 def _read_point(path: str, problem, block: str) -> Iterate:
     """The point (z, lambda, v) in the file at ``path``, checked against the
     problem's shapes: a bare {"z", "lambda", "v"} object, or the ``block``
-    of a report that carries one."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = qpio._decode(handle.read(), "solution")
-    if "z" not in document:
+    of a report that carries one. Errors name ``block``."""
+    point = functools.partial(qpio.parse_solution, n=problem.n, p=problem.p, q=problem.q)
+
+    def unwrap(document: dict) -> Iterate:
+        if "z" in document:
+            return point(document)
         if block not in document:
             raise qpio.ProblemFormatError(f"no {block} in {path}")
-        document = document[block]
-    return qpio.parse_solution(document, n=problem.n, p=problem.p, q=problem.q)
+        return qpio._decode(document[block], block, point)
+
+    with open(path, "r", encoding="utf-8") as handle:
+        return qpio._decode(handle.read(), block, unwrap)
 
 
 def _cmd_solve(args) -> int:

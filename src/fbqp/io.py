@@ -21,8 +21,8 @@ mismatches, each with the offending field named.
 
 Serialization always writes dense rows and round-trips every float exactly
 via repr. Its output is byte-identical to ``json.dumps(document, indent=2,
-sort_keys=True)`` plus a newline, which tests/test_io.py pins; a small
-writer produces it, since json's indenting encoder runs in pure Python.
+sort_keys=True)`` plus a newline, which tests/test_io.py pins. orjson reads and
+writes the text; _decode and _json_array say where json and repr step in.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from __future__ import annotations
 import io as _io
 import json
 import math
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
+import orjson
 
 from .problem import Iterate, QpProblem
 
@@ -149,17 +150,23 @@ def _parse_dim(doc: dict, name: str, minimum: int) -> int:
     return value
 
 
-def _decode(document: Any, what: str) -> dict:
-    """The JSON object in JSON text, or an already-decoded ``document``;
-    ``what`` names it in the error for any other value."""
+def _decode(document: Any, what: str, parse: Callable[[dict], Any]) -> Any:
+    """``parse`` of the JSON object in JSON text or already-decoded ``document``
+    (``what`` names it in the error for any other value). json.loads decodes
+    again text that orjson refuses (NaN, 1e999) or whose orjson value ``parse``
+    refuses (2**64 is a float there), so json's values and messages stand."""
     if isinstance(document, str):
+        try:
+            return _decode(orjson.loads(document), what, parse)
+        except (orjson.JSONDecodeError, ProblemFormatError):
+            pass
         try:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ProblemFormatError(f"{what} must be a JSON object")
-    return document
+    return parse(document)
 
 
 def parse_problem(document: str | dict) -> tuple[QpProblem, Iterate | None]:
@@ -172,7 +179,8 @@ def parse_problem(document: str | dict) -> tuple[QpProblem, Iterate | None]:
     Raises:
         ProblemFormatError: naming the offending field.
     """
-    document = _decode(document, "document")
+    if not isinstance(document, dict):
+        return _decode(document, "document", parse_problem)
     version = document.get("version")
     if version != FORMAT_VERSION:
         raise ProblemFormatError(
@@ -206,7 +214,8 @@ def parse_solution(
     a "solution" key (so a solver's JSON report can be fed back directly).
     Dimensions are checked when given.
     """
-    document = _decode(document, "solution")
+    if not isinstance(document, dict):
+        return _decode(document, "solution", lambda document: parse_solution(document, n, p, q))
     if "z" not in document and isinstance(document.get("solution"), dict):
         document = document["solution"]
     if "z" not in document:
@@ -231,23 +240,24 @@ def _solution_doc(iterate: Iterate) -> dict:
     return {"z": iterate.z.tolist(), "lambda": iterate.lam.tolist(), "v": iterate.v.tolist()}
 
 
-def _json_floats(values: list, depth: int) -> list[str]:
-    """A list (of lists) of floats as json.dumps(indent=2) lays it out at
-    `depth`, in pieces for serialize_problem's one join: concatenating a
-    matrix's text into ever larger strings costs time and peak memory."""
-    if not values:
-        return ["[]"]
-    pad = "\n" + "  " * (depth + 1)
-    if isinstance(values[0], list):
-        items = ["".join(_json_floats(row, depth + 1)) for row in values]
-    else:
-        items = map(float.__repr__, values)
-    return ["[", pad, ("," + pad).join(items), "\n" + "  " * depth + "]"]
-
-
-def _json_array(arr: np.ndarray, depth: int, name: str) -> list[str]:
+def _json_array(arr: np.ndarray, depth: int, name: str) -> str:
+    """A float vector or matrix as json.dumps(indent=2) lays it out at ``depth``."""
     _require_finite(arr, name)
-    return _json_floats(arr.tolist(), depth)
+    options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2
+    text = orjson.dumps(np.ascontiguousarray(arr), option=options).decode()
+    # orjson writes a float as repr does for zero and 1e-4 <= |x| < 1e16; repr
+    # writes other magnitudes with an exponent (1e-05, 1e+16), orjson without.
+    size = np.abs(arr).ravel()
+    exponent = np.flatnonzero((size < 1e-4) & (size > 0) | (size >= 1e16))
+    if exponent.size:
+        lines, cols = text.split("\n"), arr.shape[-1]
+        # Entry k is on line k + 1 of a vector; in a matrix, its row's opening
+        # line and each earlier row's two bracket lines come before it too.
+        at = exponent + 1 if arr.ndim == 1 else exponent + 2 * (exponent // cols) + 2
+        for k, line in zip(exponent.tolist(), at.tolist()):
+            lines[line] = lines[line].replace(lines[line].strip(" ,"), repr(float(arr.flat[k])))
+        text = "\n".join(lines)
+    return text.replace("\n", "\n" + "  " * depth)
 
 
 def serialize_problem(
@@ -269,10 +279,10 @@ def serialize_problem(
     # Fields in sorted() order (upper-case names first); "version" is last.
     out = ["{\n"]
     for name in ("A", "G", "H"):
-        out += [f'  "{name}": {{\n    "dense": ', *_json_array(getattr(problem, name), 2, name)]
+        out += [f'  "{name}": {{\n    "dense": ', _json_array(getattr(problem, name), 2, name)]
         out.append("\n  },\n")
     for name in ("b", "f", "h"):
-        out += [f'  "{name}": ', *_json_array(getattr(problem, name), 1, name), ",\n"]
+        out += [f'  "{name}": ', _json_array(getattr(problem, name), 1, name), ",\n"]
     if metadata is not None:
         text = json.dumps(metadata, indent=2, sort_keys=True, allow_nan=False)
         out += ['  "metadata": ', text.replace("\n", "\n  "), ",\n"]
@@ -283,7 +293,7 @@ def serialize_problem(
         for key, vector, end in (
             ("lambda", solution.lam, ",\n"), ("v", solution.v, ",\n"), ("z", solution.z, "\n")
         ):
-            out += [f'    "{key}": ', *_json_array(vector, 2, "solution." + key), end]
+            out += [f'    "{key}": ', _json_array(vector, 2, "solution." + key), end]
         out.append("  },\n")
     out.append(f'  "version": {FORMAT_VERSION}\n}}\n')
     return "".join(out)

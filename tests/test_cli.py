@@ -227,6 +227,27 @@ def test_point_file_without_a_point_is_usage_error(planted_file, tmp_path, capsy
         assert captured.err == f"error: no solution in {other}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("flag, block", [("--certificate", "certificate"),
+                                         ("--solution", "solution")])
+def test_point_file_that_is_not_an_object_names_its_block(planted_file, tmp_path, flag, block,
+                                                           capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert cli_main(["check", str(planted_file), flag, str(listed)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {block} must be a JSON object\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("flag, block", [("--certificate", "certificate"),
+                                         ("--solution", "solution")])
+def test_report_block_that_is_not_an_object_names_it(planted_file, tmp_path, flag, block, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"status": "Infeasible", block: [0.0, 1.0]}))
+    assert cli_main(["check", str(planted_file), flag, str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {block} must be a JSON object\n" and captured.out == ""
+
+
 def test_point_file_that_is_not_json_is_usage_error(planted_file, tmp_path, capsys):
     # The same message for each of the three point files.
     text = tmp_path / "text.txt"

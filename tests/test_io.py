@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import orjson
 import pytest
 
 from fbqp import (
@@ -128,6 +129,45 @@ def test_parse_accepts_only_json_numbers(field, value, match):
         parse_problem(dict(MINIMAL, **{field: value}))
 
 
+# orjson reads an integer beyond 64 bits as a float, and refuses one beyond
+# the float range; the messages are those of json.loads's integers.
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"H": {"triplets": [[2**64, 0, 1.0]]}},
+         "field 'H.triplets[0]' index (18446744073709551616, 0) is outside (1, 1)"),
+        ({"H": {"triplets": [[0, -(2**63) - 1, 1.0]]}},
+         "field 'H.triplets[0]' index (0, -9223372036854775809) is outside (1, 1)"),
+        ({"n": 2**64},
+         "field 'H.dense' must be 18446744073709551616 rows of 18446744073709551616 numbers"),
+        ({"version": 2**64}, "field 'version' must be 1, got 18446744073709551616"),
+        ({"f": [10**400]}, "field 'f' contains non-finite values"),
+        ({"H": {"triplets": [[0, 0, 10**400]]}}, "field 'H.triplets[0]' value is non-finite"),
+        ({"solution": {"z": [10**400]}}, "field 'solution.z' contains non-finite values"),
+    ],
+)
+def test_integers_beyond_64_bits_keep_their_messages(change, message):
+    document = dict(MINIMAL, **change)
+    for given in (document, json.dumps(document)):
+        with pytest.raises(ProblemFormatError) as info:
+            parse_problem(given)
+        assert str(info.value) == message
+
+
+def test_parse_solution_text_keeps_its_messages():
+    for text, message in (
+        ('{"z": [1.0], "v": [18446744073709551616]}',
+         "field 'solution.v' must have length 0, got 1"),
+        ("[1.0]", "solution must be a JSON object"),
+        ('{"z": [NaN]}', "field 'solution.z' contains non-finite values"),
+        ("{", "not valid JSON: Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1)"),
+    ):
+        with pytest.raises(ProblemFormatError) as info:
+            parse_solution(text, n=1, p=0, q=0)
+        assert str(info.value) == message
+
+
 def test_parse_accepts_integer_entries():
     problem, _ = parse_problem(dict(MINIMAL, H={"triplets": [[0, 0, 2]]}, f=[-1]))
     np.testing.assert_array_equal(problem.H, [[2.0]])
@@ -230,25 +270,113 @@ def test_serialize_matches_json_indent_encoder(p, q):
                 )
 
 
+# Floats at the ends of the range 1e-4 <= |x| < 1e16, where repr writes no
+# exponent, and beyond it: the smallest subnormal, subnormals, the largest
+# normal, the neighbours of both ends and the largest float.
+EDGE_FLOATS = [
+    -0.0, 0.0, 0.1, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1e-5, 9.999999999999999e-05, 1e-4, 1e15, 9999999999999998.0, 1e16, -1e16,
+    1.7976931348623157e308,
+]
+# A seeded spread of magnitudes from 1e-20 to 1e20.
+_SPREAD_RNG = np.random.default_rng(29)
+SPREAD = (_SPREAD_RNG.choice([-1.0, 1.0], 80) * 10.0 ** _SPREAD_RNG.uniform(-20, 20, 80)).tolist()
+
+
+def _edge_problems():
+    """(problem, solutions) whose arrays hold every EDGE_FLOATS and SPREAD
+    value, for each of p and q zero or not; A is in Fortran order, and one
+    solution's vectors are strided views."""
+    values = np.array(EDGE_FLOATS + SPREAD)
+    n = len(values)
+    rng = np.random.default_rng(7)
+    # H is symmetrized on construction, so entries near the largest float stay out of it.
+    upper = np.triu(rng.choice(values[np.abs(values) < 1e300], (n, n)))
+    H = upper + np.triu(upper, 1).T
+    for p, q in ((0, 0), (0, 3), (2, 0), (2, 3)):
+        G, A = (np.array([rng.permutation(values) for _ in range(rows)]).reshape(rows, n)
+                for rows in (p, q))
+        problem = QpProblem(H, values, G, values[:p], np.asfortranarray(A), values[::-1][:q])
+        assert q < 2 or problem.A.flags.f_contiguous
+        wide = np.repeat(values, 3)
+        strided = Iterate._adopt(wide[::3], wide[1::3][:p], wide[2::3][:q])
+        assert not strided.z.flags.c_contiguous
+        yield problem, (None, Iterate(values[::-1], values[:p], values[-q:] if q else []), strided)
+
+
 def test_serialize_edge_floats_match_json_indent_encoder():
-    edges = [-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, 0.1]
-    # H is symmetrized on construction, so the largest float stays out of it.
-    problem = QpProblem(
-        H=np.diag(edges[:4] + edges[5:] + [2.0]),
-        f=edges,
-        G=[edges[::-1]],
-        h=[-5e-324],
-        A=[edges, edges],
-        b=[1e16, 0.0],
-    )
-    solutions = [Iterate(edges, [-0.0], [5e-324, 1e-5]), Iterate(edges[:6], [1e16], [0.1, -0.0])]
-    for solution in (None, *solutions):
-        text = serialize_problem(problem, solution, {"edge": edges})
-        assert text == _reference_serialize(problem, solution, {"edge": edges})
+    for problem, solutions in _edge_problems():
+        for solution in solutions:
+            text = serialize_problem(problem, solution, {"edge": EDGE_FLOATS})
+            assert text == _reference_serialize(problem, solution, {"edge": EDGE_FLOATS})
     single = QpProblem(H=[[1.0]], f=[0.0])
     assert serialize_problem(single, Iterate([2.0])) == _reference_serialize(
         single, Iterate([2.0])
     )
+
+
+def _parsed_bits(text):
+    """The bytes of every array parse_problem reads from ``text``."""
+    problem, solution = parse_problem(text)
+    arrays = [getattr(problem, name) for name in ("H", "f", "G", "h", "A", "b")]
+    if solution is not None:
+        arrays += [solution.z, solution.lam, solution.v]
+    return [array.tobytes() for array in arrays]
+
+
+def _json_bits(text):
+    """The bytes that json.loads and np.array make of the arrays in ``text``."""
+    document = json.loads(text)
+    arrays = [document[name] for name in ("H", "f", "G", "h", "A", "b")]
+    arrays = [a["dense"] if isinstance(a, dict) else a for a in arrays]
+    if "solution" in document:
+        arrays += [document["solution"].get(key, []) for key in ("z", "lambda", "v")]
+    return [np.array(a, dtype=float).reshape(-1).tobytes() for a in arrays]
+
+
+# Decimal tokens that a parser which does not round correctly gets wrong:
+# long expansions, exact midpoints between adjacent doubles (ties go to the
+# even one), a hair off a midpoint, and integers of more than 64 bits.
+HARD_TOKENS = [
+    "0.1000000000000000055511151231257827021181583404541015625",
+    "0." + "3" * 400,
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203125000000000000000000001",
+    "1.000000000000000333066907387546962127089500427246093750",
+    "9007199254740993",
+    "9007199254740993.000000000000000000000000001",
+    "2.4703282292062327208828439643411068618252990130716238221279284125033775363510437593264"
+    "991818081799618989828234772285886546332835517796989819938739800539093906315035659515570"
+    "226392290858392449105184435931802849936536152500319370457678249219365623669863658480757"
+    "001585769269903706311928279197944e-324",
+    "2.2250738585072011e-308",
+    "1.7976931348623157e308",
+    "1.7976931348623158e308",
+    "4.9406564584124654e-324",
+    "7.2057594037927933e16",
+    "18446744073709551616",
+    "-9223372036854775809",
+    "123456789012345678901234567890",
+    "1" + "0" * 300,
+    "-0",
+    "1e-400",
+]
+
+
+def test_parse_gives_the_bits_of_json_loads():
+    texts = [serialize_problem(problem, solution)
+             for problem, solutions in _edge_problems() for solution in solutions]
+    n = len(HARD_TOKENS)
+    tokens = "[" + ", ".join(HARD_TOKENS) + "]"
+    identity = json.dumps(np.eye(n).tolist())
+    texts.append(
+        f'{{"version": 1, "n": {n}, "p": 0, "q": 1, "H": {{"dense": {identity}}},'
+        f' "f": {tokens}, "G": {{"dense": []}}, "h": [], "A": {{"dense": [{tokens}]}},'
+        f' "b": [18446744073709551617], "solution": {{"z": {tokens}, "v": [-0]}}}}'
+    )
+    for text in texts:
+        orjson.loads(text)  # orjson reads every text itself: no fallback to json hides a bit
+        assert _parsed_bits(text) == _json_bits(text)
 
 
 def test_serialize_rejects_non_finite():

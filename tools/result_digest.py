@@ -3,7 +3,7 @@
 Two trees that print the same lines give bit-identical results on those
 sets. Run from the repository root, for example:
 
-    python3 tools/result_digest.py fleet:0 dense diff:0 scan medium budget
+    python3 tools/result_digest.py fleet:0 dense diff:0 scan medium budget io:0
     python3 tools/result_digest.py --items 200 fleet:0
 
 Each output line is ``name count sha256``. The inputs come from the
@@ -31,6 +31,13 @@ benchmark's workloads (``bench/workloads.py``, imported, not changed):
 - ``budget``: the first 1,000 fleet seed 0 inputs, each solved with
   ``max_outer=6`` and ``max_inner`` 1, 2 and 5 in turn (3,000 results), so
   that many stages end on their inner budget.
+- ``io:S``: the problem files of the fleet at seed S, each input with the
+  iterate of its cold solve, and of the diff_pipeline items at seed S, each
+  with the iterate of its solve as ``diff:S`` runs it. An entry's hash
+  covers the text ``serialize_problem`` writes for the problem without and
+  with the iterate, and the bytes of every array ``parse_problem`` reads
+  back from each text, so two trees that print the same line write and read
+  those files byte for byte and bit for bit alike.
 
 A result's hash covers its status, the bytes of z, lambda and v, the five
 KKT error entries, the inner iteration and factorization counts, every
@@ -38,11 +45,11 @@ trace record and the certificate. ``outer_iterations`` is kept beside it:
 the set's digest covers both. ``--items N`` keeps the first N inputs of
 each set. ``--each`` also prints
 ``name index outer_iterations status inner_iterations factorizations sha256``
-for every result, so a diff of two runs shows which results changed, whether
-their status moved and whether only their stage, Newton step or
-factorization count did. The status and the two counts on that line are
-printed outside the set's digest, so the default output is the same with or
-without ``--each``.
+for every result (``name index sha256`` for an ``io:S`` entry), so a diff of
+two runs shows which results changed, whether their status moved and
+whether only their stage, Newton step or factorization count did. The status
+and the two counts on that line are printed outside the set's digest, so the
+default output is the same with or without ``--each``.
 
 BLAS is pinned to one thread before numpy is imported.
 """
@@ -71,6 +78,7 @@ MEDIUM_SIZE = 200
 DENSE_ITEMS = 32
 BUDGET_INPUTS = 1000
 BUDGET_INNER = (1, 2, 5)
+SETS = "fleet:S, dense, diff:S, scan, medium, budget"
 
 
 def result_hash(result: fbqp.SolveResult, *extras) -> str:
@@ -92,6 +100,29 @@ def result_hash(result: fbqp.SolveResult, *extras) -> str:
     return digest.hexdigest()
 
 
+def io_hash(problem: fbqp.QpProblem, iterate: fbqp.Iterate) -> str:
+    """SHA-256 of the text of ``problem`` without and with ``iterate`` and
+    of the array bytes parsed back from each."""
+    digest = hashlib.sha256()
+    for text in (fbqp.serialize_problem(problem), fbqp.serialize_problem(problem, iterate)):
+        digest.update(text.encode())
+        back, solution = fbqp.parse_problem(text)
+        arrays = [back.H, back.f, back.G, back.h, back.A, back.b]
+        if solution is not None:
+            arrays += [solution.z, solution.lam, solution.v]
+        for array in arrays:
+            digest.update(repr(array.shape).encode())
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _io(seed: int, items: int | None):
+    for problem, _ in AcceptanceFleet(seed, items).inputs:
+        yield io_hash(problem, fbqp.solve(problem).iterate)
+    for out in _diff_items(seed, items):
+        yield io_hash(out["problem"], out["result"].iterate)
+
+
 def _fleet(seed: int, items: int | None):
     for problem, _ in AcceptanceFleet(seed, items).inputs:
         yield fbqp.solve(problem), ()
@@ -103,11 +134,16 @@ def _dense(items: int | None):
         yield fbqp.solve(problem), ()
 
 
-def _diff(seed: int, items: int | None):
+def _diff_items(seed: int, items: int | None):
+    """The outputs of diff_pipeline's ``execute`` on its items, in order."""
     # The path's period is the item count, so the full path is built and cut.
     pipeline = DiffPipeline(seed)
     for k in range(len(pipeline) if items is None else min(items, len(pipeline))):
-        out = pipeline.execute(k, {})
+        yield pipeline.execute(k, {})
+
+
+def _diff(seed: int, items: int | None):
+    for out in _diff_items(seed, items):
         yield out["result"], (out["grads"], out["sens"])
 
 
@@ -154,23 +190,34 @@ def results(name: str, items: int | None):
         return _random_specs(2026, _medium_sizes, MEDIUM_SIZE, items)
     if name in ("dense", "budget"):
         return {"dense": _dense, "budget": _budget}[name](items)
-    raise SystemExit(f"unknown set {name!r}; use fleet:S, dense, diff:S, scan, medium or budget")
+    raise SystemExit(f"unknown set {name!r}; use {SETS} or io:S")
+
+
+def entries(name: str, items: int | None):
+    """(digested line, ``--each`` fields) of each entry of the set ``name``."""
+    kind, _, seed = name.partition(":")
+    if kind == "io" and seed.isdigit():
+        for sha in _io(int(seed), items):
+            yield sha, sha
+        return
+    for result, extras in results(name, items):
+        outer, sha = result.outer_iterations, result_hash(result, *extras)
+        status, inner = result.status.value, result.inner_iterations
+        yield f"{outer} {sha}", f"{outer} {status} {inner} {result.factorizations} {sha}"
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("sets", nargs="+", help="fleet:S, dense, diff:S, scan, medium or budget")
+    parser.add_argument("sets", nargs="+", help=f"{SETS} or io:S")
     parser.add_argument("--items", type=int, help="keep the first N inputs of each set")
     parser.add_argument("--each", action="store_true", help="also print one line per result")
     args = parser.parse_args(argv)
     for name in args.sets:
         digest, count = hashlib.sha256(), 0
-        for count, (result, extras) in enumerate(results(name, args.items), 1):
-            outer, sha = result.outer_iterations, result_hash(result, *extras)
-            digest.update(f"{outer} {sha}\n".encode())
+        for count, (line, each) in enumerate(entries(name, args.items), 1):
+            digest.update(f"{line}\n".encode())
             if args.each:
-                status, inner = result.status.value, result.inner_iterations
-                print(f"{name} {count - 1} {outer} {status} {inner} {result.factorizations} {sha}")
+                print(f"{name} {count - 1} {each}")
         print(f"{name} {count} {digest.hexdigest()}", flush=True)
 
 

@@ -154,7 +154,8 @@ def _decode(document: Any, what: str, parse: Callable[[dict], Any]) -> Any:
     """``parse`` of the JSON object in JSON text or already-decoded ``document``
     (``what`` names it in the error for any other value). json.loads decodes
     again text that orjson refuses (NaN, 1e999) or whose orjson value ``parse``
-    refuses (2**64 is a float there), so json's values and messages stand."""
+    refuses (2**64 is a float there), so json's values and messages stand.
+    Text nested deeper than json.loads can recurse is not valid JSON either."""
     if isinstance(document, str):
         try:
             return _decode(orjson.loads(document), what, parse)
@@ -162,7 +163,7 @@ def _decode(document: Any, what: str, parse: Callable[[dict], Any]) -> Any:
             pass
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ProblemFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ProblemFormatError(f"{what} must be a JSON object")
@@ -243,21 +244,24 @@ def _solution_doc(iterate: Iterate) -> dict:
 def _json_array(arr: np.ndarray, depth: int, name: str) -> str:
     """A float vector or matrix as json.dumps(indent=2) lays it out at ``depth``."""
     _require_finite(arr, name)
-    options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2
-    text = orjson.dumps(np.ascontiguousarray(arr), option=options).decode()
+    document = np.ascontiguousarray(arr)
+    for _ in range(depth):  # inside depth objects, orjson indents it in place
+        document = {"": document}
+    text = orjson.dumps(document, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2).decode()
+    text = text[text.index("[") : text.rindex("]") + 1]
     # orjson writes a float as repr does for zero and 1e-4 <= |x| < 1e16; repr
     # writes other magnitudes with an exponent (1e-05, 1e+16), orjson without.
     size = np.abs(arr).ravel()
     exponent = np.flatnonzero((size < 1e-4) & (size > 0) | (size >= 1e16))
-    if exponent.size:
-        lines, cols = text.split("\n"), arr.shape[-1]
-        # Entry k is on line k + 1 of a vector; in a matrix, its row's opening
-        # line and each earlier row's two bracket lines come before it too.
-        at = exponent + 1 if arr.ndim == 1 else exponent + 2 * (exponent // cols) + 2
-        for k, line in zip(exponent.tolist(), at.tolist()):
-            lines[line] = lines[line].replace(lines[line].strip(" ,"), repr(float(arr.flat[k])))
-        text = "\n".join(lines)
-    return text.replace("\n", "\n" + "  " * depth)
+    if not exponent.size:
+        return text
+    lines, cols = text.split("\n"), arr.shape[-1]
+    # Entry k is on line k + 1 of a vector; in a matrix, its row's opening
+    # line and each earlier row's two bracket lines come before it too.
+    at = exponent + 1 if arr.ndim == 1 else exponent + 2 * (exponent // cols) + 2
+    for k, line in zip(exponent.tolist(), at.tolist()):
+        lines[line] = lines[line].replace(lines[line].strip(" ,"), repr(float(arr.flat[k])))
+    return "\n".join(lines)
 
 
 def serialize_problem(

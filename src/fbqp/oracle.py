@@ -18,6 +18,14 @@ call (LU with partial pivoting); ``slogdet``, the same LU, marks exactly
 singular systems, and the rest of their stack is solved again. The checks
 run once over all solutions, with v = 0 off the subset. The oracle uses
 none of the solver's linear algebra.
+
+When no subset is accepted, the problem has no optimum. If H is positive
+definite with a margin and G has full row rank, it is infeasible: a
+feasible problem of that kind has a unique optimum whose multipliers form a
+pointed polyhedron, and a vertex of that polyhedron gives a subset S with a
+nonsingular K_S, which the enumeration accepts. Only for other problems
+does an LP (``scipy.optimize.linprog``, imported on first use) decide
+between infeasible and unbounded.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import Iterate, QpProblem, kkt_error
+from .problem import Iterate, QpProblem, _positive_definite, kkt_error
 from .solver import SolveResult, SolveStatus
 
 __all__ = [
@@ -138,9 +146,11 @@ def active_set_solve(problem: QpProblem) -> OracleResult:
     """Enumerate all active sets and return the best KKT point found.
 
     Subsets whose bordered system is singular (to numerical tolerance) are
-    skipped. When no subset is accepted, a feasibility LP distinguishes
-    ``INFEASIBLE`` from ``UNBOUNDED``. Active-set indices are 0-based row
-    indices into A.
+    skipped. When no subset is accepted, the problem is ``INFEASIBLE`` if H
+    is positive definite with a margin (H - 1e-10 max|H_ij| I has a
+    Cholesky factor) and G has full row rank; else a feasibility LP
+    (``scipy.optimize.linprog``) distinguishes ``INFEASIBLE`` from
+    ``UNBOUNDED``. Active-set indices are 0-based row indices into A.
 
     Returns:
         ``OracleResult``; status ``TOO_LARGE`` when q exceeds
@@ -193,6 +203,9 @@ def active_set_solve(problem: QpProblem) -> OracleResult:
             accepted.append((problem.objective(iterate.z), iterate, chunk[i]))
 
     if not accepted:
+        # Infeasible without an LP on such data (module docstring).
+        if _positive_definite(problem.H) and (not p or np.linalg.matrix_rank(problem.G) == p):
+            return OracleResult(OracleStatus.INFEASIBLE, None, None, None, False)
         if _feasible_point_exists(problem):
             return OracleResult(OracleStatus.UNBOUNDED, None, None, None, False)
         return OracleResult(OracleStatus.INFEASIBLE, None, None, None, False)

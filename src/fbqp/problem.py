@@ -303,6 +303,14 @@ class ValidationReport:
         return {violation.kind for violation in self.violations}
 
 
+def _positive_definite(H: np.ndarray) -> bool:
+    """Whether H - 1e-10 max|H_ij| I has a Cholesky factor: H positive
+    definite with a margin. A plain factorization of a singular H can pass
+    on a roundoff pivot."""
+    margin = 1e-10 * np.abs(H).max(initial=0.0)
+    return not lapack.dpotrf(H - margin * np.eye(len(H)), lower=1, clean=0, overwrite_a=1)[1]
+
+
 def validate_problem(problem: QpProblem) -> ValidationReport:
     """Screen a problem for defects the solver cannot absorb.
 

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .jacobian import KktMatrix, active_set_matrix, backward_error_passes
-from .problem import QpProblem
+from .problem import QpProblem, _positive_definite
 from .solver import _SIGMA_MIN, SolveResult, SolveStatus
 
 __all__ = [
@@ -118,10 +118,7 @@ def _pull_back(
     db = np.zeros((problem.q,) + cotangents.shape[1:])
     db[strict] = -x[n_p:]
     wellposed = not np.any(active & ~strict)
-    # H counts as positive definite when H - 1e-10 max|H_ij| I has a
-    # Cholesky factor; a singular H can pass on a roundoff pivot.
-    margin = 1e-10 * np.abs(problem.H).max(initial=0.0)
-    if wellposed and lapack.dpotrf(problem.H - margin * np.eye(n), lower=1)[1]:
+    if wellposed and not _positive_definite(problem.H):
         # K_S has full rank exactly when LICQ holds and H is positive
         # definite on the null space of [G; A_S].
         wellposed = np.linalg.matrix_rank(k_s) == keep.size

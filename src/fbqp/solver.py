@@ -20,7 +20,8 @@ iterate or at the point of active-set rounds (below); "target",
 at its merit target; "endgame", at a merit below ``_ENDGAME_RATIO`` times
 the squared KKT error, so the next stage takes sigma straight to the floor;
 "stall", after ``_STALL_STEPS`` consecutive backtracked steps; "no step", on
-a step it cannot take; or "budget", after ``max_inner`` steps that leave it
+a step it cannot take; "infeasible", at a certificate found inside a line
+search (below); or "budget", after ``max_inner`` steps that leave it
 outside ``tol_kkt``.
 
 The loop state is one stacked vector x = (z, lambda, v), and a step is
@@ -41,11 +42,15 @@ kept when the backward error of its one solve passes
 (``fbqp.jacobian.checked_solve``), and gets a line search; a failed check,
 or a failed search on J itself, moves on to the next rung, and the search
 of a perturbed rung ends the climb. A step that no rung can take, by its
-check or its search, ends the stage. The check forms K d and returns it.
-The stationarity and equality blocks of R are affine along a direction
-with slope (J d)[:n+p] = sign (K d)[:n+p] + sigma d[:n+p], and the slack
-moves by -(K d)[n+p:] = -A dz, so the line search evaluates phi once for
-each step it tries, 1, 1/2, ... in turn.
+check or its search, ends the stage. The search on J runs in two legs:
+when no step from 1 down to 2^-7 passes, the ray of its direction d is
+tested once (``_certificate`` of x + d against x), and a certificate ends
+the stage "infeasible" with no further trial and no climb; else the second
+leg tries 2^-8 and on, as one search would. The check forms K d and
+returns it. The stationarity and equality blocks of R are affine along a
+direction with slope (J d)[:n+p] = sign (K d)[:n+p] + sigma d[:n+p], and
+the slack moves by -(K d)[n+p:] = -A dz, so the line search evaluates phi
+once for each step it tries, 1, 1/2, ... in turn.
 ``assemble_jacobian`` builds J at an iterate with the LU path's assembly.
 
 A warm start that misses ``tol_kkt`` first gets primal-dual active-set
@@ -128,6 +133,9 @@ _BACKTRACK = 0.5
 _MIN_STEP = 1e-12
 # Largest ``infeasibility_error`` of a certificate that ends a solve.
 _CERTIFICATE_TOL = 1e-8
+# A search on J that has tried every step above this without a pass offers
+# the ray of its direction to ``_certificate`` once before it goes on.
+_RAY_STEP = 2.0**-8
 # The perturbation ladder of a Newton step: the shifts eps of J + eps I,
 # tried in turn, one factorization each.
 _LADDER = (0.0, 1e-10, 1e-9, 1e-8)
@@ -302,6 +310,8 @@ def _line_search(
     x: np.ndarray,
     direction: tuple[np.ndarray, np.ndarray, np.ndarray],
     base: Evaluation,
+    t: float = 1.0,
+    last: float = _MIN_STEP,
 ) -> tuple[float, np.ndarray, float] | None:
     """Backtracking Armijo search on the merit 0.5 ||R||^2.
 
@@ -309,23 +319,26 @@ def _line_search(
     merit(x + t d) <= (1 - 2 c t) * merit(x), c = 1e-4. The first n + p
     rows of R are affine in t with slope (J d)[:n+p], and the slack moves
     by -t A dz = -t (K d)[n+p:], so a trial costs one ``phi_vec``. On the
-    benchmark's acceptance fleet seed 0, 13,808 of 15,262 searches take
-    the full step, 1,135 one of 1/2 to 2^-7, 124 a shorter one and 195 none.
+    benchmark's acceptance fleet seed 0, 13,705 of 15,063 searches take
+    the full step, 1,126 one of 1/2 to 2^-7, 91 a shorter one and 98 none;
+    43, on J, end between their two legs at a certificate (``_stage``).
 
     Args:
         direction: (d, K d, (J d)[:n+p]) as ``_newton_direction`` returned
             them at x, with J at the sigma of ``base``.
         base: ``residual`` at x.
+        t, last: the first step, a power of two, and the smallest step to
+            try. A search from 1 down to 2^-k and one from 2^-(k+1) try the
+            steps of one search, in its order and to its bits.
 
     Returns:
-        (step, x + step d, merit there), or None when no step of at least
-        1e-12 passes.
+        (step, x + step d, merit there), or None when no step from t down
+        to ``last`` passes.
     """
     d, kd, d_top = direction
     n_p = kkt.sign.size
     r_top, a_dz, v, dv = base.r[:n_p], kd[n_p:], x[n_p:], d[n_p:]
-    t = 1.0
-    while t >= _MIN_STEP:
+    while t >= last:
         top = r_top + t * d_top
         merit = top @ top
         if v.size:
@@ -390,13 +403,14 @@ def _active_set_rounds(
 def _stage(
     kkt: KktMatrix, x: np.ndarray, point: Evaluation, sigma: float, target: float, outer: int,
     config: SolverConfig, trace: list[TraceRecord], select: bool,
-) -> tuple[np.ndarray, Evaluation, np.ndarray | None, int, str]:
+) -> tuple[np.ndarray, Evaluation, np.ndarray | None, Iterate | None, int, str]:
     """Newton steps at sigma, centred at x, with ``point`` the previous
     stage's ``residual`` at x; each accepted step is appended to ``trace``.
     With ``select``, active-set rounds may run from its iterates (module
     docstring). Returns x, its ``residual``, the last direction searched on
-    a step it could not take (else None), the factorizations and the reason
-    the stage ended (module docstring).
+    a step it could not take (else None), the certificate that ended the
+    stage "infeasible" (else None), the factorizations and the reason the
+    stage ended (module docstring).
     """
     n, n_p = kkt.problem.n, kkt.sign.size
     center, short_steps, factorizations = x, 0, 0
@@ -407,7 +421,7 @@ def _stage(
     point = point._replace(r=r, merit=0.5 * float(r @ r))
     for inner in range(config.max_inner):
         if point.error.within(config.tol_kkt):
-            return x, point, None, factorizations, "solved"
+            return x, point, None, None, factorizations, "solved"
         if select and inner:
             guess = x[n_p:] > point.slack
             fits = n_p - n + np.count_nonzero(guess) <= n
@@ -416,15 +430,15 @@ def _stage(
                 factorizations += rounds
                 if certified is not None:
                     point = residual(kkt, certified, sigma, center)
-                    return certified, point, None, factorizations, "solved"
+                    return certified, point, None, None, factorizations, "solved"
                 failed = guess
             fitted = fits
         if point.merit <= target:
             # Subproblem solved to sigma-proportional accuracy; move on.
             endgame = point.merit <= _ENDGAME_RATIO * 0.5 * point.error.max_error() ** 2
-            return x, point, None, factorizations, "endgame" if endgame else "target"
+            return x, point, None, None, factorizations, "endgame" if endgame else "target"
         if short_steps == _STALL_STEPS:
-            return x, point, None, factorizations, "stall"
+            return x, point, None, None, factorizations, "stall"
         d = searched = None
         for eps in _LADDER:
             direction = _newton_direction(kkt, x, sigma, point, eps)
@@ -432,7 +446,16 @@ def _stage(
             if direction[0] is None:
                 continue
             d = direction[0]
-            searched = _line_search(kkt, x, direction, point)
+            if eps:
+                searched = _line_search(kkt, x, direction, point)
+            else:
+                # Two legs, with the ray of d tested in between (module docstring).
+                searched = _line_search(kkt, x, direction, point, 1.0, 2.0 * _RAY_STEP)
+                if searched is None:
+                    certificate = _certificate(kkt.problem, x + d, x)
+                    if certificate is not None:
+                        return x, point, None, certificate, factorizations, "infeasible"
+                    searched = _line_search(kkt, x, direction, point, _RAY_STEP)
             # Near a degenerate solution J can pass its check at a condition
             # near 1e16, and its direction then moves the multipliers far along
             # near-null directions, which a perturbed rung damps; its search is the last.
@@ -440,13 +463,13 @@ def _stage(
                 break
         if searched is None:
             # No rung passed its check, or no step passed.
-            return x, point, d, factorizations, "no step"
+            return x, point, d, None, factorizations, "no step"
         step, x, merit = searched
         point = residual(kkt, x, sigma, center)
         trace.append(TraceRecord(outer, inner, sigma, merit, point.error.max_error(), step))
         short_steps = short_steps + 1 if step < 1.0 else 0
     end = "solved" if point.error.within(config.tol_kkt) else "budget"
-    return x, point, None, factorizations, end
+    return x, point, None, None, factorizations, end
 
 
 def solve(
@@ -472,12 +495,15 @@ def solve(
         A ``SolveResult``. Status ``SOLVED`` certifies that the plain KKT
         residuals, recomputed without any regularization, are all within
         ``config.tol_kkt``. ``PRIMAL_INFEASIBLE`` and ``DUAL_INFEASIBLE``
-        come with a certificate, sought only at a stage end whose merit
-        misses its target (as every "stall" and "no step" end does), or that
-        took steps that failed to halve its primal or stationarity error
-        since the previous stage end. Else ``LINE_SEARCH_STALLED`` says that the last stage
-        ended "no step": no rung passed its check, or no step decreased the
-        merit. The trace holds one record per accepted step.
+        come with a certificate, sought in two places: once inside a line
+        search on J that no step down to 2^-7 passes (the ray of its
+        direction; a certificate there ends the solve at once), and at a
+        stage end whose merit misses its target (as every "stall" and "no
+        step" end does), or that took steps that failed to halve its primal
+        or stationarity error since the previous stage end. Else
+        ``LINE_SEARCH_STALLED`` says that the last stage ended "no step": no
+        rung passed its check, or no step decreased the merit. The trace
+        holds one record per accepted step.
 
     Raises:
         ValueError: when ``warm_start`` has the wrong shapes or is not finite.
@@ -519,11 +545,11 @@ def solve(
         sigma = _SIGMA_MIN if reason == "endgame" else sigma
         target = 0.5 * (_STAGE_ETA * sigma * (1.0 + math.sqrt(float(x @ x)))) ** 2
         center, last = x, point.error
-        x, point, d, count, reason = _stage(
+        x, point, d, certificate, count, reason = _stage(
             kkt, x, point, sigma, target, outer, config, trace, select
         )
         factorizations += count
-        if reason == "solved":
+        if reason in ("solved", "infeasible"):
             break
         # Hopeless: the target missed, or steps that left an error unhalved.
         error = point.error

@@ -273,6 +273,23 @@ def test_malformed_file_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_file_nested_deeper_than_json_can_recurse_exits_one(planted_file, tmp_path, capsys):
+    # "f" nested 3,000 deep: one error line, no traceback, for each command
+    # that reads the file, and so for a point file whose "z" is nested as deep.
+    deep, point = tmp_path / "deep.json", tmp_path / "point.json"
+    document = json.loads(planted_file.read_text())
+    document["f"] = 0
+    deep.write_text(json.dumps(document).replace('"f": 0', '"f": ' + "[" * 3000 + "]" * 3000))
+    point.write_text('{"z": ' + "[" * 3000 + "]" * 3000 + "}")
+    commands = [["solve", str(deep)], ["check", str(deep)], ["oracle", str(deep)],
+                ["check", str(planted_file), "--solution", str(point)]]
+    for command in commands:
+        assert cli_main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: not valid JSON: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 def test_unknown_flag_exits_one(planted_file, capsys):
     assert cli_main(["solve", str(planted_file), "--bogus"]) == 1
     err = capsys.readouterr().err

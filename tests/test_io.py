@@ -60,6 +60,16 @@ def test_parse_rejects_bad_json_and_non_object():
         parse_problem("[1, 2]")
 
 
+def test_parse_refuses_text_nested_deeper_than_json_can_recurse():
+    # "f" nested 3,000 deep: orjson reads it, its check refuses it, and
+    # json.loads, which decodes the text again for the message, cannot recurse so far.
+    deep = json.dumps(dict(MINIMAL, f=0)).replace('"f": 0', '"f": ' + "[" * 3000 + "]" * 3000)
+    with pytest.raises(ProblemFormatError, match="^not valid JSON: "):
+        parse_problem(deep)
+    with pytest.raises(ProblemFormatError, match="^not valid JSON: "):
+        parse_solution('{"z": ' + "[" * 3000 + "]" * 3000 + "}")
+
+
 def test_parse_names_wrong_length_field():
     doc = dict(MINIMAL, f=[0.0, 1.0])
     with pytest.raises(ProblemFormatError, match="'f'"):

@@ -3,10 +3,16 @@
 import dataclasses
 import gc
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import fbqp.oracle
 
@@ -20,12 +26,14 @@ from fbqp import (
     kkt_error,
     oracle_agrees,
     random_problem,
+    serialize_problem,
     solve,
 )
 from fbqp.oracle import _DISTINCT_TOL, _DUAL_TOL, _FEAS_TOL, _TIE_TOL
 from fbqp.oracle import _multiplier_gain, _subset_table
 
 ONE_D = QpProblem(H=[[1.0]], f=[0.0], A=[[-1.0]], b=[-1.0])
+SOURCE = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_oracle_one_d_inequality():
@@ -468,3 +476,70 @@ def test_agreement_still_compares_well_determined_multipliers():
     fake = dataclasses.replace(result, iterate=Iterate(result.iterate.z, bumped, result.iterate.v))
     assert oracle_agrees(problem, result, oracle)
     assert not oracle_agrees(problem, fake, oracle)
+
+
+def _recorded_lps(monkeypatch):
+    """The problems that reach the oracle's feasibility LP, in order."""
+    calls, feasible = [], fbqp.oracle._feasible_point_exists
+    monkeypatch.setattr(
+        fbqp.oracle, "_feasible_point_exists",
+        lambda problem: calls.append(problem) or feasible(problem),
+    )
+    return calls
+
+
+def test_strictly_convex_infeasible_copies_need_no_lp():
+    # The contradictory copies of the oracle fleet have H positive definite
+    # and G of full row rank: a process that finds each infeasible never
+    # imports scipy.optimize, which only the LP needs.
+    copies = [serialize_problem(problem) for k, problem in enumerate(_oracle_fleet()) if k % 4 == 3]
+    code = (
+        "import json, sys, fbqp; "
+        "texts = json.load(sys.stdin); "
+        "found = {fbqp.active_set_solve(fbqp.parse_problem(t)[0]).status.value for t in texts}; "
+        "print(len(texts), sorted(found), 'scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(copies), capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(SOURCE)},
+    )
+    assert out.stdout.strip() == "50 ['Infeasible'] False"
+
+
+def test_psd_problem_unbounded_along_its_null_space_reaches_the_lp(monkeypatch):
+    # H = diag(1, 0), f pushes z2 up, and no row bounds z2 from above.
+    lps = _recorded_lps(monkeypatch)
+    problem = QpProblem(
+        H=[[1.0, 0.0], [0.0, 0.0]], f=[0.0, -1.0], G=[[1.0, 0.0]], h=[0.5],
+        A=[[1.0, 0.0], [0.0, -1.0]], b=[1.0, 0.0],
+    )
+    assert active_set_solve(problem).status is OracleStatus.UNBOUNDED
+    assert lps == [problem]
+
+
+def test_singular_h_whose_cholesky_passes_on_roundoff_reaches_the_lp(monkeypatch):
+    # A PSD-only H of the generator, as in CI's psd-medium.json: its plain
+    # Cholesky factorization passes, but not that of H - 1e-10 max|H_ij| I.
+    # The contradictory pair a'z <= -1, -a'z <= -1 leaves no subset accepted.
+    lps = _recorded_lps(monkeypatch)
+    problem, _ = random_problem(GeneratorSpec(
+        n=2, p=1, q=4, activity_fraction=0.5, strictly_convex=False, seed=1
+    ))
+    assert lapack.dpotrf(problem.H, lower=1)[1] == 0
+    A = np.vstack((problem.A, [1.0, 0.5], [-1.0, -0.5]))
+    copy = QpProblem(problem.H, problem.f, problem.G, problem.h, A, [*problem.b, -1.0, -1.0])
+    assert active_set_solve(copy).status is OracleStatus.INFEASIBLE
+    assert lps == [copy]
+
+
+def test_duplicated_equality_row_reaches_the_lp(monkeypatch):
+    # G repeats a row consistently, so every K_S is singular and no subset
+    # is accepted although the problem is feasible: it must not be called
+    # infeasible.
+    lps = _recorded_lps(monkeypatch)
+    problem = QpProblem(
+        H=np.eye(2), f=[1.0, -1.0], G=[[1.0, 1.0], [1.0, 1.0]], h=[1.0, 1.0],
+        A=[[1.0, 0.0]], b=[2.0],
+    )
+    assert active_set_solve(problem).status is not OracleStatus.INFEASIBLE
+    assert lps == [problem]

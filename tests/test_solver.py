@@ -528,15 +528,16 @@ def test_solve_reaches_line_search_stalled(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "failing, shifts",
-    [({0.0}, [0.0, 1e-10]), ({1e-10, 1e-9, 1e-8}, [0.0, 1e-10, 1e-9, 1e-8])],
+    "failing, shifts, legs",
+    [({0.0}, [0.0, 1e-10], 1), ({1e-10, 1e-9, 1e-8}, [0.0, 1e-10, 1e-9, 1e-8], 2)],
     ids=["j_fails_its_check", "perturbed_rungs_fail_their_checks"],
 )
-def test_ladder_stops_after_the_search_of_a_perturbed_rung(monkeypatch, failing, shifts):
+def test_ladder_stops_after_the_search_of_a_perturbed_rung(monkeypatch, failing, shifts, legs):
     # Every search fails. When J fails its check, J + 1e-10 I gets the one
     # search and the stage stalls with no third rung. When J passes, its
-    # failed search moves on, and when no perturbed rung passes its check the
-    # stage stalls on the direction of J, which the certificate search gets.
+    # failed search (two legs, with its ray offered in between) moves on, and
+    # when no perturbed rung passes its check the stage stalls on the
+    # direction of J, which the certificate search gets.
     # A rung's shift is read from the sigma it is factored at, _SIGMA0 + eps.
     attempts, searched, offered = [], [], []
     for path in (dense_solve, reduced_solve):
@@ -547,13 +548,14 @@ def test_ladder_stops_after_the_search_of_a_perturbed_rung(monkeypatch, failing,
 
         monkeypatch.setattr(f"fbqp.jacobian.{path.__name__}", solve_rung)
     monkeypatch.setattr(
-        "fbqp.solver._line_search", lambda kkt, x, direction, base: searched.append(direction[0])
+        "fbqp.solver._line_search",
+        lambda kkt, x, direction, base, *steps: searched.append(direction[0]),
     )
     monkeypatch.setattr("fbqp.solver._certificate", lambda *args: offered.append(args[1:]))
     result = solve(ONE_D, SolverConfig(max_outer=1))
     assert result.status is SolveStatus.LINE_SEARCH_STALLED
     assert attempts == shifts and result.factorizations == len(shifts)
-    assert len(searched) == 1 and searched[0] is not None
+    assert len(searched) == legs and searched[0] is not None and searched[-1] is searched[0]
     start = _stacked(Iterate.start(ONE_D))
     ray, centre = offered[-1]
     assert ray.tobytes() == (start + searched[0]).tobytes() and centre.tobytes() == start.tobytes()
@@ -628,6 +630,48 @@ def test_copy_whose_searches_fail_at_once_ends_infeasible():
     assert infeasibility_error(problem, result.certificate) <= 1e-8
 
 
+def test_copies_certified_inside_their_search_try_no_perturbed_rung(monkeypatch):
+    # The 25 infeasible copies of the test fleet. A search on J that fails
+    # down to 2^-7 offers its ray once; 12 copies are certified there, in
+    # their first stage. Such a stage tries no rung after J and no step
+    # below 2^-7, and the solve seeks no other certificate.
+    events = []
+
+    def rung(kkt, x, sigma, point, eps=0.0):
+        events.append(eps)
+        return _newton_direction(kkt, x, sigma, point, eps)
+
+    def search(kkt, x, direction, base, *steps):
+        events.append(steps)
+        return _line_search(kkt, x, direction, base, *steps)
+
+    def certificate(*args):
+        events.append("certificate")
+        return _certificate(*args)
+
+    def stage(*args):
+        end = _stage(*args)
+        events.append(end[-1])
+        return end
+
+    monkeypatch.setattr("fbqp.solver._newton_direction", rung)
+    monkeypatch.setattr("fbqp.solver._line_search", search)
+    monkeypatch.setattr("fbqp.solver._certificate", certificate)
+    monkeypatch.setattr("fbqp.solver._stage", stage)
+    certified = 0
+    for i in range(0, 500, 20):
+        problem = _fleet_input(i)[1]
+        events.clear()
+        result = solve(problem)
+        assert result.status is SolveStatus.PRIMAL_INFEASIBLE, i
+        assert infeasibility_error(problem, result.certificate) <= 1e-8, i
+        if "infeasible" in events:
+            certified += 1
+            assert events.count("infeasible") == 1, i
+            assert events[-4:] == [0.0, (1.0, 2.0**-7), "certificate", "infeasible"], i
+    assert certified == 12
+
+
 def test_stage_ends_after_run_of_backtracked_steps(monkeypatch):
     # The line search reports scripted step lengths while the iterate moves
     # by half the direction each time, too little to meet a stage target.
@@ -637,9 +681,9 @@ def test_stage_ends_after_run_of_backtracked_steps(monkeypatch):
     script = [0.5] * (_STALL_STEPS - 1) + [1.0] + [0.5] * _STALL_STEPS
     events = []
 
-    def scripted(kkt, x, direction, base):
+    def scripted(kkt, x, direction, base, *steps):
         if not script:
-            return _line_search(kkt, x, direction, base)
+            return _line_search(kkt, x, direction, base, *steps)
         events.append("step")
         # The merit goes only into the trace, which this test reads for stages.
         return script.pop(0), x + 0.5 * direction[0], base.merit
@@ -662,9 +706,9 @@ def test_stage_ends_after_run_of_backtracked_steps(monkeypatch):
 
 
 def test_stages_reach_every_exit_reason(monkeypatch):
-    # Test-fleet inputs 0, 1 and 60 and the infeasible copy of input 0 (bench
-    # fleet seed 0 inputs 0, 2, 63 and 1), and input 0 again with one Newton
-    # step per stage.
+    # Test-fleet inputs 0, 1 and 60 and the infeasible copies of inputs 0 and
+    # 60 (bench fleet seed 0 inputs 0, 2, 63, 1 and 64), and input 0 again
+    # with one Newton step per stage.
     reasons = set()
 
     def recorded(*args):
@@ -673,11 +717,12 @@ def test_stages_reach_every_exit_reason(monkeypatch):
         return end
 
     monkeypatch.setattr("fbqp.solver._stage", recorded)
-    (problem, copy), other, stalling = _fleet_input(0), _fleet_input(1)[0], _fleet_input(60)[0]
-    for candidate in (problem, copy, other, stalling):
+    (problem, copy), other = _fleet_input(0), _fleet_input(1)[0]
+    stalling, certified = _fleet_input(60)
+    for candidate in (problem, copy, other, stalling, certified):
         solve(candidate)
     solve(problem, SolverConfig(max_inner=1))
-    assert reasons == {"solved", "target", "endgame", "stall", "no step", "budget"}
+    assert reasons == {"solved", "target", "endgame", "stall", "no step", "budget", "infeasible"}
 
 
 @pytest.mark.parametrize("max_inner", [1, 2, 5])

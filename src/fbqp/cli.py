@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import io as qpio
-from .oracle import OracleStatus, active_set_solve
+from .oracle import MAX_ORACLE_INEQUALITIES, OracleStatus, active_set_solve
 from .problem import GeneratorSpec, Iterate, infeasibility_error, kkt_error, random_problem
 from .solver import SolveStatus, SolverConfig, solve
 
@@ -205,7 +205,9 @@ def _cmd_oracle(args) -> int:
     problem, _ = qpio.load_problem(args.problem)
     outcome = active_set_solve(problem)
     if outcome.status is OracleStatus.TOO_LARGE:
-        raise ValueError(f"oracle enumeration refuses q = {problem.q} > 16 inequalities")
+        raise ValueError(
+            f"oracle enumeration refuses q = {problem.q} > {MAX_ORACLE_INEQUALITIES} inequalities"
+        )
     if args.json:
         document = {"status": outcome.status.value,
                     "multiplicity_flag": outcome.multiplicity_flag}

@@ -20,9 +20,9 @@ iterate or at the point of active-set rounds (below); "target",
 at its merit target; "endgame", at a merit below ``_ENDGAME_RATIO`` times
 the squared KKT error, so the next stage takes sigma straight to the floor;
 "stall", after ``_STALL_STEPS`` consecutive backtracked steps; "no step", on
-a step it cannot take; "infeasible", at a certificate found inside a line
-search (below); or "budget", after ``max_inner`` steps that leave it
-outside ``tol_kkt``.
+a step it cannot take; "infeasible", at a certificate found between the two
+legs of a line search (below); or "budget", after ``max_inner`` steps that
+leave it outside ``tol_kkt``.
 
 The loop state is one stacked vector x = (z, lambda, v), and a step is
 x + t d. Each point is evaluated once: ``residual`` forms lin = K x + c,
@@ -42,11 +42,12 @@ kept when the backward error of its one solve passes
 (``fbqp.jacobian.checked_solve``), and gets a line search; a failed check,
 or a failed search on J itself, moves on to the next rung, and the search
 of a perturbed rung ends the climb. A step that no rung can take, by its
-check or its search, ends the stage. The search on J runs in two legs:
-when no step from 1 down to 2^-7 passes, the ray of its direction d is
-tested once (``_certificate`` of x + d against x), and a certificate ends
-the stage "infeasible" with no further trial and no climb; else the second
-leg tries 2^-8 and on, as one search would. The check forms K d and
+check or its search, ends the stage. Every search runs in two legs: when
+no step from 1 down to 2^-7 passes, the ray of its direction d is tested
+(``_certificate`` of x + d against x), then the drift of x since the
+centre (``_certificate`` of x against the centre), and a certificate ends
+the stage "infeasible" with no further trial and no further rung; else the
+second leg tries 2^-8 and on, as one search would. The check forms K d and
 returns it. The stationarity and equality blocks of R are affine along a
 direction with slope (J d)[:n+p] = sign (K d)[:n+p] + sigma d[:n+p], and
 the slack moves by -(K d)[n+p:] = -A dz, so the line search evaluates phi
@@ -71,11 +72,8 @@ solve), the rounds also run from Newton iterates: after each accepted step
 of a stage but its first, when the guess S there and the one at the iterate
 before both have p + |S| <= n, and S is not the stage's last failed guess.
 Rounds that certify end the stage "solved" at their point; rounds that fail
-leave the Newton loop where it was. The trace holds Newton steps only. On
-the first 64 dense_medium inputs of seed 0, 32 of 40 attempts certify, all
-on the half-active inputs, which then take 7 factorizations (median) where
-Newton alone takes 15-16.5; no round falls back to LU. Smaller solves
-never run rounds, so a fleet solve's trace is Newton's alone.
+leave the Newton loop where it was. The trace holds Newton steps only.
+Smaller solves never run rounds, so a fleet solve's trace is Newton's alone.
 
 The package exports ``solve`` with its three settings (``SolverConfig``:
 accuracy and budgets) and result types; the method's parameters are module
@@ -133,8 +131,9 @@ _BACKTRACK = 0.5
 _MIN_STEP = 1e-12
 # Largest ``infeasibility_error`` of a certificate that ends a solve.
 _CERTIFICATE_TOL = 1e-8
-# A search on J that has tried every step above this without a pass offers
-# the ray of its direction to ``_certificate`` once before it goes on.
+# A search that has tried every step above this without a pass offers the
+# ray of its direction and the drift since the centre to ``_certificate``
+# before it goes on.
 _RAY_STEP = 2.0**-8
 # The perturbation ladder of a Newton step: the shifts eps of J + eps I,
 # tried in turn, one factorization each.
@@ -318,10 +317,8 @@ def _line_search(
     Tries t = 1, 1/2, 1/4, ... in turn and accepts the first with
     merit(x + t d) <= (1 - 2 c t) * merit(x), c = 1e-4. The first n + p
     rows of R are affine in t with slope (J d)[:n+p], and the slack moves
-    by -t A dz = -t (K d)[n+p:], so a trial costs one ``phi_vec``. On the
-    benchmark's acceptance fleet seed 0, 13,705 of 15,063 searches take
-    the full step, 1,126 one of 1/2 to 2^-7, 91 a shorter one and 98 none;
-    43, on J, end between their two legs at a certificate (``_stage``).
+    by -t A dz = -t (K d)[n+p:], so a trial costs one ``phi_vec``.
+    ``_stage`` runs it in two legs, with a certificate test in between.
 
     Args:
         direction: (d, K d, (J d)[:n+p]) as ``_newton_direction`` returned
@@ -352,7 +349,7 @@ def _line_search(
 
 
 def _certificate(problem: QpProblem, x: np.ndarray, center: np.ndarray) -> Iterate | None:
-    """A certificate of infeasibility at a hopeless stage end, or None.
+    """A certificate of infeasibility read from x and center, or None.
 
     Without a solution, the proximal iterates drift along one (Banjac et al.,
     JOTA 2019; FBstab, arXiv:1901.04046). Candidates, from the stacked points
@@ -403,12 +400,11 @@ def _active_set_rounds(
 def _stage(
     kkt: KktMatrix, x: np.ndarray, point: Evaluation, sigma: float, target: float, outer: int,
     config: SolverConfig, trace: list[TraceRecord], select: bool,
-) -> tuple[np.ndarray, Evaluation, np.ndarray | None, Iterate | None, int, str]:
+) -> tuple[np.ndarray, Evaluation, Iterate | None, int, str]:
     """Newton steps at sigma, centred at x, with ``point`` the previous
     stage's ``residual`` at x; each accepted step is appended to ``trace``.
     With ``select``, active-set rounds may run from its iterates (module
-    docstring). Returns x, its ``residual``, the last direction searched on
-    a step it could not take (else None), the certificate that ended the
+    docstring). Returns x, its ``residual``, the certificate that ended the
     stage "infeasible" (else None), the factorizations and the reason the
     stage ended (module docstring).
     """
@@ -421,7 +417,7 @@ def _stage(
     point = point._replace(r=r, merit=0.5 * float(r @ r))
     for inner in range(config.max_inner):
         if point.error.within(config.tol_kkt):
-            return x, point, None, None, factorizations, "solved"
+            return x, point, None, factorizations, "solved"
         if select and inner:
             guess = x[n_p:] > point.slack
             fits = n_p - n + np.count_nonzero(guess) <= n
@@ -430,32 +426,31 @@ def _stage(
                 factorizations += rounds
                 if certified is not None:
                     point = residual(kkt, certified, sigma, center)
-                    return certified, point, None, None, factorizations, "solved"
+                    return certified, point, None, factorizations, "solved"
                 failed = guess
             fitted = fits
         if point.merit <= target:
             # Subproblem solved to sigma-proportional accuracy; move on.
             endgame = point.merit <= _ENDGAME_RATIO * 0.5 * point.error.max_error() ** 2
-            return x, point, None, None, factorizations, "endgame" if endgame else "target"
+            return x, point, None, factorizations, "endgame" if endgame else "target"
         if short_steps == _STALL_STEPS:
-            return x, point, None, None, factorizations, "stall"
-        d = searched = None
+            return x, point, None, factorizations, "stall"
+        searched = None
         for eps in _LADDER:
             direction = _newton_direction(kkt, x, sigma, point, eps)
             factorizations += 1
             if direction[0] is None:
                 continue
-            d = direction[0]
-            if eps:
-                searched = _line_search(kkt, x, direction, point)
-            else:
-                # Two legs, with the ray of d tested in between (module docstring).
-                searched = _line_search(kkt, x, direction, point, 1.0, 2.0 * _RAY_STEP)
-                if searched is None:
-                    certificate = _certificate(kkt.problem, x + d, x)
-                    if certificate is not None:
-                        return x, point, None, certificate, factorizations, "infeasible"
-                    searched = _line_search(kkt, x, direction, point, _RAY_STEP)
+            # Two legs, with the ray of the direction and the drift since the
+            # centre tested in between (module docstring).
+            searched = _line_search(kkt, x, direction, point, 1.0, 2.0 * _RAY_STEP)
+            if searched is None:
+                certificate = _certificate(kkt.problem, x + direction[0], x)
+                if certificate is None:
+                    certificate = _certificate(kkt.problem, x, center)
+                if certificate is not None:
+                    return x, point, certificate, factorizations, "infeasible"
+                searched = _line_search(kkt, x, direction, point, _RAY_STEP)
             # Near a degenerate solution J can pass its check at a condition
             # near 1e16, and its direction then moves the multipliers far along
             # near-null directions, which a perturbed rung damps; its search is the last.
@@ -463,13 +458,13 @@ def _stage(
                 break
         if searched is None:
             # No rung passed its check, or no step passed.
-            return x, point, d, None, factorizations, "no step"
+            return x, point, None, factorizations, "no step"
         step, x, merit = searched
         point = residual(kkt, x, sigma, center)
         trace.append(TraceRecord(outer, inner, sigma, merit, point.error.max_error(), step))
         short_steps = short_steps + 1 if step < 1.0 else 0
     end = "solved" if point.error.within(config.tol_kkt) else "budget"
-    return x, point, None, None, factorizations, end
+    return x, point, None, factorizations, end
 
 
 def solve(
@@ -495,12 +490,13 @@ def solve(
         A ``SolveResult``. Status ``SOLVED`` certifies that the plain KKT
         residuals, recomputed without any regularization, are all within
         ``config.tol_kkt``. ``PRIMAL_INFEASIBLE`` and ``DUAL_INFEASIBLE``
-        come with a certificate, sought in two places: once inside a line
-        search on J that no step down to 2^-7 passes (the ray of its
-        direction; a certificate there ends the solve at once), and at a
-        stage end whose merit misses its target (as every "stall" and "no
-        step" end does), or that took steps that failed to halve its primal
-        or stationarity error since the previous stage end. Else
+        come with a certificate, sought in two places: inside every line
+        search that no step down to 2^-7 passes (the ray of its direction,
+        then the iterate against the stage centre; a certificate there ends
+        the solve at once), and at a stage end whose merit misses its target
+        (as every "stall" and "no step" end does), or that took steps that
+        failed to halve its primal or stationarity error since the previous
+        stage end (the iterate against the stage centre). Else
         ``LINE_SEARCH_STALLED`` says that the last stage ended "no step": no
         rung passed its check, or no step decreased the merit. The trace
         holds one record per accepted step.
@@ -545,7 +541,7 @@ def solve(
         sigma = _SIGMA_MIN if reason == "endgame" else sigma
         target = 0.5 * (_STAGE_ETA * sigma * (1.0 + math.sqrt(float(x @ x)))) ** 2
         center, last = x, point.error
-        x, point, d, certificate, count, reason = _stage(
+        x, point, certificate, count, reason = _stage(
             kkt, x, point, sigma, target, outer, config, trace, select
         )
         factorizations += count
@@ -557,10 +553,6 @@ def solve(
         stuck = primal[1] > 0.5 * primal[0] or error.stationarity_inf > 0.5 * last.stationarity_inf
         if (stuck and x is not center) or point.merit > target:
             certificate = _certificate(problem, x, center)
-            if certificate is None and d is not None:
-                # A search that failed at its first step leaves x at the
-                # centre; the direction's ray does not depend on a step.
-                certificate = _certificate(problem, x + d, x)
             if certificate is not None:
                 break
 

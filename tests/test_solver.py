@@ -1,5 +1,7 @@
 """Residual assembly, Newton direction, line search, and solve-loop tests."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -528,16 +530,18 @@ def test_solve_reaches_line_search_stalled(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "failing, shifts, legs",
-    [({0.0}, [0.0, 1e-10], 1), ({1e-10, 1e-9, 1e-8}, [0.0, 1e-10, 1e-9, 1e-8], 2)],
+    "failing, shifts",
+    [({0.0}, [0.0, 1e-10]), ({1e-10, 1e-9, 1e-8}, [0.0, 1e-10, 1e-9, 1e-8])],
     ids=["j_fails_its_check", "perturbed_rungs_fail_their_checks"],
 )
-def test_ladder_stops_after_the_search_of_a_perturbed_rung(monkeypatch, failing, shifts, legs):
-    # Every search fails. When J fails its check, J + 1e-10 I gets the one
-    # search and the stage stalls with no third rung. When J passes, its
-    # failed search (two legs, with its ray offered in between) moves on, and
-    # when no perturbed rung passes its check the stage stalls on the
-    # direction of J, which the certificate search gets.
+def test_ladder_stops_after_the_search_of_a_perturbed_rung(monkeypatch, failing, shifts):
+    # Every search fails, and every rung searches in two legs, with the ray
+    # of its direction and then the drift since the centre offered in
+    # between. When J fails its check, J + 1e-10 I gets the one search and
+    # the stage stalls with no third rung. When J passes, its failed search
+    # moves on, and no perturbed rung passes its check. Either way the stage
+    # ends "no step" at the centre, and the solve's stage end offers only
+    # that point against the centre once more.
     # A rung's shift is read from the sigma it is factored at, _SIGMA0 + eps.
     attempts, searched, offered = [], [], []
     for path in (dense_solve, reduced_solve):
@@ -555,10 +559,11 @@ def test_ladder_stops_after_the_search_of_a_perturbed_rung(monkeypatch, failing,
     result = solve(ONE_D, SolverConfig(max_outer=1))
     assert result.status is SolveStatus.LINE_SEARCH_STALLED
     assert attempts == shifts and result.factorizations == len(shifts)
-    assert len(searched) == legs and searched[0] is not None and searched[-1] is searched[0]
+    assert len(searched) == 2 and searched[0] is not None and searched[1] is searched[0]
     start = _stacked(Iterate.start(ONE_D))
-    ray, centre = offered[-1]
-    assert ray.tobytes() == (start + searched[0]).tobytes() and centre.tobytes() == start.tobytes()
+    assert [(x.tobytes(), centre.tobytes()) for x, centre in offered] == [
+        (x.tobytes(), start.tobytes()) for x in (start + searched[-1], start, start)
+    ]
 
 
 def _fleet_spec(i, rng=None):
@@ -631,10 +636,12 @@ def test_copy_whose_searches_fail_at_once_ends_infeasible():
 
 
 def test_copies_certified_inside_their_search_try_no_perturbed_rung(monkeypatch):
-    # The 25 infeasible copies of the test fleet. A search on J that fails
-    # down to 2^-7 offers its ray once; 12 copies are certified there, in
-    # their first stage. Such a stage tries no rung after J and no step
-    # below 2^-7, and the solve seeks no other certificate.
+    # The 25 infeasible copies of the test fleet. A search that fails down
+    # to 2^-7, on any rung, offers the ray of its direction and then the
+    # drift since the centre; every copy is certified there. Such a stage
+    # tries no step below 2^-7 and no further rung, and the solve seeks no
+    # other certificate. 15 copies end on J (12 on its ray, 3 on the drift)
+    # and 10 on the ray of J + 1e-10 I.
     events = []
 
     def rung(kkt, x, sigma, point, eps=0.0):
@@ -646,8 +653,9 @@ def test_copies_certified_inside_their_search_try_no_perturbed_rung(monkeypatch)
         return _line_search(kkt, x, direction, base, *steps)
 
     def certificate(*args):
-        events.append("certificate")
-        return _certificate(*args)
+        found = _certificate(*args)
+        events.append(found is not None)
+        return found
 
     def stage(*args):
         end = _stage(*args)
@@ -658,18 +666,58 @@ def test_copies_certified_inside_their_search_try_no_perturbed_rung(monkeypatch)
     monkeypatch.setattr("fbqp.solver._line_search", search)
     monkeypatch.setattr("fbqp.solver._certificate", certificate)
     monkeypatch.setattr("fbqp.solver._stage", stage)
-    certified = 0
+    ends = collections.Counter()
     for i in range(0, 500, 20):
         problem = _fleet_input(i)[1]
         events.clear()
         result = solve(problem)
         assert result.status is SolveStatus.PRIMAL_INFEASIBLE, i
         assert infeasibility_error(problem, result.certificate) <= 1e-8, i
-        if "infeasible" in events:
-            certified += 1
-            assert events.count("infeasible") == 1, i
-            assert events[-4:] == [0.0, (1.0, 2.0**-7), "certificate", "infeasible"], i
-    assert certified == 12
+        assert events.count("infeasible") == 1, i
+        last = max(k for k, event in enumerate(events) if type(event) is float)
+        ends[events[last], tuple(events[last + 1:])] += 1
+    leg = (1.0, 2.0**-7)
+    assert ends == {
+        (0.0, (leg, True, "infeasible")): 12,
+        (0.0, (leg, False, True, "infeasible")): 3,
+        (1e-10, (leg, True, "infeasible")): 10,
+    }
+
+
+def test_ray_of_a_perturbed_rung_ends_its_stage_infeasible(monkeypatch):
+    # J fails its check at every step, so J + 1e-10 I takes the search. On
+    # the copy of test-fleet input 60, that search fails its first leg, and
+    # the ray of its direction ends the first stage "infeasible": no second
+    # leg, no further rung, and no certificate sought at the stage end.
+    events = []
+
+    def rung(kkt, x, sigma, point, eps=0.0):
+        events.append(eps)
+        return (None, None, None) if eps == 0.0 else _newton_direction(kkt, x, sigma, point, eps)
+
+    def search(kkt, x, direction, base, *steps):
+        events.append(steps)
+        return _line_search(kkt, x, direction, base, *steps)
+
+    def certificate(problem, x, center):
+        events.append("ray" if x is not center else "drift")
+        return _certificate(problem, x, center)
+
+    def stage(*args):
+        end = _stage(*args)
+        events.append(end[-1])
+        return end
+
+    monkeypatch.setattr("fbqp.solver._newton_direction", rung)
+    monkeypatch.setattr("fbqp.solver._line_search", search)
+    monkeypatch.setattr("fbqp.solver._certificate", certificate)
+    monkeypatch.setattr("fbqp.solver._stage", stage)
+    problem = _fleet_input(60)[1]
+    result = solve(problem)
+    assert events == [0.0, 1e-10, (1.0, 2.0**-7), "ray", "infeasible"]
+    assert result.status is SolveStatus.PRIMAL_INFEASIBLE
+    assert result.trace == () and result.factorizations == 2
+    assert infeasibility_error(problem, result.certificate) <= 1e-8
 
 
 def test_stage_ends_after_run_of_backtracked_steps(monkeypatch):
@@ -707,8 +755,9 @@ def test_stage_ends_after_run_of_backtracked_steps(monkeypatch):
 
 def test_stages_reach_every_exit_reason(monkeypatch):
     # Test-fleet inputs 0, 1 and 60 and the infeasible copies of inputs 0 and
-    # 60 (bench fleet seed 0 inputs 0, 2, 63, 1 and 64), and input 0 again
-    # with one Newton step per stage.
+    # 60 (bench fleet seed 0 inputs 0, 2, 63, 1 and 64), input 0 again with
+    # one Newton step per stage, and the PSD-only problem of CI's psd.json,
+    # whose stage 2 ends "no step": no rung of the ladder passes its check.
     reasons = set()
 
     def recorded(*args):
@@ -719,7 +768,11 @@ def test_stages_reach_every_exit_reason(monkeypatch):
     monkeypatch.setattr("fbqp.solver._stage", recorded)
     (problem, copy), other = _fleet_input(0), _fleet_input(1)[0]
     stalling, certified = _fleet_input(60)
-    for candidate in (problem, copy, other, stalling, certified):
+    psd, _ = random_problem(GeneratorSpec(
+        n=2, p=1, q=4, condition_target=10, activity_fraction=0.915,
+        strictly_convex=False, seed=1591032612,
+    ))
+    for candidate in (problem, copy, other, stalling, certified, psd):
         solve(candidate)
     solve(problem, SolverConfig(max_inner=1))
     assert reasons == {"solved", "target", "endgame", "stall", "no step", "budget", "infeasible"}

@@ -31,11 +31,13 @@ benchmark's workloads (``bench/workloads.py``, imported, not changed):
 - ``budget``: the first 1,000 fleet seed 0 inputs, each solved with
   ``max_outer=6`` and ``max_inner`` 1, 2 and 5 in turn (3,000 results), so
   that many stages end on their inner budget.
-- ``io:S``: the problem files of the fleet at seed S, each input with the
-  iterate of its cold solve, and of the diff_pipeline items at seed S, each
-  with the iterate of its solve as ``diff:S`` runs it. An entry's hash
+- ``io:S``: the problem files of the fleet at seed S, each input with its
+  planted point (an infeasible copy, which has none, with
+  ``Iterate.start``), and of the diff_pipeline items at seed S, each parsed
+  from the item's text and written with its planted point. No entry runs a
+  solve, so the set moves only when ``fbqp.io`` does. An entry's hash
   covers the text ``serialize_problem`` writes for the problem without and
-  with the iterate, and the bytes of every array ``parse_problem`` reads
+  with the point, and the bytes of every array ``parse_problem`` reads
   back from each text, so two trees that print the same line write and read
   those files byte for byte and bit for bit alike.
 
@@ -117,10 +119,11 @@ def io_hash(problem: fbqp.QpProblem, iterate: fbqp.Iterate) -> str:
 
 
 def _io(seed: int, items: int | None):
-    for problem, _ in AcceptanceFleet(seed, items).inputs:
-        yield io_hash(problem, fbqp.solve(problem).iterate)
-    for out in _diff_items(seed, items):
-        yield io_hash(out["problem"], out["result"].iterate)
+    for problem, planted in AcceptanceFleet(seed, items).inputs:
+        yield io_hash(problem, planted or fbqp.Iterate.start(problem))
+    pipeline = DiffPipeline(seed)
+    for text, planted in list(zip(pipeline.docs, pipeline.planted))[:items]:
+        yield io_hash(fbqp.parse_problem(text)[0], planted)
 
 
 def _fleet(seed: int, items: int | None):

@@ -29,57 +29,58 @@ again, _ = parse_problem(text)
 assert (again.H == problem.H).all() and (again.b == problem.b).all()
 print("parse(serialize(problem)) reproduces every array exactly\n")
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="fbqp-demo-"))
-problem_file = workdir / "problem.json"
-solution_file = workdir / "solution.json"
-trace_file = workdir / "trace.csv"
-problem_file.write_text(text)
+with tempfile.TemporaryDirectory(prefix="fbqp-demo-") as name:
+    workdir = pathlib.Path(name)
+    problem_file = workdir / "problem.json"
+    solution_file = workdir / "solution.json"
+    trace_file = workdir / "trace.csv"
+    problem_file.write_text(text)
 
-print(f"$ fbqp solve {problem_file.name} --json --trace {trace_file.name}")
-captured = io.StringIO()
-with contextlib.redirect_stdout(captured):
-    code = cli_main(["solve", str(problem_file), "--json",
-                     "--trace", str(trace_file)])
-solution_file.write_text(captured.getvalue())
-print(f"(exit code {code}, JSON report captured to {solution_file.name})\n")
+    print(f"$ fbqp solve {problem_file.name} --json --trace {trace_file.name}")
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        code = cli_main(["solve", str(problem_file), "--json",
+                         "--trace", str(trace_file)])
+    solution_file.write_text(captured.getvalue())
+    print(f"(exit code {code}, JSON report captured to {solution_file.name})\n")
 
-report = json.loads(captured.getvalue())
-print(f"reported status: {report['status']}, "
-      f"objective {report['objective']:.6f}, "
-      f"z = {report['solution']['z']}")
+    report = json.loads(captured.getvalue())
+    print(f"reported status: {report['status']}, "
+          f"objective {report['objective']:.6f}, "
+          f"z = {report['solution']['z']}")
 
-trace_lines = trace_file.read_text().splitlines()
-print(f"\ntrace CSV ({len(trace_lines) - 1} accepted steps):")
-for line in trace_lines[:6]:
-    print(f"  {line}")
+    trace_lines = trace_file.read_text().splitlines()
+    print(f"\ntrace CSV ({len(trace_lines) - 1} accepted steps):")
+    for line in trace_lines[:6]:
+        print(f"  {line}")
 
-print(f"\n$ fbqp check {problem_file.name} --solution {solution_file.name}")
-code = cli_main(["check", str(problem_file), "--solution",
-                 str(solution_file)])
-print(f"(exit code {code})\n")
+    print(f"\n$ fbqp check {problem_file.name} --solution {solution_file.name}")
+    code = cli_main(["check", str(problem_file), "--solution",
+                     str(solution_file)])
+    print(f"(exit code {code})\n")
 
-print(f"$ fbqp oracle {problem_file.name} --json")
-code = cli_main(["oracle", str(problem_file), "--json"])
-print(f"(exit code {code})\n")
+    print(f"$ fbqp oracle {problem_file.name} --json")
+    code = cli_main(["oracle", str(problem_file), "--json"])
+    print(f"(exit code {code})\n")
 
-# An infeasible instance exits with code 2 so scripts can tell "solved
-# wrong" from "cannot be solved". The report carries a Farkas certificate,
-# which the checker verifies from the problem data alone.
-bad = QpProblem(H=[[1.0]], f=[0.0], G=[[1.0], [1.0]], h=[0.0, 1.0])
-bad_file = workdir / "infeasible.json"
-bad_report = workdir / "infeasible-report.json"
-bad_file.write_text(serialize_problem(bad))
-print(f"$ fbqp solve {bad_file.name} --json > {bad_report.name}")
-captured = io.StringIO()
-with contextlib.redirect_stdout(captured):
-    code = cli_main(["solve", str(bad_file), "--json"])
-bad_report.write_text(captured.getvalue())
-report = json.loads(captured.getvalue())
-print(f"(exit code {code}) status: {report['status']}, "
-      f"certificate: {report['certificate']}\n")
-assert code == 2 and report["status"] == "PrimalInfeasible"
+    # An infeasible instance exits with code 2 so scripts can tell "solved
+    # wrong" from "cannot be solved". The report carries a Farkas certificate,
+    # which the checker verifies from the problem data alone.
+    bad = QpProblem(H=[[1.0]], f=[0.0], G=[[1.0], [1.0]], h=[0.0, 1.0])
+    bad_file = workdir / "infeasible.json"
+    bad_report = workdir / "infeasible-report.json"
+    bad_file.write_text(serialize_problem(bad))
+    print(f"$ fbqp solve {bad_file.name} --json > {bad_report.name}")
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        code = cli_main(["solve", str(bad_file), "--json"])
+    bad_report.write_text(captured.getvalue())
+    report = json.loads(captured.getvalue())
+    print(f"(exit code {code}) status: {report['status']}, "
+          f"certificate: {report['certificate']}\n")
+    assert code == 2 and report["status"] == "PrimalInfeasible"
 
-print(f"$ fbqp check {bad_file.name} --certificate {bad_report.name}")
-code = cli_main(["check", str(bad_file), "--certificate", str(bad_report)])
-print(f"(exit code {code})")
-assert code == 0
+    print(f"$ fbqp check {bad_file.name} --certificate {bad_report.name}")
+    code = cli_main(["check", str(bad_file), "--certificate", str(bad_report)])
+    print(f"(exit code {code})")
+    assert code == 0

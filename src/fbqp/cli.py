@@ -24,7 +24,8 @@ import numpy as np
 
 from . import io as qpio
 from .oracle import MAX_ORACLE_INEQUALITIES, OracleStatus, active_set_solve
-from .problem import GeneratorSpec, Iterate, infeasibility_error, kkt_error, random_problem
+from .problem import (GeneratorSpec, Iterate, infeasibility_error, kkt_error, random_problem,
+                      validate_problem)
 from .solver import SolveStatus, SolverConfig, solve
 
 __all__ = ["build_parser", "cli_main", "main"]
@@ -120,7 +121,8 @@ def _cmd_solve(args) -> int:
     if args.trace:
         qpio.write_trace(result.trace, args.trace)
     if result.status is SolveStatus.INVALID_PROBLEM:
-        raise ValueError("problem failed validation; run with a well-formed problem")
+        violations = validate_problem(problem).violations
+        raise ValueError("problem failed validation: " + "; ".join(v.message for v in violations))
     objective = problem.objective(result.iterate.z)
     if args.json:
         report = {
@@ -153,34 +155,23 @@ def _cmd_check(args) -> int:
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     problem, embedded = qpio.load_problem(args.problem)
     if args.certificate:
-        return _check_certificate(problem, args)
-    iterate = _read_point(args.solution, problem, "solution") if args.solution else embedded
-    if iterate is None:
-        raise ValueError("no solution to check; pass --solution or embed one")
-    kkt = kkt_error(problem, iterate)
-    ok = kkt.within(args.tol)
+        error = infeasibility_error(problem, _read_point(args.certificate, problem, "certificate"))
+        ok, errors = error <= args.tol, {"infeasibility_error": error}
+        fields = {"infeasibility_error": error if np.isfinite(error) else None}
+    else:
+        iterate = _read_point(args.solution, problem, "solution") if args.solution else embedded
+        if iterate is None:
+            raise ValueError("no solution to check; pass --solution or embed one")
+        kkt = kkt_error(problem, iterate)
+        ok, errors = kkt.within(args.tol), kkt.as_dict()
+        fields = {"kkt": errors, "objective": problem.objective(iterate.z)}
     if args.json:
-        _print_json({"ok": ok, "tol": args.tol, "kkt": kkt.as_dict(),
-                     "objective": problem.objective(iterate.z)})
+        _print_json({"ok": ok, "tol": args.tol, **fields})
     else:
         print(f"ok: {str(ok).lower()}")
         print(f"tol: {args.tol!r}")
-        for name, value in kkt.as_dict().items():
+        for name, value in errors.items():
             print(f"  {name}: {value:.3e}")
-    return 0 if ok else 2
-
-
-def _check_certificate(problem, args) -> int:
-    ray = _read_point(args.certificate, problem, "certificate")
-    error = infeasibility_error(problem, ray)
-    ok = error <= args.tol
-    if args.json:
-        _print_json({"ok": ok, "tol": args.tol,
-                     "infeasibility_error": error if np.isfinite(error) else None})
-    else:
-        print(f"ok: {str(ok).lower()}")
-        print(f"tol: {args.tol!r}")
-        print(f"  infeasibility_error: {error:.3e}")
     return 0 if ok else 2
 
 

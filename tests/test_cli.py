@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fbqp import QpProblem, SolverConfig, load_problem, save_problem
+from fbqp import Iterate, QpProblem, SolverConfig, load_problem, save_problem
 from fbqp.cli import build_parser, cli_main
 
 INFEASIBLE = QpProblem(H=np.eye(1), f=[0.0], G=[[1.0], [1.0]], h=[0.0, 1.0])
@@ -194,6 +194,53 @@ def test_check_rejects_tol_that_is_not_finite_and_positive(planted_file, tmp_pat
     assert "--tol" in capsys.readouterr().err
 
 
+KKT_ZERO = ["  stationarity_inf: 0.000e+00", "  eq_infeas_inf: 0.000e+00",
+            "  ineq_infeas_inf: 0.000e+00", "  comp_inf: 0.000e+00", "  dual_neg_inf: 0.000e+00"]
+KKT_WRONG = ["  stationarity_inf: 2.000e+00", "  eq_infeas_inf: 0.000e+00",
+             "  ineq_infeas_inf: 1.500e+00", "  comp_inf: 1.500e+00", "  dual_neg_inf: 0.000e+00"]
+
+
+@pytest.mark.parametrize("flags, point, code, text_lines, document", [
+    # min z^2 - 2z subject to z <= 0.5: the embedded (0.5; v = 1) is exact.
+    ([], None, 0, ["ok: true", "tol: 1e-08", *KKT_ZERO],
+     {"kkt": {"comp_inf": 0.0, "dual_neg_inf": 0.0, "eq_infeas_inf": 0.0,
+              "ineq_infeas_inf": 0.0, "stationarity_inf": 0.0},
+      "objective": -0.75, "ok": True, "tol": 1e-08}),
+    (["--solution"], {"z": [2.0], "lambda": [], "v": [0.0]}, 2,
+     ["ok: false", "tol: 1e-08", *KKT_WRONG],
+     {"kkt": {"comp_inf": 1.5, "dual_neg_inf": 0.0, "eq_infeas_inf": 0.0,
+              "ineq_infeas_inf": 1.5, "stationarity_inf": 2.0},
+      "objective": 0.0, "ok": False, "tol": 1e-08}),
+    # z = 0 and z = 1: (1, -1) is an exact Farkas ray, (1, -0.5) has error 1,
+    # and (1, 1) has margin h'lam = 1 > 0, so its error is inf (null in JSON).
+    (["--certificate"], {"z": [0.0], "lambda": [1.0, -1.0], "v": []}, 0,
+     ["ok: true", "tol: 1e-08", "  infeasibility_error: 0.000e+00"],
+     {"infeasibility_error": 0.0, "ok": True, "tol": 1e-08}),
+    (["--tol", "2", "--certificate"], {"z": [0.0], "lambda": [1.0, -0.5], "v": []}, 0,
+     ["ok: true", "tol: 2.0", "  infeasibility_error: 1.000e+00"],
+     {"infeasibility_error": 1.0, "ok": True, "tol": 2.0}),
+    (["--certificate"], {"z": [0.0], "lambda": [1.0, 1.0], "v": []}, 2,
+     ["ok: false", "tol: 1e-08", "  infeasibility_error: inf"],
+     {"infeasibility_error": None, "ok": False, "tol": 1e-08}),
+])
+def test_check_prints_its_report_exactly(tmp_path, capsys, flags, point, code, text_lines,
+                                         document):
+    path = tmp_path / "problem.json"
+    if "--certificate" in flags:
+        save_problem(path, INFEASIBLE)
+    else:
+        save_problem(path, QpProblem(H=[[2.0]], f=[-2.0], A=[[1.0]], b=[0.5]),
+                     Iterate([0.5], [], [1.0]))
+    if point is not None:
+        point_path = tmp_path / "point.json"
+        point_path.write_text(json.dumps(point))
+        flags = [*flags, str(point_path)]
+    text = "".join(f"{line}\n" for line in text_lines)
+    for json_flag, expected in (([], text), (["--json"], json.dumps(document) + "\n")):
+        assert cli_main(["check", str(path), *flags, *json_flag]) == code
+        assert capsys.readouterr() == (expected, "")
+
+
 def test_check_without_solution_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bare.json"
     save_problem(path, QpProblem(H=[[2.0]], f=[0.0]))
@@ -204,14 +251,16 @@ def test_check_without_solution_is_usage_error(tmp_path, capsys):
 
 
 def test_solve_of_invalid_problem_is_usage_error(tmp_path, capsys):
-    # An indefinite H fails validation: no report, and the one error line.
+    # An indefinite H fails validation: no report, and one error line that
+    # says which check failed.
     path = tmp_path / "indefinite.json"
     save_problem(path, QpProblem(H=np.diag([1.0, -1.0]), f=[0.0, 0.0]))
     for flags in ([], ["--json"]):
         assert cli_main(["solve", str(path), *flags]) == 1
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: problem failed validation; run with a well-formed problem\n"
+            "error: problem failed validation: "
+            "H has a negative eigenvalue -1.000e+00; problem is not convex\n"
         )
         assert captured.out == ""
 

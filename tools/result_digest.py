@@ -3,7 +3,8 @@
 Two trees that print the same lines give bit-identical results on those
 sets. Run from the repository root, for example:
 
-    python3 tools/result_digest.py fleet:0 dense diff:0 scan medium budget io:0
+    python3 tools/result_digest.py fleet:0 dense diff:0 scan medium budget unbounded
+    python3 tools/result_digest.py io:0 oracle:0
     python3 tools/result_digest.py --items 200 fleet:0
 
 Each output line is ``name count sha256``. The inputs come from the
@@ -31,6 +32,17 @@ benchmark's workloads (``bench/workloads.py``, imported, not changed):
 - ``budget``: the first 1,000 fleet seed 0 inputs, each solved with
   ``max_outer=6`` and ``max_inner`` 1, 2 and 5 in turn (3,000 results), so
   that many stages end on their inner budget.
+- ``unbounded``: 500 unbounded problems from
+  ``numpy.random.default_rng(11)``, each solved cold. For each draw the
+  generator draws, in this order: n = integers(2, 9), p = integers(0, n),
+  q = integers(1, 2 * n + 1) and seed = integers(0, 2**31), and builds
+  ``GeneratorSpec(n, p, q, activity_fraction=0.5, strictly_convex=False,
+  seed=seed)``. d is the first column of
+  ``scipy.linalg.null_space([H; G], rcond=1e-9)``; the rows of A (and b)
+  with a'd > 1e-12 are dropped, and f becomes f - (|f'd| + 1) d, so the
+  planted point stays feasible and the objective falls without bound along
+  d. A draw with an empty null space, or with no row left, is skipped and
+  does not count towards the 500.
 - ``io:S``: the problem files of the fleet at seed S, each input with its
   planted point (an infeasible copy, which has none, with
   ``Iterate.start``), and of the diff_pipeline items at seed S, each parsed
@@ -40,6 +52,11 @@ benchmark's workloads (``bench/workloads.py``, imported, not changed):
   with the point, and the bytes of every array ``parse_problem`` reads
   back from each text, so two trees that print the same line write and read
   those files byte for byte and bit for bit alike.
+- ``oracle:S``: the fleet at seed S, each input run through
+  ``active_set_solve`` alone. An entry's hash covers the outcome's status,
+  objective, active set, multiplicity flag and the bytes of z, lambda and
+  v. No entry runs a solve, so the set moves only when ``fbqp.oracle``
+  does.
 
 A result's hash covers its status, the bytes of z, lambda and v, the five
 KKT error entries, the inner iteration and factorization counts, every
@@ -47,7 +64,8 @@ trace record and the certificate. ``outer_iterations`` is kept beside it:
 the set's digest covers both. ``--items N`` keeps the first N inputs of
 each set. ``--each`` also prints
 ``name index outer_iterations status inner_iterations factorizations sha256``
-for every result (``name index sha256`` for an ``io:S`` entry), so a diff of
+for every result (``name index sha256`` for an ``io:S`` entry and
+``name index status sha256`` for an ``oracle:S`` entry), so a diff of
 two runs shows which results changed, whether their status moved and
 whether only their stage, Newton step or factorization count did. The status
 and the two counts on that line are printed outside the set's digest, so the
@@ -71,6 +89,7 @@ for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
+import scipy.linalg  # noqa: E402
 
 import fbqp  # noqa: E402
 from workloads import AcceptanceFleet, DenseMedium, DiffPipeline  # noqa: E402
@@ -80,7 +99,8 @@ MEDIUM_SIZE = 200
 DENSE_ITEMS = 32
 BUDGET_INPUTS = 1000
 BUDGET_INNER = (1, 2, 5)
-SETS = "fleet:S, dense, diff:S, scan, medium, budget"
+UNBOUNDED_SIZE = 500
+SETS = "fleet:S, dense, diff:S, scan, medium, budget, unbounded"
 
 
 def result_hash(result: fbqp.SolveResult, *extras) -> str:
@@ -94,7 +114,21 @@ def result_hash(result: fbqp.SolveResult, *extras) -> str:
         parts.extend((result.certificate.z, result.certificate.lam, result.certificate.v))
     for extra in extras:
         parts.extend(getattr(extra, field.name) for field in dataclasses.fields(extra))
-    digest = hashlib.sha256(result.status.value.encode())
+    return _array_hash(result.status.value, parts)
+
+
+def oracle_hash(outcome: fbqp.OracleResult) -> str:
+    """SHA-256 of an oracle outcome: its status, multiplicity flag and, when
+    Optimal, its objective, active set and solution."""
+    parts = [[outcome.multiplicity_flag]]
+    if outcome.solution is not None:
+        solution = outcome.solution
+        parts += [[outcome.objective], outcome.active_set, solution.z, solution.lam, solution.v]
+    return _array_hash(outcome.status.value, parts)
+
+
+def _array_hash(status: str, parts) -> str:
+    digest = hashlib.sha256(status.encode())
     for part in parts:
         array = np.ascontiguousarray(part, dtype=float)
         digest.update(repr(array.shape).encode())
@@ -174,6 +208,28 @@ def _random_specs(rng_seed: int, sizes, count: int, items: int | None):
         yield fbqp.solve(fbqp.random_problem(spec)[0]), ()
 
 
+def _unbounded(items: int | None):
+    """Cold solves of the unbounded problems (see the module docstring)."""
+    rng, count = np.random.default_rng(11), 0
+    while count < (UNBOUNDED_SIZE if items is None else min(items, UNBOUNDED_SIZE)):
+        n = int(rng.integers(2, 9))
+        p, q = int(rng.integers(0, n)), int(rng.integers(1, 2 * n + 1))
+        spec = fbqp.GeneratorSpec(n, p, q, activity_fraction=0.5, strictly_convex=False,
+                                  seed=int(rng.integers(0, 2**31)))
+        problem = fbqp.random_problem(spec)[0]
+        null = scipy.linalg.null_space(np.vstack([problem.H, problem.G]), rcond=1e-9)
+        if not null.shape[1]:
+            continue
+        d = null[:, 0]
+        keep = problem.A @ d <= 1e-12
+        if not keep.any():
+            continue
+        f = problem.f - (abs(problem.f @ d) + 1.0) * d
+        count += 1
+        yield fbqp.solve(fbqp.QpProblem(problem.H, f, problem.G, problem.h,
+                                        problem.A[keep], problem.b[keep])), ()
+
+
 def _budget(items: int | None):
     count = BUDGET_INPUTS if items is None else min(items, BUDGET_INPUTS)
     for problem, _ in AcceptanceFleet(0, count).inputs:
@@ -191,9 +247,9 @@ def results(name: str, items: int | None):
         return _random_specs(12345, _scan_sizes, SCAN_SIZE, items)
     if name == "medium":
         return _random_specs(2026, _medium_sizes, MEDIUM_SIZE, items)
-    if name in ("dense", "budget"):
-        return {"dense": _dense, "budget": _budget}[name](items)
-    raise SystemExit(f"unknown set {name!r}; use {SETS} or io:S")
+    if name in ("dense", "budget", "unbounded"):
+        return {"dense": _dense, "budget": _budget, "unbounded": _unbounded}[name](items)
+    raise SystemExit(f"unknown set {name!r}; use {SETS}, io:S or oracle:S")
 
 
 def entries(name: str, items: int | None):
@@ -203,6 +259,12 @@ def entries(name: str, items: int | None):
         for sha in _io(int(seed), items):
             yield sha, sha
         return
+    if kind == "oracle" and seed.isdigit():
+        for problem, _ in AcceptanceFleet(int(seed), items).inputs:
+            outcome = fbqp.active_set_solve(problem)
+            sha = oracle_hash(outcome)
+            yield sha, f"{outcome.status.value} {sha}"
+        return
     for result, extras in results(name, items):
         outer, sha = result.outer_iterations, result_hash(result, *extras)
         status, inner = result.status.value, result.inner_iterations
@@ -211,7 +273,7 @@ def entries(name: str, items: int | None):
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("sets", nargs="+", help=f"{SETS} or io:S")
+    parser.add_argument("sets", nargs="+", help=f"{SETS}, io:S or oracle:S")
     parser.add_argument("--items", type=int, help="keep the first N inputs of each set")
     parser.add_argument("--each", action="store_true", help="also print one line per result")
     args = parser.parse_args(argv)
